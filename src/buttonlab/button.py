@@ -190,6 +190,101 @@ def _table_eval(table, x: float) -> float:
     return ((c3 * t + c2) * t + c1) * t + c0
 
 
+class SpringTables:
+    """The spring lookups of a batch of episodes, one model per episode.
+
+    ``force(d, v)[i]`` equals ``models[i]._spring_force(d[i], v[i])`` bit
+    for bit for every displacement but -0.0, which the stepper never
+    produces: the same tables, clamps, Horner steps and blend.  Each curve is
+    evaluated on every level at once; one extra level of zeros above
+    every model's last keeps the level above the lookup's in range, and
+    its blend weight is never positive.  ``bisect_right`` over a curve's
+    breaks (or a model's levels) becomes one ``searchsorted`` over the
+    union of the batch's breaks (levels): the rank found there indexes a
+    table of that curve's counts.  All comparisons are exact, so the
+    counts are too.
+    """
+
+    def __init__(self, models):
+        ids: dict[int, int] = {}
+        which = np.array([ids.setdefault(id(m), len(ids)) for m in models])
+        unique = list({id(m): m for m in models}.values())
+        tables = [m._tables for m in unique]
+        n_levels = max(len(t) for t in tables) + 1
+        n_segments = max(len(coeffs) for t in tables for _, coeffs in t)
+        self._breaks = np.unique([b for t in tables for breaks, _ in t for b in breaks])
+        self._speeds = np.unique([level for m in unique for level in m.velocity_levels])
+        # Per curve (model, level): its clamp range, and the flat index of
+        # its segment for each rank among the batch's breaks.
+        bounds = np.zeros((len(unique), n_levels, 2))
+        segment_at = np.zeros((len(unique), n_levels, self._breaks.size + 1), dtype=np.intp)
+        starts = np.zeros((len(unique), n_levels, n_segments))
+        coeffs = np.zeros((len(unique), n_levels, n_segments, 4))
+        # Per model: the level below each rank among the batch's levels,
+        # the levels, and the gaps to the next level (inf from the last on).
+        level_at = np.zeros((len(unique), self._speeds.size + 1), dtype=np.intp)
+        lower = np.zeros((len(unique), n_levels))
+        gap = np.full((len(unique), n_levels), np.inf)
+        for k, (model, table) in enumerate(zip(unique, tables)):
+            levels = np.array(model.velocity_levels)
+            level_at[k, 1:] = np.searchsorted(levels[1:], self._speeds, side="right")
+            lower[k, : levels.size] = levels
+            gap[k, : levels.size - 1] = levels[1:] - levels[:-1]
+            for li in range(n_levels):
+                base = (k * n_levels + li) * n_segments
+                segment_at[k, li] = base
+                if li < len(table):
+                    breaks, segment = table[li]
+                    bounds[k, li] = breaks[0], breaks[-1]
+                    starts[k, li, : len(segment)] = breaks[:-1]
+                    coeffs[k, li, : len(segment)] = segment
+                    segment_at[k, li, 1:] += np.searchsorted(
+                        breaks[1:-1], self._breaks, side="right"
+                    )
+        self._starts = starts.ravel()
+        self._coeffs = [coeffs[..., j].ravel() for j in range(4)]
+        self._segment_at = segment_at.ravel()
+        self._level_at = level_at.ravel()
+        self._lower = lower.ravel()
+        self._gap = gap.ravel()
+        self._n_levels = n_levels
+        self._rows = [
+            bounds[which, :, 0],
+            bounds[which, :, 1],
+            (which[:, None] * n_levels + np.arange(n_levels)) * (self._breaks.size + 1),
+            which * (self._speeds.size + 1),
+            which * n_levels,
+            np.array([m.max_force for m in models]),
+        ]
+        self._row_base = np.arange(len(models)) * n_levels
+
+    def take(self, keep: np.ndarray) -> None:
+        """Keep only the episodes where ``keep`` is true, in order."""
+        self._rows = [x[keep] for x in self._rows]
+        self._row_base = self._row_base[: np.count_nonzero(keep)]
+
+    def force(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
+        first, last, curve_base, speed_base, level_base, max_force = self._rows
+        # Every level's curve at d: clamp, find the segment, Horner's rule.
+        # Equal values differ at most in the sign of zero, and d is never -0.0.
+        x = np.minimum(np.maximum(d[:, None], first), last)
+        i = self._segment_at[curve_base + np.searchsorted(self._breaks, x, side="right")]
+        c3, c2, c1, c0 = (c[i] for c in self._coeffs)
+        t = x - self._starts[i]
+        curves = (((c3 * t + c2) * t + c1) * t + c0).ravel()
+        # Blend the levels around |v|; below the first level the weight is
+        # negative, and from the last one on the gap is infinite.
+        speed = np.abs(v)
+        lo = self._level_at[speed_base + np.searchsorted(self._speeds, speed, side="right")]
+        at = level_base + lo
+        w = (speed - self._lower[at]) / self._gap[at]
+        at = self._row_base + lo
+        f = curves[at]
+        f = np.where(w > 0.0, f + w * (curves[at + 1] - f), f)
+        f = np.where(0.0 > f, 0.0, f)
+        return np.where(max_force < f, max_force, f)
+
+
 @dataclass(frozen=True)
 class ButtonDesignParams:
     """The six-dimensional design space the optimizer searches.

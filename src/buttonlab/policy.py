@@ -26,6 +26,7 @@ from .button import (
     FORCE_CEILING_N,
     ButtonDesignParams,
     FdvvModel,
+    SpringTables,
     design_to_fdvv,
 )
 
@@ -175,12 +176,16 @@ class TaskSpec:
     horizon: int = 1000
     sensory_delay: int = 50
     dwell_limit: int = 300
+    dt_s: float = DEFAULT_DT_S
+    mass_kg: float = DEFAULT_MASS_KG
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.sensory_delay < 0 or self.dwell_limit < 1:
             raise ValueError("sensory_delay must be >= 0 and dwell_limit >= 1")
+        if not (self.dt_s > 0 and self.mass_kg > 0):
+            raise ValueError(f"dt_s and mass_kg must be > 0, got {self.dt_s}, {self.mass_kg}")
 
 
 @dataclass(frozen=True)
@@ -208,18 +213,27 @@ class Trajectory:
 
 
 def rollout(params: PolicyParams, task: TaskSpec, model: FdvvModel, seed) -> Trajectory:
-    """One seeded episode against the simulated button at 1 kHz.
+    """One seeded episode against the simulated button, one step per ``task.dt_s``.
 
     Physics matches the public stepper exactly (same arithmetic on the
     same spring lookup); the loop is inlined so training stays at desk
     scale.  Pre-drawing the noise makes the episode a pure function of
     (params, task, model, seed).
     """
-    rng = np.random.default_rng(seed)
     horizon = task.horizon
-    z = rng.standard_normal(horizon)
+    z = np.random.default_rng(seed).standard_normal(horizon)
+    obs = np.empty((horizon, 5))
+    actions, raws, rewards = np.empty(horizon), np.empty(horizon), np.empty(horizon)
+    ending = _press(params, task, model, z, obs, actions, raws, rewards, 0, 0.0, 0.0, None)
+    return _trajectory(params, z, obs, actions, raws, rewards, *ending)
+
+
+def _press(params, task, model, z, obs_buf, actions, raws, rewards, start, d, v, activation_step):
+    """Ticks ``start`` on of one episode, from displacement ``d``, velocity
+    ``v`` and its activation step so far (None before activation), written
+    into its buffers; returns (steps, success, activation_step)."""
+    horizon = task.horizon
     sigma = math.exp(params.log_std)
-    log_std = params.log_std
     layers = params.weights
     hidden_wb = layers[:-1]
     w_out, b_out = layers[-1]
@@ -228,22 +242,11 @@ def rollout(params: PolicyParams, task: TaskSpec, model: FdvvModel, seed) -> Tra
     act_disp = model.activation_disp
     rel_disp = model.release_disp
     damping = model.damping
-    dt = DEFAULT_DT_S
-    mass_kg = DEFAULT_MASS_KG
+    dt = task.dt_s
+    mass_kg = task.mass_kg
 
-    obs_buf = np.empty((horizon, 5))
-    actions = np.empty(horizon)
-    raws = np.empty(horizon)
-    lps = np.empty(horizon)
-    rewards = np.empty(horizon)
-
-    d = 0.0
-    v = 0.0
-    activated = False
-    activation_step: int | None = None
-    success = False
-    steps = 0
-    for t in range(horizon):
+    activated = activation_step is not None
+    for t in range(start, horizon):
         spring = model._spring_force(d, v)
         cue = 1.0 if activation_step is not None and t >= activation_step + task.sensory_delay else 0.0
         obs = obs_buf[t]
@@ -261,7 +264,6 @@ def rollout(params: PolicyParams, task: TaskSpec, model: FdvvModel, seed) -> Tra
         a = min(max(raw, 0.0), ACTION_MAX_N)
         actions[t] = a
         raws[t] = raw
-        lps[t] = -0.5 * z[t] * z[t] - log_std - _HALF_LOG_2PI
 
         # Same operation order as the public stepper, for bit-identical replay.
         accel = (a - spring - damping * v) * 1000.0 / mass_kg
@@ -273,42 +275,215 @@ def rollout(params: PolicyParams, task: TaskSpec, model: FdvvModel, seed) -> Tra
             d_new, v = travel, 0.0
 
         reward = STEP_PENALTY - EFFORT_COEF * a * a
-        done = False
         if not activated and d < act_disp <= d_new:
             activated = True
             activation_step = t
         elif activated and d_new <= rel_disp < d:
-            activated = False
-            success = True
-            reward += SUCCESS_REWARD
-            done = True
+            rewards[t] = reward + SUCCESS_REWARD
+            return t + 1, True, activation_step
         d = d_new
 
-        if not done and activated and t - activation_step >= task.dwell_limit:
-            reward += TIMEOUT_PENALTY
-            done = True
-        if not done and t == horizon - 1:
-            reward += TIMEOUT_PENALTY
-            done = True
+        if (activated and t - activation_step >= task.dwell_limit) or t == horizon - 1:
+            rewards[t] = reward + TIMEOUT_PENALTY
+            return t + 1, False, activation_step
         rewards[t] = reward
-        steps = t + 1
-        if done:
-            break
+    raise AssertionError("an episode always ends by its horizon")
 
-    rewards = rewards[:steps]
-    ret = 0.0
-    for i in range(steps - 1, -1, -1):
-        ret = rewards[i] + GAMMA * ret
+
+def _trajectory(params, z, obs, actions, raws, rewards, steps, success, activation_step):
+    """The first ``steps`` ticks of an episode's buffers as a Trajectory."""
+    ret = 0.0  # Python floats round as float64 scalars do
+    for r in reversed(rewards[:steps].tolist()):
+        ret = r + GAMMA * ret
     return Trajectory(
-        observations=obs_buf[:steps].copy(),
-        actions=actions[:steps].copy(),
-        raw_actions=raws[:steps].copy(),
-        log_probs=lps[:steps].copy(),
-        rewards=rewards.copy(),
+        observations=obs[:steps],
+        actions=actions[:steps],
+        raw_actions=raws[:steps],
+        log_probs=-0.5 * z[:steps] * z[:steps] - params.log_std - _HALF_LOG_2PI,
+        rewards=rewards[:steps],
         success=success,
         activation_step=activation_step,
-        return_=float(ret),
+        return_=ret,
     )
+
+
+# Below this many running episodes, rollouts runs each one alone: a
+# lockstep tick costs about as much as seven scalar steps at batch sizes
+# this small.
+LOCKSTEP_MIN_EPISODES = 8
+# Ticks a lockstep batch keeps in lists before writing them to its buffers.
+_STRETCH_TICKS = 64
+
+
+def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
+    """B independent episodes; each equals the :func:`rollout` of the same inputs.
+
+    ``params``, ``tasks``, ``models`` and ``seeds`` are sequences of one
+    entry per episode, and every episode's trajectory is byte-identical
+    to ``rollout(params[i], tasks[i], models[i], seeds[i])``.  From
+    LOCKSTEP_MIN_EPISODES episodes on they advance together, one tick for
+    all of them, in the same elementwise arithmetic as :func:`rollout`,
+    until fewer than that are still running; each of those then finishes
+    alone from where it stands.
+
+    Raises:
+        ValueError: sequences of different lengths, or policies of
+            different architectures in one lockstep batch.
+    """
+    params, tasks, models, seeds = list(params), list(tasks), list(models), list(seeds)
+    if not len(params) == len(tasks) == len(models) == len(seeds):
+        raise ValueError("need one policy, task, model and seed per episode")
+    if len(params) < LOCKSTEP_MIN_EPISODES:
+        return [rollout(p, t, m, s) for p, t, m, s in zip(params, tasks, models, seeds)]
+    return _lockstep(params, tasks, models, seeds)
+
+
+def _layer(params: list[PolicyParams], k: int):
+    """Layer k of every policy: one shared (w, b) when all hold the same
+    bits, else per-episode stacks shaped (B, n_in, n_out) and (B, 1, n_out)."""
+    w0, b0 = params[0].weights[k]
+    if all(
+        p.weights[k][0].tobytes() == w0.tobytes() and p.weights[k][1].tobytes() == b0.tobytes()
+        for p in params[1:]
+    ):
+        return w0, b0
+    return (
+        np.stack([p.weights[k][0] for p in params]),
+        np.stack([p.weights[k][1] for p in params])[:, None, :],
+    )
+
+
+def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[FdvvModel], seeds):
+    """:func:`rollouts` with every episode advanced one tick at a time."""
+    sizes = params[0].layer_sizes
+    if any(p.layer_sizes != sizes for p in params):
+        raise ValueError("a lockstep batch needs one policy architecture")
+    n = len(params)
+    span = max(t.horizon for t in tasks)
+    z = np.zeros((n, span))
+    for e, (task, seed) in enumerate(zip(tasks, seeds)):
+        z[e, : task.horizon] = np.random.default_rng(seed).standard_normal(task.horizon)
+    sigma = np.array([math.exp(p.log_std) for p in params])
+    noise = np.multiply(z.T, sigma, order="C")  # tick-major: noise[t] is one row
+    # Episode-major buffers: a trajectory's arrays, but for its
+    # log-probabilities, are views of one row of each.
+    obs_buf = np.empty((n, span, 5))
+    actions = np.empty((n, span))
+    raws = np.empty((n, span))
+    rewards = np.zeros((n, span))
+    steps = np.zeros(n, dtype=int)
+    success = np.zeros(n, dtype=bool)
+    never = np.iinfo(np.int64).max // 2  # activation step of an unactivated episode
+    activation = np.full(n, never)
+
+    # The forward pass is a stack of vector-times-matrix products: each
+    # row's matmul gives the bits of rollout's ``h @ w``, where a single
+    # (B, n) @ (n, m) product would not.
+    layers = [_layer(params, k) for k in range(len(sizes) - 1)]
+    springs = SpringTables(models)
+    # Per-episode values, narrowed to the running episodes as others end.
+    state = {
+        "rows": np.arange(n),
+        "d": np.zeros(n),
+        "v": np.zeros(n),
+        "armed": np.ones(n, dtype=bool),  # not activated yet
+        "act_step": np.full(n, never),
+        "cue_at": np.full(n, never),
+        # The tick that times the episode out: its horizon's last, or the
+        # dwell limit's after activation if that comes first.
+        "deadline": np.array([t.horizon - 1 for t in tasks]),
+        "b_out": np.array([p.weights[-1][1][0] for p in params]),
+        "travel": np.array([m.travel for m in models]),
+        "act_disp": np.array([m.activation_disp for m in models]),
+        "rel_disp": np.array([m.release_disp for m in models]),
+        "damping": np.array([m.damping for m in models]),
+        "delay": np.array([t.sensory_delay for t in tasks]),
+        "dwell": np.array([t.dwell_limit for t in tasks]),
+        "horizon": np.array([float(t.horizon) for t in tasks]),
+        "dt": np.array([t.dt_s for t in tasks]),
+        "mass": np.array([t.mass_kg for t in tasks]),
+    }
+    stretch: list[tuple[np.ndarray, ...]] = []  # ticks not yet in the buffers
+    start = 0
+    for t in range(span):
+        rows, d, v = state["rows"], state["d"], state["v"]
+        travel, act_disp = state["travel"], state["act_disp"]
+        spring = springs.force(d, v)
+        obs = np.empty((rows.size, 5))
+        np.divide(d, travel, out=obs[:, 0])
+        np.divide(v, VELOCITY_SCALE, out=obs[:, 1])
+        np.divide(spring, FORCE_CEILING_N, out=obs[:, 2])
+        np.greater_equal(t, state["cue_at"], out=obs[:, 3])
+        np.divide(state["horizon"] - t, state["horizon"], out=obs[:, 4])
+
+        h = obs[:, None, :]
+        for w, b in layers[:-1]:
+            h = np.tanh(np.matmul(h, w) + b)
+        raw = np.matmul(h, layers[-1][0])[:, 0, 0] + state["b_out"] + noise[t][rows]
+        a = np.where(0.0 > raw, 0.0, raw)
+        a = np.where(ACTION_MAX_N < a, ACTION_MAX_N, a)
+
+        # Same operation order as rollout and the public stepper.
+        accel = (a - spring - state["damping"] * v) * 1000.0 / state["mass"]
+        v = v + accel * state["dt"]
+        d_new = d + v * state["dt"]
+        bottom = d_new <= 0.0
+        top = d_new >= travel
+        np.putmask(d_new, bottom, 0.0)
+        np.putmask(d_new, top, travel)
+        np.putmask(v, bottom | top, 0.0)
+        state["d"], state["v"] = d_new, v
+
+        reward = STEP_PENALTY - EFFORT_COEF * a * a
+        armed = state["armed"]
+        pressed = armed & (d < act_disp) & (act_disp <= d_new)
+        released = ~armed & (d_new <= state["rel_disp"]) & (state["rel_disp"] < d)
+        if pressed.any():
+            state["armed"] = armed & ~pressed
+            state["act_step"] = np.where(pressed, t, state["act_step"])
+            state["cue_at"] = np.where(pressed, t + state["delay"], state["cue_at"])
+            state["deadline"] = np.where(
+                pressed, np.minimum(t + state["dwell"], state["deadline"]), state["deadline"]
+            )
+        stretch.append((obs, a, raw, reward))
+        done = released | (t == state["deadline"])
+        ending = done.any()
+        if ending:
+            reward[released] += SUCCESS_REWARD
+            reward[done & ~released] += TIMEOUT_PENALTY
+        if ending or len(stretch) == _STRETCH_TICKS:
+            for buf, ticks in zip((obs_buf, actions, raws, rewards), zip(*stretch)):
+                buf[rows, start : t + 1] = np.stack(ticks, axis=1)
+            stretch, start = [], t + 1
+        if not ending:
+            continue
+        ended = rows[done]
+        steps[ended] = t + 1
+        success[ended] = released[done]
+        activation[ended] = state["act_step"][done]
+        keep = ~done
+        if np.count_nonzero(keep) < LOCKSTEP_MIN_EPISODES:
+            # Too few left to share a tick: each finishes alone.
+            for i in np.flatnonzero(keep):
+                e, act = rows[i], int(state["act_step"][i])
+                steps[e], success[e], act = _press(
+                    params[e], tasks[e], models[e], z[e], obs_buf[e], actions[e], raws[e],
+                    rewards[e], t + 1, float(state["d"][i]), float(state["v"][i]),
+                    None if act == never else act,
+                )
+                activation[e] = never if act is None else act
+            break
+        state = {k: x[keep] for k, x in state.items()}
+        layers = [(w[keep], b[keep]) if w.ndim == 3 else (w, b) for w, b in layers]
+        springs.take(keep)
+
+    return [
+        _trajectory(
+            params[e], z[e], obs_buf[e], actions[e], raws[e], rewards[e], k, bool(success[e]),
+            None if activation[e] == never else int(activation[e]),
+        )
+        for e, k in enumerate(steps)
+    ]
 
 
 def _pooled(trajectories: list[Trajectory], baseline: float | None):
@@ -429,21 +604,37 @@ def adapt(meta: MetaPolicy, task: TaskSpec, model: FdvvModel, seed) -> PolicyPar
     designs; a 4-episode gradient over all of them is noisy enough to
     undo what the initialization already does well.
     """
-    params = meta.init_params
-    head = param_count(params.layer_sizes[-2:])
+    return _adapt_tasks(meta, [task], [model], [seed])[0]
+
+
+def _repeat(items, count: int) -> list:
+    return [x for x in items for _ in range(count)]
+
+
+def _adapt_tasks(meta: MetaPolicy, tasks, models, task_seeds) -> list[PolicyParams]:
+    """:func:`adapt` on several tasks at once, each batch's episodes in one
+    :func:`rollouts` call; task k's result equals ``adapt(meta, tasks[k],
+    models[k], task_seeds[k])``."""
+    params = [meta.init_params] * len(tasks)
+    head = param_count(meta.init_params.layer_sizes[-2:])
     rates = np.full(head, meta.inner_lr)
     rates[-1] *= LOG_STD_STEP_SCALE
     remaining = meta.adapt_episodes
     batch_index = 0
     while remaining > 0:
         size = min(_BATCH, remaining)
-        batch = [
-            rollout(params, task, model, seeds.seed_for(seed, "adapt", batch_index, j))
-            for j in range(size)
-        ]
-        vector = params.vector.copy()
-        vector[-head:] += rates * _gradient(batch, params, None, 1)
-        params = params.replaced(vector)
+        episodes = rollouts(
+            _repeat(params, size),
+            _repeat(tasks, size),
+            _repeat(models, size),
+            [seeds.seed_for(s, "adapt", batch_index, j) for s in task_seeds for j in range(size)],
+        )
+        stepped = []
+        for k, p in enumerate(params):
+            vector = p.vector.copy()
+            vector[-head:] += rates * _gradient(episodes[k * size : (k + 1) * size], p, None, 1)
+            stepped.append(p.replaced(vector))
+        params = stepped
         remaining -= size
         batch_index += 1
     return params
@@ -479,7 +670,9 @@ def meta_train(
     back one for one, sets it per design.  With the default 8 episodes
     that is one inner step on 4 episodes and a meta-gradient from the
     4 episodes the recipe's second step draws, so each task costs
-    ``adapt_episodes`` rollouts per iteration.
+    ``adapt_episodes`` rollouts per iteration.  The tasks of an iteration
+    adapt together, and their last batches run in one :func:`rollouts`
+    call; the result is the same as one task at a time.
 
     Raises:
         ValueError: iterations < 0, or adapt_episodes < 1.
@@ -489,24 +682,34 @@ def meta_train(
     if adapt_episodes < 1:
         raise ValueError("meta-training needs adapt_episodes >= 1")
     inner_episodes = _BATCH * ((adapt_episodes - 1) // _BATCH)
+    last_episodes = adapt_episodes - inner_episodes
     init = init_policy(seeds.seed_for(seed, "meta_init"), layer_sizes)
     for it in range(iterations):
-        grads = []
+        tasks, models = [], []
         for j in range(tasks_per_iteration):
             design = task_sampler(seeds.rng_for(seed, "meta_task", it, j))
-            model = design_to_fdvv(design)
-            task = TaskSpec(design)
-            reached = adapt(
-                MetaPolicy(init, inner_lr, inner_episodes),
-                task,
-                model,
-                seeds.seed_int(seed, "meta_inner", it, j),
-            )
-            last = [
-                rollout(reached, task, model, seeds.seed_for(seed, "meta_post", it, j, r))
-                for r in range(adapt_episodes - inner_episodes)
-            ]
-            grads.append(policy_gradient(last, reached))
+            models.append(design_to_fdvv(design))
+            tasks.append(TaskSpec(design))
+        reached = _adapt_tasks(
+            MetaPolicy(init, inner_lr, inner_episodes),
+            tasks,
+            models,
+            [seeds.seed_int(seed, "meta_inner", it, j) for j in range(tasks_per_iteration)],
+        )
+        last = rollouts(
+            _repeat(reached, last_episodes),
+            _repeat(tasks, last_episodes),
+            _repeat(models, last_episodes),
+            [
+                seeds.seed_for(seed, "meta_post", it, j, r)
+                for j in range(tasks_per_iteration)
+                for r in range(last_episodes)
+            ],
+        )
+        grads = [
+            policy_gradient(last[j * last_episodes : (j + 1) * last_episodes], p)
+            for j, p in enumerate(reached)
+        ]
         step = meta_lr * np.mean(grads, axis=0)
         step[-1] = 0.0  # the log-std is left to adaptation
         init = init.replaced(init.vector + step)

@@ -27,6 +27,7 @@ from buttonlab import (
     scripted_press_trace,
     step,
 )
+from buttonlab.button import SpringTables
 
 SPRING_K = 1.0  # N/mm
 TRAVEL = 4.0
@@ -230,6 +231,31 @@ def test_force_interpolates_between_velocity_levels():
         assert force_at(model, d, 900.0) == pytest.approx(
             min(max(float(model.fd_curves[-1](d)), 0.0), model.max_force), abs=1e-9
         )
+
+
+def test_spring_tables_match_scalar_lookup():
+    rng = np.random.default_rng(21)
+    # Curves whose domain sits just inside [0, travel] clamp at both ends;
+    # a quadratic on four levels adds levels and segments to the padding.
+    inner = BSplineCurve(1, np.array([1e-13, 1e-13, TRAVEL - 1e-13, TRAVEL - 1e-13]),
+                         np.array([0.1, 3.0]))
+    quad = BSplineCurve(2, np.array([0.0, 0.0, 0.0, 1.0, 2.5, TRAVEL, TRAVEL, TRAVEL]),
+                        np.array([0.0, 0.5, 2.0, 1.0, 4.0]))
+    odd = FdvvModel((5.0, 50.0, 150.0, 400.0), (inner, quad, inner, quad), TRAVEL, 3.0, 2.1,
+                    VibrationSpec(200.0, 0.0, 200.0), max_force=3.5, damping=DAMPING)
+    models = [design_to_fdvv(random_design(rng)) for _ in range(4)] + [odd, linear_model()]
+    for _ in range(20):
+        which = rng.integers(0, len(models), 64)
+        batch = [models[k] for k in which]
+        travel = np.array([m.travel for m in batch])
+        d = rng.uniform(0.0, 1.0, 64) * travel
+        d[::7] = 0.0
+        d[3::7] = travel[3::7]
+        v = rng.uniform(-500.0, 500.0, 64)
+        v[::5] = rng.choice([0.0, 5.0, 10.0, -100.0, 150.0, 300.0, 400.0, 1e4], v[::5].size)
+        got = SpringTables(batch).force(d, v)
+        want = np.array([m._spring_force(float(x), float(y)) for m, x, y in zip(batch, d, v)])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_force_respects_ceiling():

@@ -11,6 +11,7 @@ from scipy.stats import norm
 
 from buttonlab import (
     ButtonDesignParams,
+    FdTrace,
     MetaPolicy,
     PolicyParams,
     SimState,
@@ -18,16 +19,29 @@ from buttonlab import (
     Trajectory,
     adapt,
     design_to_fdvv,
+    evaluate_design,
+    fit_fdvv,
+    force_at,
     init_policy,
     meta_train,
     policy_act,
     policy_gradient,
     policy_mean,
     rollout,
+    rollouts,
     step,
     surrogate_objective,
 )
-from buttonlab.policy import ACTION_MAX_N, GAMMA, param_count
+from buttonlab import seeds
+from buttonlab.policy import (
+    ACTION_MAX_N,
+    GAMMA,
+    LOCKSTEP_MIN_EPISODES,
+    _adapt_tasks,
+    _layer,
+    default_task_sampler,
+    param_count,
+)
 
 EASY = ButtonDesignParams(
     travel=2.0,
@@ -278,6 +292,26 @@ def test_task_spec_validation():
         TaskSpec(EASY, sensory_delay=-1)
     with pytest.raises(ValueError):
         TaskSpec(EASY, dwell_limit=0)
+    for bad in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError):
+            TaskSpec(EASY, dt_s=bad)
+        with pytest.raises(ValueError):
+            TaskSpec(EASY, mass_kg=bad)
+
+
+def test_rollout_with_other_rate_and_mass_replays_through_stepper():
+    params = init_policy(1)
+    model = design_to_fdvv(EASY)
+    dt, mass = 0.0005, 0.008
+    task = TaskSpec(EASY, horizon=400, dt_s=dt, mass_kg=mass)
+    traj = rollout(params, task, model, seed=4)
+    default = rollout(params, TaskSpec(EASY, horizon=400), model, seed=4)
+    assert not np.array_equal(traj.observations[:50], default.observations[:50])
+    state = SimState()
+    for t in range(len(traj)):
+        assert traj.observations[t, 0] * model.travel == state.displacement
+        assert traj.observations[t, 1] == state.velocity / 500.0
+        state, _ = step(model, state, float(traj.actions[t]), dt, mass)
 
 
 def test_meta_policy_validation():
@@ -324,14 +358,16 @@ def test_policy_gradient_rejects_empty_batch():
 
 _THREAD_PROBE = """
 import numpy as np
-from buttonlab import TaskSpec, adapt, design_to_fdvv, meta_train
-from buttonlab.policy import default_task_sampler
+from buttonlab import TaskSpec, adapt, design_to_fdvv, evaluate_design, meta_train
+from buttonlab.policy import LOCKSTEP_MIN_EPISODES, default_task_sampler
 
 meta = meta_train(default_task_sampler, iterations=2, seed=3, tasks_per_iteration=4)
 design = default_task_sampler(np.random.default_rng(5))
 adapted = adapt(meta, TaskSpec(design), design_to_fdvv(design), seed=4)
+objectives = evaluate_design(design, meta, LOCKSTEP_MIN_EPISODES, seed=6)
 print(meta.init_params.vector.tobytes().hex())
 print(adapted.vector.tobytes().hex())
+print(objectives.tobytes().hex())
 """
 
 
@@ -354,3 +390,173 @@ def test_training_bits_do_not_depend_on_blas_thread_count():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+def constant_velocity_trace(model, speed, samples=400):
+    """Press scripted as a constant-velocity ramp over the full travel."""
+    d = np.linspace(0.0, model.travel, samples)
+    t = d / speed
+    f = np.array([force_at(model, float(x), speed) for x in d])
+    return FdTrace(t, d, f, np.zeros(samples), sample_rate=speed * (samples - 1) / model.travel)
+
+
+def head_params(base, out_weights, bias, log_std):
+    """``base`` with its output layer and log-std replaced."""
+    vector = base.vector.copy()
+    n_hidden = base.layer_sizes[-2]
+    vector[-(n_hidden + 2) :] = np.concatenate([out_weights, [bias, log_std]])
+    return base.replaced(vector)
+
+
+def assert_same_trajectory(got, want):
+    for name in ("observations", "actions", "raw_actions", "log_probs", "rewards"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    for name in ("success", "activation_step", "return_"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and a == b, name
+
+
+def mixed_batch():
+    """Episodes over design and fitted models, task limits, policies and endings."""
+    rng = np.random.default_rng(8)
+    designs = [EASY] + [default_task_sampler(rng) for _ in range(3)]
+    models = [design_to_fdvv(d) for d in designs]
+    # A fitted model: two velocity levels, and many more segments per curve.
+    fitted = fit_fdvv([[constant_velocity_trace(models[0], v)] for v in (10.0, 100.0)])
+    assert len(fitted.velocity_levels) != len(models[0].velocity_levels)
+    assert len(fitted._tables[0][1]) != len(models[0]._tables[0][1])
+    models.append(fitted)
+    designs.append(EASY)
+
+    base = init_policy(2)
+    n_hidden = base.layer_sizes[-2]
+    relay = np.zeros(n_hidden)
+    relay[0] = -10.0  # hidden unit 0 carries the release cue
+    policies = {
+        "release": head_params(base, relay, 3.0, -3.0),
+        "hold": head_params(base, np.zeros(n_hidden), 5.0, -6.0),
+        "idle": head_params(base, np.zeros(n_hidden), -50.0, -0.5),
+        "init": base,
+        "moved": head_params(base, rng.normal(0.0, 0.3, n_hidden), 2.5, -0.7),
+    }
+    # (policy, model, horizon, sensory delay, dwell limit, step, mass)
+    plan = [
+        ("release", 0, 1000, 10, 300, 0.001, 0.005),
+        ("hold", 0, 1000, 10, 50, 0.001, 0.005),  # dwell timeout
+        ("hold", 1, 120, 5, 300, 0.001, 0.005),  # horizon timeout after activation
+        ("idle", 2, 90, 5, 40, 0.001, 0.005),  # no activation at all
+        ("init", 4, 700, 30, 200, 0.001, 0.005),
+        ("release", 4, 1000, 20, 300, 0.0005, 0.008),
+        ("moved", 3, 500, 0, 1, 0.001, 0.005),
+        ("init", 1, 1000, 50, 300, 0.002, 0.004),
+        ("moved", 2, 333, 7, 80, 0.001, 0.005),
+        ("hold", 4, 150, 3, 20, 0.001, 0.005),
+        ("init", 3, 1000, 50, 300, 0.001, 0.005),
+        ("release", 2, 800, 15, 250, 0.001, 0.005),
+    ]
+    params, tasks, batch_models, episode_seeds = [], [], [], []
+    for k, (policy, m, horizon, delay, dwell, dt, mass) in enumerate(plan):
+        params.append(policies[policy])
+        tasks.append(TaskSpec(designs[m], horizon, delay, dwell, dt, mass))
+        batch_models.append(models[m])
+        episode_seeds.append(seeds.seed_for(17, "rollout", k))
+    return params, tasks, batch_models, episode_seeds
+
+
+def test_rollouts_equal_rollout_bit_for_bit():
+    params, tasks, models, episode_seeds = mixed_batch()
+    want = [rollout(*args) for args in zip(params, tasks, models, episode_seeds)]
+    endings = set()
+    for traj, task in zip(want, tasks):
+        if traj.success:
+            endings.add("success")
+        elif traj.activation_step is None:
+            endings.add("no activation")
+        elif len(traj) == task.horizon:
+            endings.add("horizon")
+        else:
+            endings.add("dwell")
+    assert endings == {"success", "dwell", "horizon", "no activation"}
+    assert len(want) > LOCKSTEP_MIN_EPISODES
+    for size in (1, LOCKSTEP_MIN_EPISODES - 1, LOCKSTEP_MIN_EPISODES, len(want)):
+        got = rollouts(params[:size], tasks[:size], models[:size], episode_seeds[:size])
+        assert len(got) == size
+        for g, w in zip(got, want):
+            assert_same_trajectory(g, w)
+
+
+def test_rollouts_share_buffers_and_weights():
+    params, tasks, models, episode_seeds = mixed_batch()
+    got = rollouts(params, tasks, models, episode_seeds)
+    # Trajectories are views of one episode-major buffer per field.
+    assert all(t.actions.base is got[0].actions.base for t in got)
+    # Layers that every episode holds are not stacked per episode.
+    shared = [params[0], params[0].replaced(params[0].vector.copy())]
+    assert _layer(shared, 0)[0].ndim == 2
+    assert _layer(params, len(params[0].layer_sizes) - 2)[0].ndim == 3
+
+
+def test_rollouts_validation():
+    params, tasks, models, episode_seeds = mixed_batch()
+    with pytest.raises(ValueError):
+        rollouts(params, tasks[:-1], models, episode_seeds)
+    small = init_policy(0, layer_sizes=(5, 4, 1))
+    with pytest.raises(ValueError):
+        rollouts([small] + params[1:], tasks, models, episode_seeds)
+    assert rollouts([], [], [], []) == []
+
+
+def reference_meta_train(task_sampler, iterations, seed, tasks_per_iteration, meta_lr=0.05):
+    """meta_train as one task and one episode at a time."""
+    meta = MetaPolicy(init_policy(seeds.seed_for(seed, "meta_init")))
+    init = meta.init_params
+    for it in range(iterations):
+        grads = []
+        for j in range(tasks_per_iteration):
+            design = task_sampler(seeds.rng_for(seed, "meta_task", it, j))
+            model = design_to_fdvv(design)
+            task = TaskSpec(design)
+            inner = MetaPolicy(init, meta.inner_lr, 4)
+            reached = adapt(inner, task, model, seeds.seed_int(seed, "meta_inner", it, j))
+            last = [
+                rollout(reached, task, model, seeds.seed_for(seed, "meta_post", it, j, r))
+                for r in range(4)
+            ]
+            grads.append(policy_gradient(last, reached))
+        step = meta_lr * np.mean(grads, axis=0)
+        step[-1] = 0.0
+        init = init.replaced(init.vector + step)
+    return init
+
+
+def reference_evaluate(design, meta, episodes, seed):
+    """evaluate_design's objectives, one rollout at a time."""
+    model = design_to_fdvv(design)
+    task = TaskSpec(design)
+    adapted = adapt(meta, task, model, seed)
+    runs = [rollout(adapted, task, model, seeds.seed_for(seed, "rollout", i)) for i in range(episodes)]
+    durations = np.array([len(t) * 0.001 if t.success else 1000 * 0.001 for t in runs])
+    efforts = np.array([float(np.sum(t.actions**2)) * 0.001 for t in runs])
+    failures = 1.0 - np.array([t.success for t in runs]).mean()
+    return np.array([durations.mean(), failures, efforts.mean()])
+
+
+def test_lockstep_callers_match_sequential_reference():
+    meta = meta_train(default_task_sampler, iterations=2, seed=5, tasks_per_iteration=3)
+    want = reference_meta_train(default_task_sampler, iterations=2, seed=5, tasks_per_iteration=3)
+    assert meta.init_params.vector.tobytes() == want.vector.tobytes()
+
+    rng = np.random.default_rng(9)
+    designs = [default_task_sampler(rng) for _ in range(3)]
+    tasks = [TaskSpec(d) for d in designs]
+    models = [design_to_fdvv(d) for d in designs]
+    together = _adapt_tasks(meta, tasks, models, [11, 12, 13])
+    for params, task, model, seed in zip(together, tasks, models, (11, 12, 13)):
+        assert params.vector.tobytes() == adapt(meta, task, model, seed).vector.tobytes()
+
+    for k, design in enumerate(designs):
+        episodes = LOCKSTEP_MIN_EPISODES + 2 * k
+        got = evaluate_design(design, meta, episodes, seed=20 + k)
+        assert got.tobytes() == reference_evaluate(design, meta, episodes, 20 + k).tobytes()
