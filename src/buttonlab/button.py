@@ -199,10 +199,9 @@ class SpringTables:
     evaluated on every level at once; one extra level of zeros above
     every model's last keeps the level above the lookup's in range, and
     its blend weight is never positive.  ``bisect_right`` over a curve's
-    breaks (or a model's levels) becomes one ``searchsorted`` over the
-    union of the batch's breaks (levels): the rank found there indexes a
-    table of that curve's counts.  All comparisons are exact, so the
-    counts are too.
+    breaks (or a model's levels) becomes a count of the breaks (levels)
+    at or below the value, padded with +inf to a common length.  All
+    comparisons are exact, so the counts are too.
     """
 
     def __init__(self, models):
@@ -212,47 +211,40 @@ class SpringTables:
         tables = [m._tables for m in unique]
         n_levels = max(len(t) for t in tables) + 1
         n_segments = max(len(coeffs) for t in tables for _, coeffs in t)
-        self._breaks = np.unique([b for t in tables for breaks, _ in t for b in breaks])
-        self._speeds = np.unique([level for m in unique for level in m.velocity_levels])
-        # Per curve (model, level): its clamp range, and the flat index of
-        # its segment for each rank among the batch's breaks.
+        # Per curve (model, level): its clamp range, and its segments'
+        # starts and coefficients.  Counting the starts at or below the
+        # clamped x finds the segment.  A level of zeros gets one start,
+        # at 0, so that its value, which is never blended in, is 0 too.
         bounds = np.zeros((len(unique), n_levels, 2))
-        segment_at = np.zeros((len(unique), n_levels, self._breaks.size + 1), dtype=np.intp)
-        starts = np.zeros((len(unique), n_levels, n_segments))
+        starts = np.full((len(unique), n_levels, n_segments), np.inf)
+        starts[:, :, 0] = 0.0
         coeffs = np.zeros((len(unique), n_levels, n_segments, 4))
-        # Per model: the level below each rank among the batch's levels,
-        # the levels, and the gaps to the next level (inf from the last on).
-        level_at = np.zeros((len(unique), self._speeds.size + 1), dtype=np.intp)
+        # Per model: the levels above its first, the levels, and the gaps
+        # to the next level (inf from the last on).
+        upper = np.full((len(unique), n_levels), np.inf)
         lower = np.zeros((len(unique), n_levels))
         gap = np.full((len(unique), n_levels), np.inf)
         for k, (model, table) in enumerate(zip(unique, tables)):
             levels = np.array(model.velocity_levels)
-            level_at[k, 1:] = np.searchsorted(levels[1:], self._speeds, side="right")
+            upper[k, : levels.size - 1] = levels[1:]
             lower[k, : levels.size] = levels
             gap[k, : levels.size - 1] = levels[1:] - levels[:-1]
-            for li in range(n_levels):
-                base = (k * n_levels + li) * n_segments
-                segment_at[k, li] = base
-                if li < len(table):
-                    breaks, segment = table[li]
-                    bounds[k, li] = breaks[0], breaks[-1]
-                    starts[k, li, : len(segment)] = breaks[:-1]
-                    coeffs[k, li, : len(segment)] = segment
-                    segment_at[k, li, 1:] += np.searchsorted(
-                        breaks[1:-1], self._breaks, side="right"
-                    )
+            for li, (breaks, segment) in enumerate(table):
+                bounds[k, li] = breaks[0], breaks[-1]
+                starts[k, li, : len(segment)] = breaks[:-1]
+                coeffs[k, li, : len(segment)] = segment
         self._starts = starts.ravel()
         self._coeffs = [coeffs[..., j].ravel() for j in range(4)]
-        self._segment_at = segment_at.ravel()
-        self._level_at = level_at.ravel()
         self._lower = lower.ravel()
         self._gap = gap.ravel()
-        self._n_levels = n_levels
+        # Per episode.  The breaks and levels counted over lead their
+        # arrays, as numpy sums fastest over a leading axis.
         self._rows = [
             bounds[which, :, 0],
             bounds[which, :, 1],
-            (which[:, None] * n_levels + np.arange(n_levels)) * (self._breaks.size + 1),
-            which * (self._speeds.size + 1),
+            np.ascontiguousarray(np.moveaxis(starts[which], -1, 0)),
+            (which[:, None] * n_levels + np.arange(n_levels)) * n_segments,
+            np.ascontiguousarray(upper[which].T),
             which * n_levels,
             np.array([m.max_force for m in models]),
         ]
@@ -260,22 +252,26 @@ class SpringTables:
 
     def take(self, keep: np.ndarray) -> None:
         """Keep only the episodes where ``keep`` is true, in order."""
-        self._rows = [x[keep] for x in self._rows]
+        first, last, starts, curve_base, upper, level_base, max_force = self._rows
+        self._rows = [
+            first[keep], last[keep], np.ascontiguousarray(starts[:, keep]), curve_base[keep],
+            np.ascontiguousarray(upper[:, keep]), level_base[keep], max_force[keep],
+        ]
         self._row_base = self._row_base[: np.count_nonzero(keep)]
 
     def force(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
-        first, last, curve_base, speed_base, level_base, max_force = self._rows
+        first, last, starts, curve_base, upper, level_base, max_force = self._rows
         # Every level's curve at d: clamp, find the segment, Horner's rule.
         # Equal values differ at most in the sign of zero, and d is never -0.0.
         x = np.minimum(np.maximum(d[:, None], first), last)
-        i = self._segment_at[curve_base + np.searchsorted(self._breaks, x, side="right")]
+        i = curve_base + (starts <= x).sum(axis=0) - 1
         c3, c2, c1, c0 = (c[i] for c in self._coeffs)
         t = x - self._starts[i]
         curves = (((c3 * t + c2) * t + c1) * t + c0).ravel()
         # Blend the levels around |v|; below the first level the weight is
         # negative, and from the last one on the gap is infinite.
         speed = np.abs(v)
-        lo = self._level_at[speed_base + np.searchsorted(self._speeds, speed, side="right")]
+        lo = (upper <= speed).sum(axis=0)
         at = level_base + lo
         w = (speed - self._lower[at]) / self._gap[at]
         at = self._row_base + lo

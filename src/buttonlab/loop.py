@@ -16,14 +16,7 @@ import numpy as np
 
 from . import seeds
 from .acquisition import propose_next, scan_candidates
-from .button import (
-    DEFAULT_DT_S,
-    DEFAULT_MASS_KG,
-    DESIGN_FIELDS,
-    ButtonDesignParams,
-    FdvvModel,
-    design_to_fdvv,
-)
+from .button import DEFAULT_DT_S, DESIGN_FIELDS, ButtonDesignParams, FdvvModel, design_to_fdvv
 from .config import OBJECTIVE_NAMES, CidConfig
 from .errors import NumericalError, StateError
 from .gp import GpModel, KernelFamily, gp_fit, optimize_hyperparams
@@ -103,26 +96,21 @@ def evaluate_design(
     sensory_delay: int = 50,
     dwell_limit: int = 300,
     model_factory: Callable[[ButtonDesignParams], FdvvModel] = design_to_fdvv,
-    dt_s: float = DEFAULT_DT_S,
-    mass_kg: float = DEFAULT_MASS_KG,
 ) -> np.ndarray:
     """Objectives of one button design under the adapted user model.
 
     Renders the design, adapts the meta-policy (K episodes per its
-    recipe), then runs ``episodes`` evaluation rollouts, all stepped
-    every ``dt_s`` seconds against a ``mass_kg`` finger.  Returns the
+    recipe), then runs ``episodes`` evaluation rollouts.  Returns the
     canonical objective vector (completion_time_s, error_rate, effort),
     all minimized: mean time to a successful release with timeouts
     counted at the full horizon, failure fraction, and mean integrated
     squared force.
 
     Raises:
-        ValueError: out-of-range design, episodes < 1, or dt_s or
-            mass_kg <= 0.
+        ValueError: out-of-range design or episodes < 1.
     """
     vector, _ = evaluate_design_detailed(
-        design, meta, episodes, seed, horizon, sensory_delay, dwell_limit, model_factory,
-        dt_s, mass_kg,
+        design, meta, episodes, seed, horizon, sensory_delay, dwell_limit, model_factory
     )
     return vector
 
@@ -136,17 +124,16 @@ def evaluate_design_detailed(
     sensory_delay: int = 50,
     dwell_limit: int = 300,
     model_factory: Callable[[ButtonDesignParams], FdvvModel] = design_to_fdvv,
-    dt_s: float = DEFAULT_DT_S,
-    mass_kg: float = DEFAULT_MASS_KG,
 ) -> tuple[np.ndarray, tuple[EpisodeSummary, ...]]:
     """Like :func:`evaluate_design` but also returns per-episode summaries."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     params = design if isinstance(design, ButtonDesignParams) else ButtonDesignParams.from_array(design)
     model = model_factory(params)
-    task = TaskSpec(params, horizon, sensory_delay, dwell_limit, dt_s, mass_kg)
+    task = TaskSpec(params, horizon, sensory_delay, dwell_limit)
     adapted = adapt(meta, task, model, seed)
 
+    dt = DEFAULT_DT_S
     durations = np.empty(episodes)
     successes = np.empty(episodes, dtype=bool)
     efforts = np.empty(episodes)
@@ -159,18 +146,18 @@ def evaluate_design_detailed(
     )
     for i, traj in enumerate(trajectories):
         successes[i] = traj.success
-        durations[i] = len(traj) * dt_s if traj.success else horizon * dt_s
-        efforts[i] = float(np.sum(traj.actions**2)) * dt_s
-        t_act = np.nan if traj.activation_step is None else traj.activation_step * dt_s
+        durations[i] = len(traj) * dt if traj.success else horizon * dt
+        efforts[i] = float(np.sum(traj.actions**2)) * dt
+        t_act = np.nan if traj.activation_step is None else traj.activation_step * dt
         summaries.append(EpisodeSummary(traj.return_, traj.success, t_act))
     vector = np.array([durations.mean(), 1.0 - successes.mean(), efforts.mean()])
     return vector, tuple(summaries)
 
 
-def _worst_objectives(horizon: int, dt_s: float) -> np.ndarray:
+def _worst_objectives(horizon: int) -> np.ndarray:
     # Recorded when the simulator faults: timeout duration, certain
     # failure, and ceiling effort for the whole horizon.
-    return np.array([horizon * dt_s, 1.0, ACTION_MAX_N**2 * horizon * dt_s])
+    return np.array([horizon * DEFAULT_DT_S, 1.0, ACTION_MAX_N**2 * horizon * DEFAULT_DT_S])
 
 
 def _load_meta(config: CidConfig) -> MetaPolicy:
@@ -214,7 +201,6 @@ def make_provider(config: CidConfig, meta: MetaPolicy | None = None) -> Provider
     if config.provider == "simulated_button":
         meta = meta if meta is not None else _load_meta(config)
         indices = [OBJECTIVE_NAMES.index(name) for name in config.objectives]
-        dt_s = 1.0 / config.sample_rate_hz
 
         def evaluate(design: np.ndarray, seed: int):
             try:
@@ -226,12 +212,10 @@ def make_provider(config: CidConfig, meta: MetaPolicy | None = None) -> Provider
                     config.horizon,
                     config.sensory_delay,
                     config.dwell_limit,
-                    dt_s=dt_s,
-                    mass_kg=config.mass_kg,
                 )
             except NumericalError:
                 _log.warning("evaluation fault at %s; recording worst case", design)
-                full, summaries = _worst_objectives(config.horizon, dt_s), ()
+                full, summaries = _worst_objectives(config.horizon), ()
             return full[indices], summaries, (seed,)
 
         return Provider(names, tuple(config.objectives), lower, upper, None, evaluate)

@@ -176,16 +176,12 @@ class TaskSpec:
     horizon: int = 1000
     sensory_delay: int = 50
     dwell_limit: int = 300
-    dt_s: float = DEFAULT_DT_S
-    mass_kg: float = DEFAULT_MASS_KG
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.sensory_delay < 0 or self.dwell_limit < 1:
             raise ValueError("sensory_delay must be >= 0 and dwell_limit >= 1")
-        if not (self.dt_s > 0 and self.mass_kg > 0):
-            raise ValueError(f"dt_s and mass_kg must be > 0, got {self.dt_s}, {self.mass_kg}")
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,7 @@ class Trajectory:
 
 
 def rollout(params: PolicyParams, task: TaskSpec, model: FdvvModel, seed) -> Trajectory:
-    """One seeded episode against the simulated button, one step per ``task.dt_s``.
+    """One seeded episode against the simulated button at 1 kHz.
 
     Physics matches the public stepper exactly (same arithmetic on the
     same spring lookup); the loop is inlined so training stays at desk
@@ -242,8 +238,8 @@ def _press(params, task, model, z, obs_buf, actions, raws, rewards, start, d, v,
     act_disp = model.activation_disp
     rel_disp = model.release_disp
     damping = model.damping
-    dt = task.dt_s
-    mass_kg = task.mass_kg
+    dt = DEFAULT_DT_S
+    mass_kg = DEFAULT_MASS_KG
 
     activated = activation_step is not None
     for t in range(start, horizon):
@@ -311,8 +307,6 @@ def _trajectory(params, z, obs, actions, raws, rewards, steps, success, activati
 # lockstep tick costs about as much as seven scalar steps at batch sizes
 # this small.
 LOCKSTEP_MIN_EPISODES = 8
-# Ticks a lockstep batch keeps in lists before writing them to its buffers.
-_STRETCH_TICKS = 64
 
 
 def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
@@ -370,7 +364,7 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
     obs_buf = np.empty((n, span, 5))
     actions = np.empty((n, span))
     raws = np.empty((n, span))
-    rewards = np.zeros((n, span))
+    rewards = np.empty((n, span))
     steps = np.zeros(n, dtype=int)
     success = np.zeros(n, dtype=bool)
     never = np.iinfo(np.int64).max // 2  # activation step of an unactivated episode
@@ -400,11 +394,7 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
         "delay": np.array([t.sensory_delay for t in tasks]),
         "dwell": np.array([t.dwell_limit for t in tasks]),
         "horizon": np.array([float(t.horizon) for t in tasks]),
-        "dt": np.array([t.dt_s for t in tasks]),
-        "mass": np.array([t.mass_kg for t in tasks]),
     }
-    stretch: list[tuple[np.ndarray, ...]] = []  # ticks not yet in the buffers
-    start = 0
     for t in range(span):
         rows, d, v = state["rows"], state["d"], state["v"]
         travel, act_disp = state["travel"], state["act_disp"]
@@ -424,9 +414,9 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
         a = np.where(ACTION_MAX_N < a, ACTION_MAX_N, a)
 
         # Same operation order as rollout and the public stepper.
-        accel = (a - spring - state["damping"] * v) * 1000.0 / state["mass"]
-        v = v + accel * state["dt"]
-        d_new = d + v * state["dt"]
+        accel = (a - spring - state["damping"] * v) * 1000.0 / DEFAULT_MASS_KG
+        v = v + accel * DEFAULT_DT_S
+        d_new = d + v * DEFAULT_DT_S
         bottom = d_new <= 0.0
         top = d_new >= travel
         np.putmask(d_new, bottom, 0.0)
@@ -445,16 +435,15 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
             state["deadline"] = np.where(
                 pressed, np.minimum(t + state["dwell"], state["deadline"]), state["deadline"]
             )
-        stretch.append((obs, a, raw, reward))
         done = released | (t == state["deadline"])
         ending = done.any()
         if ending:
             reward[released] += SUCCESS_REWARD
             reward[done & ~released] += TIMEOUT_PENALTY
-        if ending or len(stretch) == _STRETCH_TICKS:
-            for buf, ticks in zip((obs_buf, actions, raws, rewards), zip(*stretch)):
-                buf[rows, start : t + 1] = np.stack(ticks, axis=1)
-            stretch, start = [], t + 1
+        obs_buf[rows, t] = obs
+        actions[rows, t] = a
+        raws[rows, t] = raw
+        rewards[rows, t] = reward
         if not ending:
             continue
         ended = rows[done]

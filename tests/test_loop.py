@@ -278,23 +278,3 @@ def test_button_records_keep_episode_summaries():
         for ep in rec.episodes:
             assert isinstance(ep.success, bool)
             assert np.isnan(ep.time_to_activation_s) or ep.time_to_activation_s >= 0.0
-
-
-def test_simulator_rate_and_mass_change_the_objectives():
-    meta = small_meta(TINY_BUTTON)
-    design = mid_design()
-    assert 1.0 / TINY_BUTTON.sample_rate_hz == 0.001 and TINY_BUTTON.mass_kg == 0.005
-    default = make_provider(TINY_BUTTON, meta).evaluate(design, 3)[0]
-    assert default.tobytes() == evaluate_design(
-        design, meta, 2, 3, 200, 10, 100, dt_s=0.001, mass_kg=0.005
-    ).tobytes()
-
-    config = dataclasses.replace(TINY_BUTTON, sample_rate_hz=500.0, mass_kg=0.02)
-    changed = make_provider(config, meta).evaluate(design, 3)[0]
-    assert changed.tobytes() == evaluate_design(
-        design, meta, 2, 3, 200, 10, 100, dt_s=0.002, mass_kg=0.02
-    ).tobytes()
-    assert not np.array_equal(changed, default)
-    # Only the mass moved: durations and effort still count 1 ms steps.
-    heavier = dataclasses.replace(TINY_BUTTON, mass_kg=0.02)
-    assert not np.array_equal(make_provider(heavier, meta).evaluate(design, 3)[0], default)

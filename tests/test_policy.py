@@ -292,26 +292,6 @@ def test_task_spec_validation():
         TaskSpec(EASY, sensory_delay=-1)
     with pytest.raises(ValueError):
         TaskSpec(EASY, dwell_limit=0)
-    for bad in (0.0, -1e-3, float("nan")):
-        with pytest.raises(ValueError):
-            TaskSpec(EASY, dt_s=bad)
-        with pytest.raises(ValueError):
-            TaskSpec(EASY, mass_kg=bad)
-
-
-def test_rollout_with_other_rate_and_mass_replays_through_stepper():
-    params = init_policy(1)
-    model = design_to_fdvv(EASY)
-    dt, mass = 0.0005, 0.008
-    task = TaskSpec(EASY, horizon=400, dt_s=dt, mass_kg=mass)
-    traj = rollout(params, task, model, seed=4)
-    default = rollout(params, TaskSpec(EASY, horizon=400), model, seed=4)
-    assert not np.array_equal(traj.observations[:50], default.observations[:50])
-    state = SimState()
-    for t in range(len(traj)):
-        assert traj.observations[t, 0] * model.travel == state.displacement
-        assert traj.observations[t, 1] == state.velocity / 500.0
-        state, _ = step(model, state, float(traj.actions[t]), dt, mass)
 
 
 def test_meta_policy_validation():
@@ -441,25 +421,25 @@ def mixed_batch():
         "init": base,
         "moved": head_params(base, rng.normal(0.0, 0.3, n_hidden), 2.5, -0.7),
     }
-    # (policy, model, horizon, sensory delay, dwell limit, step, mass)
+    # (policy, model, horizon, sensory delay, dwell limit)
     plan = [
-        ("release", 0, 1000, 10, 300, 0.001, 0.005),
-        ("hold", 0, 1000, 10, 50, 0.001, 0.005),  # dwell timeout
-        ("hold", 1, 120, 5, 300, 0.001, 0.005),  # horizon timeout after activation
-        ("idle", 2, 90, 5, 40, 0.001, 0.005),  # no activation at all
-        ("init", 4, 700, 30, 200, 0.001, 0.005),
-        ("release", 4, 1000, 20, 300, 0.0005, 0.008),
-        ("moved", 3, 500, 0, 1, 0.001, 0.005),
-        ("init", 1, 1000, 50, 300, 0.002, 0.004),
-        ("moved", 2, 333, 7, 80, 0.001, 0.005),
-        ("hold", 4, 150, 3, 20, 0.001, 0.005),
-        ("init", 3, 1000, 50, 300, 0.001, 0.005),
-        ("release", 2, 800, 15, 250, 0.001, 0.005),
+        ("release", 0, 1000, 10, 300),
+        ("hold", 0, 1000, 10, 50),  # dwell timeout
+        ("hold", 1, 120, 5, 300),  # horizon timeout after activation
+        ("idle", 2, 90, 5, 40),  # no activation at all
+        ("init", 4, 700, 30, 200),
+        ("release", 4, 1000, 20, 300),
+        ("moved", 3, 500, 0, 1),
+        ("init", 1, 1000, 50, 300),
+        ("moved", 2, 333, 7, 80),
+        ("hold", 4, 150, 3, 20),
+        ("init", 3, 1000, 50, 300),
+        ("release", 2, 800, 15, 250),
     ]
     params, tasks, batch_models, episode_seeds = [], [], [], []
-    for k, (policy, m, horizon, delay, dwell, dt, mass) in enumerate(plan):
+    for k, (policy, m, horizon, delay, dwell) in enumerate(plan):
         params.append(policies[policy])
-        tasks.append(TaskSpec(designs[m], horizon, delay, dwell, dt, mass))
+        tasks.append(TaskSpec(designs[m], horizon, delay, dwell))
         batch_models.append(models[m])
         episode_seeds.append(seeds.seed_for(17, "rollout", k))
     return params, tasks, batch_models, episode_seeds
