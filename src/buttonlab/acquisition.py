@@ -1,9 +1,13 @@
 """Candidate selection: Monte-Carlo expected hypervolume improvement.
 
-EHVI uses common random numbers: one fixed block of standard-normal
-draws per seed, shared by every candidate.  That makes single-candidate
-calls exactly reproduce the values a batched scan computed internally,
-so proposals can be audited by rescanning.
+EHVI for 2 and 3 objectives is one vectorized overlap of posterior
+samples with a fixed decomposition of the region the archive already
+dominates (vertical strips in 2-D, disjoint boxes in 3-D), taken over
+chunks of candidates x samples x cells.  It uses common random numbers:
+one fixed block of standard-normal draws per seed, shared by every
+candidate, so a single-candidate call reproduces a batched scan's value
+up to the GP posterior's last bits, and proposals can be audited by
+rescanning.
 """
 
 from __future__ import annotations
@@ -29,17 +33,20 @@ REFINE_STEP_INIT = 0.2
 REFINE_STEP_MIN = 0.01
 REFINE_MOVE_LIMIT = 40
 
-_CHUNK = 256
+# Candidates x samples x cells overlapped per EHVI chunk; larger chunks
+# only add cache misses and transient memory.
+_CELL_BUDGET = 2**16
 
 
-def _posterior_grid(models: list[GpModel], candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-objective posteriors into (n, m) mean and std arrays."""
+def _posterior_grid(models: list[GpModel], candidates: np.ndarray, block: int) -> tuple[np.ndarray, ...]:
+    """Per-objective posteriors as (n, m) mean and std arrays, ``block`` rows per prediction."""
     means = np.empty((candidates.shape[0], len(models)))
     stds = np.empty_like(means)
-    for j, model in enumerate(models):
-        mu, var = gp_predict_batch(model, candidates)
-        means[:, j] = mu
-        stds[:, j] = np.sqrt(var)
+    for start in range(0, candidates.shape[0], block):
+        for j, model in enumerate(models):
+            mu, var = gp_predict_batch(model, candidates[start : start + block])
+            means[start : start + block, j] = mu
+            stds[start : start + block, j] = np.sqrt(var)
     return means, stds
 
 
@@ -47,6 +54,8 @@ def _check_models(models) -> list[GpModel]:
     models = list(models)
     if len(models) < 2:
         raise ValueError("EHVI needs one surrogate per objective, at least 2")
+    if len(models) > 3:
+        raise ValueError("EHVI supports 2 or 3 objectives")
     dims = {m.kernel.dim for m in models}
     if len(dims) != 1:
         raise ValueError(f"surrogates disagree on design dimension: {sorted(dims)}")
@@ -91,8 +100,6 @@ def _boxes3(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     points form a 2-D staircase, cut into vertical strips.
     """
     empty = np.zeros((0, 3))
-    if front.shape[0] == 0:
-        return empty, empty
     pts = front[np.all(front < ref, axis=1)]
     if pts.shape[0] == 0:
         return empty, empty
@@ -114,53 +121,46 @@ def _boxes3(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.array(los), np.array(his)
 
 
+def _cells(archive: ParetoArchive, ref: np.ndarray):
+    """The archive's cells for _ehvi_batch: the 2-D front (_delta_hv2 strips it), or 3-D boxes."""
+    front = archive.objective_matrix if len(archive) else np.zeros((0, ref.size))
+    return front if ref.size == 2 else _boxes3(front, ref)
+
+
 def _ehvi_batch(
     models: list[GpModel],
     candidates: np.ndarray,
-    archive: ParetoArchive,
+    cells,
     ref_values: np.ndarray,
     sample_count: int,
     seed: int,
 ) -> np.ndarray:
+    """EHVI of every candidate against ``cells = _cells(archive, ref_values)``.
+
+    No value depends on the overlap's chunking.  A posterior row's last
+    bits do depend on its prediction block (BLAS tiling), so those blocks
+    stay fixed: 256 candidates for 2 objectives, all of them for 3.
+    """
     m = len(models)
-    front = archive.objective_matrix if len(archive) else np.zeros((0, m))
     z = np.random.default_rng(seed).standard_normal((sample_count, m))
+    means, stds = _posterior_grid(models, candidates, 256 if m == 2 else max(1, candidates.shape[0]))
+    n_cells = cells.shape[0] + 1 if m == 2 else cells[0].shape[0]
+    step = max(1, _CELL_BUDGET // (sample_count * (n_cells + 3)))
     out = np.empty(candidates.shape[0])
-    if m == 2:
-        for start in range(0, candidates.shape[0], _CHUNK):
-            block = candidates[start : start + _CHUNK]
-            means, stds = _posterior_grid(models, block)
-            samples = means[:, None, :] + stds[:, None, :] * z[None, :, :]
-            y1 = samples[:, :, 0].ravel()
-            y2 = samples[:, :, 1].ravel()
-            gains = _delta_hv2(front, ref_values, y1, y2).reshape(block.shape[0], sample_count)
-            out[start : start + block.shape[0]] = gains.mean(axis=1)
-        return out
-    if m == 3:
-        # Gain of y = vol(box y..ref) minus its overlap with the region
-        # already dominated, the latter summed over disjoint boxes.
-        lo_b, hi_b = _boxes3(front, ref_values)
-        means, stds = _posterior_grid(models, candidates)
-        for i in range(candidates.shape[0]):
-            samples = means[i] + stds[i] * z
-            gain = np.prod(np.clip(ref_values - samples, 0.0, None), axis=1)
-            if lo_b.shape[0]:
-                overlap = np.prod(
-                    np.clip(hi_b[None, :, :] - np.maximum(lo_b[None, :, :], samples[:, None, :]), 0.0, None),
-                    axis=2,
-                ).sum(axis=1)
-                gain = np.clip(gain - overlap, 0.0, None)
-            out[i] = gain.mean()
-        return out
-    base = hypervolume(front, ref_values).value if front.shape[0] else 0.0
-    means, stds = _posterior_grid(models, candidates)
-    for i in range(candidates.shape[0]):
-        samples = means[i] + stds[i] * z
-        gains = np.empty(sample_count)
-        for s in range(sample_count):
-            joined = np.vstack([front, samples[s][None, :]]) if front.shape[0] else samples[s][None, :]
-            gains[s] = max(0.0, hypervolume(joined, ref_values).value - base)
-        out[i] = gains.mean()
+    for start in range(0, candidates.shape[0], step):
+        y = means[start : start + step, None, :] + stds[start : start + step, None, :] * z[None, :, :]
+        if m == 2:
+            gains = _delta_hv2(cells, ref_values, y[:, :, 0].ravel(), y[:, :, 1].ravel()).reshape(y.shape[:2])
+        else:
+            # vol(y..ref) minus its overlap with the dominated boxes, one axis at a time.
+            lo_b, hi_b = cells
+            gains = np.prod(np.clip(ref_values - y, 0.0, None), axis=2)
+            if n_cells:
+                overlap = np.ones(y.shape[:2] + (n_cells,))
+                for k in range(3):
+                    overlap *= np.clip(hi_b[:, k] - np.maximum(lo_b[:, k], y[:, :, k, None]), 0.0, None)
+                gains = np.clip(gains - overlap.sum(axis=2), 0.0, None)
+        out[start : start + y.shape[0]] = gains.mean(axis=1)
     return out
 
 
@@ -183,7 +183,7 @@ def ehvi(
         raise ValueError("sample_count must be >= 1")
     ref_values = _check_ref(ref, len(models))
     point = np.atleast_2d(np.asarray(candidate, dtype=float))
-    return float(_ehvi_batch(models, point, archive, ref_values, sample_count, seed)[0])
+    return float(_ehvi_batch(models, point, _cells(archive, ref_values), ref_values, sample_count, seed)[0])
 
 
 def scan_candidates(bounds, scan_count: int, seed: int) -> np.ndarray:
@@ -241,16 +241,15 @@ def propose_next(
         local = np.clip(archive.design_matrix + jumps, lo, hi)
         pool = np.vstack([scan, local])
 
-    values = _ehvi_batch(models, pool, archive, ref_values, sample_count, seed)
-    if np.max(values) > 0.0:
+    cells = _cells(archive, ref_values)
+    values = _ehvi_batch(models, pool, cells, ref_values, sample_count, seed)
+    best = float(np.max(values))
+    if best > 0.0:
         choice = pool[int(np.argmax(values))]
         if len(archive):
-            choice = _refine(
-                models, choice, float(np.max(values)), lo, hi, archive, ref_values, sample_count, seed
-            )
+            choice = _refine(models, choice, best, lo, hi, cells, ref_values, sample_count, seed)
     else:
-        _, var_sum = _scan_variances(models, scan)
-        choice = scan[int(np.argmax(var_sum))]
+        choice = scan[int(np.argmax(_scan_variances(models, scan)))]
 
     evaluated = models[0].inputs
     if evaluated.shape[0] and np.min(np.max(np.abs(evaluated - choice[None, :]), axis=1)) < DUPLICATE_TOL:
@@ -266,7 +265,7 @@ def _refine(
     start_value: float,
     lo: np.ndarray,
     hi: np.ndarray,
-    archive: ParetoArchive,
+    cells,
     ref_values: np.ndarray,
     sample_count: int,
     seed: int,
@@ -287,7 +286,7 @@ def _refine(
         for j in range(lo.size):
             cands[2 * j, j] = max(best[j] - step * span[j], lo[j])
             cands[2 * j + 1, j] = min(best[j] + step * span[j], hi[j])
-        vals = _ehvi_batch(models, cands, archive, ref_values, sample_count, seed)
+        vals = _ehvi_batch(models, cands, cells, ref_values, sample_count, seed)
         k = int(np.argmax(vals))
         if vals[k] > best_value:
             best = cands[k]
@@ -298,12 +297,12 @@ def _refine(
     return best
 
 
-def _scan_variances(models: list[GpModel], scan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scan_variances(models: list[GpModel], scan: np.ndarray) -> np.ndarray:
     variances = np.zeros(scan.shape[0])
     for model in models:
         _, var = gp_predict_batch(model, scan)
         variances += var
-    return scan, variances
+    return variances
 
 
 def archive_hypervolume(archive: ParetoArchive, ref: ReferencePoint) -> HypervolumeResult:

@@ -238,10 +238,11 @@ def hypervolume(
     pts = pts[inside]
     if pts.shape[0] == 0:
         return HypervolumeResult(0.0)
-    pts = pts[nondominated_mask(pts)]
     m = ref.size
     if m == 2:
+        # _hv2's sweep already adds nothing for dominated or repeated points.
         return HypervolumeResult(_hv2(pts, ref))
+    pts = pts[nondominated_mask(pts)]
     if m == 3:
         return HypervolumeResult(_hv3(pts, ref))
     if mc_samples < 1_000_000:

@@ -43,6 +43,7 @@ from buttonlab import (
     pareto_front,
     policy_gradient,
     rollout,
+    rollouts,
     run,
     save_artifact,
     scripted_press_trace,
@@ -382,11 +383,13 @@ def test_c09_meta_adaptation_efficacy():
     meta = meta_train(default_task_sampler, iterations=300, seed=0)
 
     def mean_return(params, task, model, master, *idx, episodes):
-        vals = [
-            rollout(params, task, model, seeds.seed_for(master, "evaluate", *idx, r)).return_
-            for r in range(episodes)
-        ]
-        return float(np.mean(vals))
+        trajs = rollouts(
+            [params] * episodes,
+            [task] * episodes,
+            [model] * episodes,
+            [seeds.seed_for(master, "evaluate", *idx, r) for r in range(episodes)],
+        )
+        return float(np.mean([t.return_ for t in trajs]))
 
     heldout10 = [default_task_sampler(np.random.default_rng(10_000 + i)) for i in range(10)]
     meta_scores, rand_scores = [], []

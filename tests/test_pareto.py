@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from buttonlab import ParetoArchive, ReferencePoint, dominates, hypervolume, pareto_front
-from buttonlab.pareto import nondominated_mask
+from buttonlab.pareto import _hv2, nondominated_mask
 
 
 def brute_force_front(points):
@@ -130,6 +130,23 @@ def test_hypervolume_points_outside_reference_add_nothing():
     assert hypervolume(mixed, ref).value == pytest.approx(0.25)
     fully_out = np.array([[3.0, 3.0]])
     assert hypervolume(fully_out, ref).value == 0.0
+
+
+def test_hypervolume_2d_sweep_skips_dominated_points_bit_for_bit():
+    # hypervolume hands 2-D sets to the sweep unfiltered; the value must be
+    # the same bits as sweeping only the nondominated points.
+    rng = np.random.default_rng(7)
+    ref = np.array([1.0, 1.0])
+    for t in range(600):
+        n = int(rng.integers(1, 40))
+        pts = rng.uniform(-0.2, 1.2, size=(n, 2))
+        if t % 3 == 1:
+            pts = np.round(pts * 8.0) / 8.0
+        if t % 3 == 2:
+            pts = np.vstack([pts, pts[rng.integers(0, n, size=n)]])
+        inside = pts[np.all(pts < ref, axis=1)]
+        masked = _hv2(inside[nondominated_mask(inside)], ref) if inside.shape[0] else 0.0
+        assert np.float64(hypervolume(pts, ref).value).tobytes() == np.float64(masked).tobytes()
 
 
 def test_hypervolume_4d_monte_carlo_agrees_with_product_structure():
