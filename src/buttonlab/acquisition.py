@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .gp import GpModel, gp_predict_batch
-from .pareto import HypervolumeResult, ParetoArchive, ReferencePoint, hypervolume
+from .pareto import HypervolumeResult, ParetoArchive, ReferencePoint, _boxes3, hypervolume
 
 # Posterior samples per candidate inside propose_next.
 DEFAULT_EHVI_SAMPLES = 128
@@ -91,34 +91,6 @@ def _delta_hv2(front: np.ndarray, ref: np.ndarray, y1: np.ndarray, y2: np.ndarra
     heights = np.clip(np.minimum(bound, ref[1])[None, :] - y2[:, None], 0.0, None)
     gain = np.sum(np.minimum(widths, np.clip(ref[0] - y1, 0.0, None)[:, None]) * heights, axis=1)
     return np.where(y2 >= ref[1], 0.0, gain)
-
-
-def _boxes3(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint boxes whose union is the region the front dominates inside ref.
-
-    Sweeps the third objective into slabs; within each slab the active
-    points form a 2-D staircase, cut into vertical strips.
-    """
-    empty = np.zeros((0, 3))
-    pts = front[np.all(front < ref, axis=1)]
-    if pts.shape[0] == 0:
-        return empty, empty
-    los: list[tuple[float, float, float]] = []
-    his: list[tuple[float, float, float]] = []
-    zs = np.unique(pts[:, 2])
-    z_edges = np.append(zs, ref[2])
-    for j in range(zs.size):
-        active = pts[pts[:, 2] <= zs[j]]
-        xs, inv = np.unique(active[:, 0], return_inverse=True)
-        ymin = np.full(xs.size, np.inf)
-        np.minimum.at(ymin, inv, active[:, 1])
-        ymin = np.minimum.accumulate(ymin)
-        x_edges = np.append(xs, ref[0])
-        for i in range(xs.size):
-            if x_edges[i + 1] > x_edges[i]:
-                los.append((x_edges[i], ymin[i], z_edges[j]))
-                his.append((x_edges[i + 1], ref[1], z_edges[j + 1]))
-    return np.array(los), np.array(his)
 
 
 def _cells(archive: ParetoArchive, ref: np.ndarray):

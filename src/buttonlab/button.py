@@ -1,17 +1,19 @@
 """Software push-button: FDVV representation and press dynamics.
 
 An FdvvModel holds one force-displacement B-spline per sampled press
-velocity plus a vibration burst triggered at activation.  The stepper
-integrates a point mass (finger plus cap) against that force field with
-semi-implicit Euler at the control rate and reports activation/release
-events with hysteresis.
+velocity plus a vibration burst triggered at activation.  One control
+period of a point mass (finger plus cap) against that force field is
+:func:`_tick`: semi-implicit Euler, the stops, and activation/release
+events with hysteresis.  The public stepper :func:`step`, the scripted
+trace and the policy's scalar rollout all run it; the policy's lockstep
+batch holds the one vectorized copy.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -156,10 +158,6 @@ class FdvvModel:
             breaks = list(pp.x[keep]) + [float(pp.x[-1])]
             tables.append((breaks, [tuple(coeffs[:, j]) for j in keep]))
         return tables
-
-    @cached_property
-    def _waveform_samples(self) -> tuple[float, ...]:
-        return tuple(self.vibration.waveform(DEFAULT_DT_S))
 
     def _spring_force(self, displacement: float, velocity: float) -> float:
         speed = abs(velocity)
@@ -449,6 +447,45 @@ ACTIVATION = "activation"
 RELEASE = "release"
 
 
+def _check_period(dt: float, mass_kg: float) -> None:
+    # Written so that nan fails too.
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"need a finite dt > 0, got {dt}")
+    if not 0.0 < mass_kg < math.inf:
+        raise ValueError(f"need a finite mass_kg > 0, got {mass_kg}")
+
+
+def _tick(
+    model: FdvvModel,
+    d: float,
+    v: float,
+    spring: float,
+    applied: float,
+    activated: bool,
+    dt: float,
+    mass_kg: float,
+) -> tuple[float, float, str | None]:
+    """One control period from displacement ``d`` and velocity ``v``.
+
+    ``spring`` is ``model._spring_force(d, v)``, which callers need
+    anyway.  Returns the new displacement and velocity and the event of
+    the period: ACTIVATION, RELEASE or None.
+    """
+    # Convert newtons against kilograms to mm/s^2 (1 N = 1000 kg*mm/s^2).
+    accel = (applied - spring - model.damping * v) * 1000.0 / mass_kg
+    v1 = v + accel * dt
+    d1 = d + v1 * dt
+    if d1 <= 0.0:
+        d1, v1 = 0.0, 0.0
+    elif d1 >= model.travel:
+        d1, v1 = model.travel, 0.0
+    if not activated and d < model.activation_disp <= d1:
+        return d1, v1, ACTIVATION
+    if activated and d1 <= model.release_disp < d:
+        return d1, v1, RELEASE
+    return d1, v1, None
+
+
 def step(
     model: FdvvModel,
     state: SimState,
@@ -464,41 +501,25 @@ def step(
     Activation event on crossing activation_disp while pressing
     unactivated (starting the vibration burst) and a Release event on
     rising back through release_disp while activated.
+
+    Raises:
+        ValueError: non-finite applied_force, or dt or mass_kg not
+            finite and > 0.
     """
-    if not (math.isfinite(applied_force) and math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"need finite applied_force and dt > 0, got {applied_force}, {dt}")
-    d0 = state.displacement
-    v0 = state.velocity
+    if not math.isfinite(applied_force):
+        raise ValueError(f"need a finite applied_force, got {applied_force}")
+    _check_period(dt, mass_kg)
+    d0, v0 = state.displacement, state.velocity
     spring = model._spring_force(d0, v0)
-    # Convert newtons against kilograms to mm/s^2 (1 N = 1000 kg*mm/s^2).
-    accel = (applied_force - spring - model.damping * v0) * 1000.0 / mass_kg
-    v1 = v0 + accel * dt
-    d1 = d0 + v1 * dt
-    if d1 <= 0.0:
-        d1, v1 = 0.0, 0.0
-    elif d1 >= model.travel:
-        d1, v1 = model.travel, 0.0
-
+    d1, v1, event = _tick(model, d0, v0, spring, applied_force, state.activated, dt, mass_kg)
     time = state.time + dt
-    events: list[SimEvent] = []
-    activated = state.activated
     pending = state.pending_vibration
-    if not activated and d0 < model.activation_disp <= d1:
-        activated = True
-        pending = model._waveform_samples if dt == DEFAULT_DT_S else tuple(
-            model.vibration.waveform(dt)
-        )
-        events.append(SimEvent(ACTIVATION, time))
-    elif activated and d1 <= model.release_disp < d0:
-        activated = False
-        events.append(SimEvent(RELEASE, time))
-
-    if pending:
-        vib, pending = pending[0], pending[1:]
-    else:
-        vib = 0.0
-    new_state = SimState(d1, v1, activated, time, pending, vib)
-    return new_state, tuple(events)
+    if event == ACTIVATION:
+        pending = tuple(model.vibration.waveform(dt))
+    vib, pending = (pending[0], pending[1:]) if pending else (0.0, ())
+    activated = state.activated if event is None else event == ACTIVATION
+    events = () if event is None else (SimEvent(event, time),)
+    return SimState(d1, v1, activated, time, pending, vib), events
 
 
 def scripted_press_trace(
@@ -511,20 +532,33 @@ def scripted_press_trace(
 
     Row i holds the state after i steps; row 0 is the initial rest state.
     The force channel records the button reaction force at each state.
+    Every channel equals what :func:`step` gives for the same profile.
+
+    Raises:
+        ValueError: non-finite profile, or dt or mass_kg not finite and > 0.
     """
     profile = np.asarray(profile, dtype=float).ravel()
-    n = profile.size + 1
-    t = np.empty(n)
-    d = np.empty(n)
-    f = np.empty(n)
-    vib = np.empty(n)
-    state = SimState()
-    t[0], d[0], vib[0] = 0.0, 0.0, 0.0
-    f[0] = model._spring_force(0.0, 0.0)
-    for i, applied in enumerate(profile, start=1):
-        state, _ = step(model, state, float(applied), dt, mass_kg)
-        t[i] = state.time
-        d[i] = state.displacement
-        f[i] = model._spring_force(state.displacement, state.velocity)
-        vib[i] = state.vibration_sample
-    return FdTrace(t, d, f, vib, sample_rate=1.0 / dt)
+    if not np.all(np.isfinite(profile)):
+        raise ValueError("profile contains non-finite forces")
+    _check_period(dt, mass_kg)
+    d, v, activated = 0.0, 0.0, False
+    spring = model._spring_force(d, v)
+    disp, force, onsets = [d], [spring], []
+    for i, applied in enumerate(profile.tolist(), start=1):
+        d, v, event = _tick(model, d, v, spring, applied, activated, dt, mass_kg)
+        if event is not None:
+            activated = event == ACTIVATION
+            if activated:
+                onsets.append(i)
+        # The reaction force at state i is also tick i+1's spring.
+        spring = model._spring_force(d, v)
+        disp.append(d)
+        force.append(spring)
+    # Each activation plays the burst from its start, cutting off the last.
+    wave = model.vibration.waveform(dt)
+    vib = np.zeros(len(disp))
+    for i in onsets:
+        burst = vib[i : i + wave.size]
+        burst[:] = wave[: burst.size]
+    time = np.cumsum(np.append(0.0, np.full(profile.size, dt)))  # in order, as step sums
+    return FdTrace(time, np.array(disp), np.array(force), vib, sample_rate=1.0 / dt)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -23,7 +22,7 @@ from .errors import FormatError, NumericalError, StateError
 from .loop import RunState, run
 from .pareto import hypervolume
 from .policy import default_task_sampler, meta_train
-from .storage import export_front, load_artifact, load_trace, save_artifact, save_trace
+from .storage import export_evaluations, export_front, load_artifact, load_trace, save_artifact, save_trace
 from .synthetic import get_problem
 
 _log = logging.getLogger(__name__)
@@ -149,19 +148,12 @@ def _cmd_optimize(args) -> int:
         resume = load_artifact(args.resume)
         if not isinstance(resume, RunState):
             raise FormatError(f"{args.resume} is not a run-state artifact")
-    logged = len(resume.records) if resume is not None else 0
 
     def persist(state):
-        nonlocal logged
+        # The log first: a crash between the two writes leaves a log one
+        # step ahead of the state, which the resume rewrites.
+        export_evaluations(state, log_path)
         save_artifact(state_path, state)
-        with open(log_path, "a") as handle:
-            for record in state.records[logged:]:
-                handle.write(json.dumps({
-                    "iteration": record.iteration,
-                    "design": [float(v) for v in record.design],
-                    "objectives": [float(v) for v in record.objectives],
-                }, sort_keys=True) + "\n")
-        logged = len(state.records)
 
     state, archive = run(config, resume_from=resume, persist=persist)
     export_front(state, os.path.join(args.out_dir, "front.csv"),

@@ -96,7 +96,7 @@ def evaluate_design(
     sensory_delay: int = 50,
     dwell_limit: int = 300,
     model_factory: Callable[[ButtonDesignParams], FdvvModel] = design_to_fdvv,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[EpisodeSummary, ...]]:
     """Objectives of one button design under the adapted user model.
 
     Renders the design, adapts the meta-policy (K episodes per its
@@ -104,28 +104,11 @@ def evaluate_design(
     canonical objective vector (completion_time_s, error_rate, effort),
     all minimized: mean time to a successful release with timeouts
     counted at the full horizon, failure fraction, and mean integrated
-    squared force.
+    squared force; and a summary of each evaluation episode.
 
     Raises:
         ValueError: out-of-range design or episodes < 1.
     """
-    vector, _ = evaluate_design_detailed(
-        design, meta, episodes, seed, horizon, sensory_delay, dwell_limit, model_factory
-    )
-    return vector
-
-
-def evaluate_design_detailed(
-    design,
-    meta: MetaPolicy,
-    episodes: int,
-    seed: int,
-    horizon: int = 1000,
-    sensory_delay: int = 50,
-    dwell_limit: int = 300,
-    model_factory: Callable[[ButtonDesignParams], FdvvModel] = design_to_fdvv,
-) -> tuple[np.ndarray, tuple[EpisodeSummary, ...]]:
-    """Like :func:`evaluate_design` but also returns per-episode summaries."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     params = design if isinstance(design, ButtonDesignParams) else ButtonDesignParams.from_array(design)
@@ -204,7 +187,7 @@ def make_provider(config: CidConfig, meta: MetaPolicy | None = None) -> Provider
 
         def evaluate(design: np.ndarray, seed: int):
             try:
-                full, summaries = evaluate_design_detailed(
+                full, summaries = evaluate_design(
                     design,
                     meta,
                     config.episodes_per_eval,

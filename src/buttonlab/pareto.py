@@ -1,9 +1,9 @@
 """Pareto dominance, archive bookkeeping, and hypervolume.
 
 All objectives are minimized.  Hypervolume is exact for two and three
-objectives (sweep / slicing) and falls back to seeded Monte Carlo
-sampling above that, reporting the standard error of the estimate
-alongside the value.
+objectives (a sweep, and the sum of a disjoint box decomposition that
+EHVI shares) and falls back to seeded Monte Carlo sampling above that,
+reporting the standard error of the estimate alongside the value.
 """
 
 from __future__ import annotations
@@ -175,21 +175,33 @@ def _hv2(points: np.ndarray, ref: np.ndarray) -> float:
     return total
 
 
-def _hv3(points: np.ndarray, ref: np.ndarray) -> float:
-    # Slice along f3: between consecutive f3 values the covered area in
-    # the (f1, f2) plane is constant, so integrate 2-D hypervolumes.
-    order = np.argsort(points[:, 2])
-    pts = points[order]
-    levels = np.append(pts[:, 2], ref[2])
-    total = 0.0
-    for i in range(pts.shape[0]):
-        depth = levels[i + 1] - levels[i]
-        if depth <= 0.0:
-            continue
-        active = pts[: i + 1, :2]
-        front = active[nondominated_mask(active)]
-        total += _hv2(front, ref[:2]) * depth
-    return total
+def _boxes3(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint boxes whose union is the region ``front`` dominates inside ref.
+
+    Sweeps the third objective into slabs; within each slab the active
+    points form a 2-D staircase, cut into vertical strips.  Dominated
+    points may be left in: they add boxes but no volume.
+    """
+    empty = np.zeros((0, 3))
+    pts = front[np.all(front < ref, axis=1)]
+    if pts.shape[0] == 0:
+        return empty, empty
+    los: list[tuple[float, float, float]] = []
+    his: list[tuple[float, float, float]] = []
+    zs = np.unique(pts[:, 2])
+    z_edges = np.append(zs, ref[2])
+    for j in range(zs.size):
+        active = pts[pts[:, 2] <= zs[j]]
+        xs, inv = np.unique(active[:, 0], return_inverse=True)
+        ymin = np.full(xs.size, np.inf)
+        np.minimum.at(ymin, inv, active[:, 1])
+        ymin = np.minimum.accumulate(ymin)
+        x_edges = np.append(xs, ref[0])
+        for i in range(xs.size):
+            if x_edges[i + 1] > x_edges[i]:
+                los.append((x_edges[i], ymin[i], z_edges[j]))
+                his.append((x_edges[i + 1], ref[1], z_edges[j + 1]))
+    return np.array(los), np.array(his)
 
 
 def _hv_mc(points: np.ndarray, ref: np.ndarray, samples: int, seed: int) -> HypervolumeResult:
@@ -242,9 +254,10 @@ def hypervolume(
     if m == 2:
         # _hv2's sweep already adds nothing for dominated or repeated points.
         return HypervolumeResult(_hv2(pts, ref))
-    pts = pts[nondominated_mask(pts)]
     if m == 3:
-        return HypervolumeResult(_hv3(pts, ref))
+        lo, hi = _boxes3(pts, ref)
+        return HypervolumeResult(float(np.sum(np.prod(hi - lo, axis=1))))
+    pts = pts[nondominated_mask(pts)]
     if mc_samples < 1_000_000:
         raise ValueError("Monte Carlo hypervolume needs at least 1e6 samples")
     return _hv_mc(pts, ref, mc_samples, seed)

@@ -20,13 +20,16 @@ import numpy as np
 
 from . import seeds
 from .button import (
+    ACTIVATION,
     DEFAULT_DT_S,
     DEFAULT_MASS_KG,
     DESIGN_BOUNDS,
     FORCE_CEILING_N,
+    RELEASE,
     ButtonDesignParams,
     FdvvModel,
     SpringTables,
+    _tick,
     design_to_fdvv,
 )
 
@@ -211,10 +214,11 @@ class Trajectory:
 def rollout(params: PolicyParams, task: TaskSpec, model: FdvvModel, seed) -> Trajectory:
     """One seeded episode against the simulated button at 1 kHz.
 
-    Physics matches the public stepper exactly (same arithmetic on the
-    same spring lookup); the loop is inlined so training stays at desk
-    scale.  Pre-drawing the noise makes the episode a pure function of
-    (params, task, model, seed).
+    Each tick runs the public stepper's physics, ``button._tick``, on the
+    same spring lookup, so replaying the actions through
+    :func:`~buttonlab.button.step` reproduces the episode bit for bit.
+    Pre-drawing the noise makes the episode a pure function of (params,
+    task, model, seed).
     """
     horizon = task.horizon
     z = np.random.default_rng(seed).standard_normal(horizon)
@@ -234,19 +238,12 @@ def _press(params, task, model, z, obs_buf, actions, raws, rewards, start, d, v,
     hidden_wb = layers[:-1]
     w_out, b_out = layers[-1]
 
-    travel = model.travel
-    act_disp = model.activation_disp
-    rel_disp = model.release_disp
-    damping = model.damping
-    dt = DEFAULT_DT_S
-    mass_kg = DEFAULT_MASS_KG
-
     activated = activation_step is not None
     for t in range(start, horizon):
         spring = model._spring_force(d, v)
         cue = 1.0 if activation_step is not None and t >= activation_step + task.sensory_delay else 0.0
         obs = obs_buf[t]
-        obs[0] = d / travel
+        obs[0] = d / model.travel
         obs[1] = v / VELOCITY_SCALE
         obs[2] = spring / FORCE_CEILING_N
         obs[3] = cue
@@ -261,23 +258,14 @@ def _press(params, task, model, z, obs_buf, actions, raws, rewards, start, d, v,
         actions[t] = a
         raws[t] = raw
 
-        # Same operation order as the public stepper, for bit-identical replay.
-        accel = (a - spring - damping * v) * 1000.0 / mass_kg
-        v = v + accel * dt
-        d_new = d + v * dt
-        if d_new <= 0.0:
-            d_new, v = 0.0, 0.0
-        elif d_new >= travel:
-            d_new, v = travel, 0.0
-
+        d, v, event = _tick(model, d, v, spring, a, activated, DEFAULT_DT_S, DEFAULT_MASS_KG)
         reward = STEP_PENALTY - EFFORT_COEF * a * a
-        if not activated and d < act_disp <= d_new:
+        if event == ACTIVATION:
             activated = True
             activation_step = t
-        elif activated and d_new <= rel_disp < d:
+        elif event == RELEASE:
             rewards[t] = reward + SUCCESS_REWARD
             return t + 1, True, activation_step
-        d = d_new
 
         if (activated and t - activation_step >= task.dwell_limit) or t == horizon - 1:
             rewards[t] = reward + TIMEOUT_PENALTY
@@ -413,7 +401,7 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
         a = np.where(0.0 > raw, 0.0, raw)
         a = np.where(ACTION_MAX_N < a, ACTION_MAX_N, a)
 
-        # Same operation order as rollout and the public stepper.
+        # button._tick, elementwise and in the same operation order.
         accel = (a - spring - state["damping"] * v) * 1000.0 / DEFAULT_MASS_KG
         v = v + accel * DEFAULT_DT_S
         d_new = d + v * DEFAULT_DT_S

@@ -317,3 +317,15 @@ def export_front(state: RunState, front_path: str, hv_path: str) -> None:
         value = hypervolume(archive.objective_matrix, state.reference).value if len(archive) else 0.0
         writer.writerow([str(k), f"{value:.9g}"])
     _atomic_write(hv_path, out.getvalue())
+
+
+def export_evaluations(state: RunState, path: str) -> None:
+    """Rewrite the evaluation log from the state: one JSON line per record, in order."""
+    _atomic_write(path, "".join(
+        json.dumps({
+            "iteration": record.iteration,
+            "design": [float(v) for v in record.design],
+            "objectives": [float(v) for v in record.objectives],
+        }, sort_keys=True) + "\n"
+        for record in state.records
+    ))

@@ -175,13 +175,34 @@ def test_scripted_trace_structure():
     assert trace.sample_rate == pytest.approx(1000.0)
     assert np.allclose(np.diff(trace.time), 0.001)
 
-    # Replaying the same profile through the public stepper reproduces
-    # every channel exactly.
+    # A multi-cycle profile replayed through the public stepper gives
+    # every channel bit for bit, at the loop's rate and at a finer one
+    # with a heavier finger.  Each activation restarts the vibration
+    # burst, here while the previous burst is still playing.
+    rng = np.random.default_rng(3)
+    model = design_to_fdvv(random_design(rng))
+    profile = press_release_profile(rng, n=4000)
+    for dt, mass_kg, n in ((0.001, 0.005, 400), (1e-4, 0.007, 4000)):
+        trace = scripted_press_trace(model, profile[:n], dt, mass_kg)
+        channels, onsets = replay_through_step(model, profile[:n], dt, mass_kg)
+        for name, want in channels.items():
+            assert getattr(trace, name).tobytes() == want.tobytes(), name
+        burst = model.vibration.waveform(dt).size
+        assert any(b - a < burst for a, b in zip(onsets, onsets[1:]))
+
+
+def replay_through_step(model, profile, dt, mass_kg):
+    """A scripted trace's channels, and its activation ticks, from step."""
     state = SimState()
+    rows = [(0.0, 0.0, force_at(model, 0.0, 0.0), 0.0)]
+    onsets = []
     for i, applied in enumerate(profile, start=1):
-        state, _ = step(model, state, float(applied))
-        assert trace.displacement[i] == state.displacement
-        assert trace.vibration[i] == state.vibration_sample
+        state, events = step(model, state, float(applied), dt, mass_kg)
+        onsets += [i for e in events if e.kind == ACTIVATION]
+        force = force_at(model, state.displacement, state.velocity)
+        rows.append((state.time, state.displacement, force, state.vibration_sample))
+    columns = np.array(rows).T
+    return dict(zip(("time", "displacement", "force", "vibration"), columns)), onsets
 
 
 def test_design_to_fdvv_shape_arithmetic():
@@ -295,6 +316,15 @@ def test_step_input_validation():
         step(model, SimState(), 1.0, dt=0.0)
     with pytest.raises(ValueError):
         step(model, SimState(), 1.0, dt=-0.001)
+    for mass in (0.0, -0.005, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mass"):
+            step(model, SimState(), 1.0, mass_kg=mass)
+        with pytest.raises(ValueError, match="mass"):
+            scripted_press_trace(model, np.ones(3), mass_kg=mass)
+    with pytest.raises(ValueError):
+        scripted_press_trace(model, np.array([1.0, float("nan")]))
+    with pytest.raises(ValueError):
+        scripted_press_trace(model, np.ones(3), dt=0.0)
 
 
 def test_vibration_waveform():

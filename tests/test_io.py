@@ -331,9 +331,49 @@ def test_cli_optimize_resume_matches_full_run(tmp_path, capsys):
         "optimize", "--config", cfg, "--out-dir", resume_dir, "--resume", half_path,
     ]) == 0
     capsys.readouterr()
-    for name in ("front.csv", "hv_curve.csv", "run_state.json"):
+    for name in ("front.csv", "hv_curve.csv", "run_state.json", "evaluations.jsonl"):
         with open(os.path.join(full_dir, name), "rb") as fa, open(
             os.path.join(resume_dir, name), "rb"
+        ) as fb:
+            assert fa.read() == fb.read(), name
+
+
+def test_cli_optimize_resumes_a_crash_between_log_and_state(tmp_path, capsys, monkeypatch):
+    import buttonlab.cli as cli
+
+    cfg = config_file(tmp_path, SMALL_SCHAFFER)
+    full_dir = str(tmp_path / "full")
+    assert main(["optimize", "--config", cfg, "--out-dir", full_dir]) == 0
+
+    # The third run-state write dies: the log already holds the second
+    # step, the state only the first.
+    class Crash(Exception):
+        pass
+
+    save = cli.save_artifact
+    writes = []
+
+    def crashing_save(path, artifact):
+        writes.append(path)
+        if len(writes) == 3:
+            raise Crash
+        save(path, artifact)
+
+    monkeypatch.setattr(cli, "save_artifact", crashing_save)
+    crash_dir = str(tmp_path / "crashed")
+    with pytest.raises(Crash):
+        main(["optimize", "--config", cfg, "--out-dir", crash_dir])
+    monkeypatch.setattr(cli, "save_artifact", save)
+    state_path = os.path.join(crash_dir, "run_state.json")
+    assert load_artifact(state_path).iteration == 1
+    with open(os.path.join(crash_dir, "evaluations.jsonl")) as handle:
+        assert len(handle.readlines()) == 5
+
+    assert main(["optimize", "--config", cfg, "--out-dir", crash_dir, "--resume", state_path]) == 0
+    capsys.readouterr()
+    for name in ("front.csv", "hv_curve.csv", "run_state.json", "evaluations.jsonl"):
+        with open(os.path.join(full_dir, name), "rb") as fa, open(
+            os.path.join(crash_dir, name), "rb"
         ) as fb:
             assert fa.read() == fb.read(), name
 
@@ -363,6 +403,21 @@ def test_cli_fit_and_simulate_round_trip(tmp_path, capsys):
     assert len(trace) == 101
     assert trace.displacement[0] == 0.0
     assert np.max(trace.displacement) > 0.0
+
+
+def test_cli_simulate_rejects_a_bad_mass(tmp_path, capsys):
+    model_path = str(tmp_path / "model.json")
+    save_artifact(model_path, design_to_fdvv(ButtonDesignParams(3.0, 0.5, 2.0, 0.4, 0.3, 0.01)))
+    profile_path = str(tmp_path / "profile.csv")
+    with open(profile_path, "w") as handle:
+        handle.write("force_n\n3.0\n3.0\n")
+    for mass in ("0", "-0.005"):
+        assert main([
+            "simulate", "--model", model_path, "--profile", profile_path,
+            "--out", str(tmp_path / "sim.csv"), "--mass-kg", mass,
+        ]) == 2
+        assert "mass_kg" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sim.csv")
 
 
 def test_cli_report_exports_front(tmp_path, capsys):

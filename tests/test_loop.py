@@ -62,9 +62,9 @@ def mid_design():
 def test_evaluate_design_is_deterministic_and_bounded():
     meta = MetaPolicy(init_policy(0, layer_sizes=(5, 8, 1)), 0.05, 2)
     design = mid_design()
-    a = evaluate_design(design, meta, episodes=3, seed=5, horizon=150)
-    b = evaluate_design(design, meta, episodes=3, seed=5, horizon=150)
-    c = evaluate_design(design, meta, episodes=3, seed=6, horizon=150)
+    a, _ = evaluate_design(design, meta, episodes=3, seed=5, horizon=150)
+    b, _ = evaluate_design(design, meta, episodes=3, seed=5, horizon=150)
+    c, _ = evaluate_design(design, meta, episodes=3, seed=6, horizon=150)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (3,)
@@ -256,7 +256,7 @@ def test_button_loop_with_objective_subset():
     # The subset provider reorders the canonical triple.
     design = state.records[0].design
     seed = state.records[0].seeds[0]
-    full = evaluate_design(
+    full, _ = evaluate_design(
         design,
         meta,
         config.episodes_per_eval,

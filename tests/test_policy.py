@@ -1,5 +1,6 @@
 """User-model policy: distribution math, gradients, episodes, adaptation."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 from scipy.stats import norm
 
 from buttonlab import (
+    ACTIVATION,
+    RELEASE,
     ButtonDesignParams,
     FdTrace,
     MetaPolicy,
@@ -211,14 +214,28 @@ def test_rollout_is_deterministic_per_seed():
 
 
 def test_rollout_replays_through_public_stepper_bit_identically():
+    # Above 0.01 N*s/mm the explicit damping term flips the velocity's
+    # sign every tick at 1 kHz: the bounce regime.
+    bouncy = dataclasses.replace(EASY, damping=0.02)
     params = init_policy(1)
-    model = design_to_fdvv(EASY)
-    task = TaskSpec(EASY, horizon=300)
-    traj = rollout(params, task, model, seed=4)
-    state = SimState()
-    for t in range(len(traj)):
-        assert traj.observations[t, 0] * model.travel == state.displacement
-        state, _ = step(model, state, float(traj.actions[t]))
+    for design, horizon, seed in ((EASY, 300, 4), (bouncy, 1000, 0)):
+        model = design_to_fdvv(design)
+        task = TaskSpec(design, horizon=horizon)
+        traj = rollout(params, task, model, seed=seed)
+        state = SimState()
+        activation_step, released = None, False
+        for t in range(len(traj)):
+            assert traj.observations[t, 0] * model.travel == state.displacement
+            state, events = step(model, state, float(traj.actions[t]))
+            for event in events:
+                if event.kind == ACTIVATION and activation_step is None:
+                    activation_step = t
+                elif event.kind == RELEASE:
+                    assert t == len(traj) - 1
+                    released = True
+        assert activation_step == traj.activation_step
+        assert released == traj.success
+    assert traj.success  # the bouncy design's episode ends in a release
 
 
 def test_timeout_return_matches_hand_formula():
@@ -344,7 +361,7 @@ from buttonlab.policy import LOCKSTEP_MIN_EPISODES, default_task_sampler
 meta = meta_train(default_task_sampler, iterations=2, seed=3, tasks_per_iteration=4)
 design = default_task_sampler(np.random.default_rng(5))
 adapted = adapt(meta, TaskSpec(design), design_to_fdvv(design), seed=4)
-objectives = evaluate_design(design, meta, LOCKSTEP_MIN_EPISODES, seed=6)
+objectives, _ = evaluate_design(design, meta, LOCKSTEP_MIN_EPISODES, seed=6)
 print(meta.init_params.vector.tobytes().hex())
 print(adapted.vector.tobytes().hex())
 print(objectives.tobytes().hex())
@@ -538,5 +555,5 @@ def test_lockstep_callers_match_sequential_reference():
 
     for k, design in enumerate(designs):
         episodes = LOCKSTEP_MIN_EPISODES + 2 * k
-        got = evaluate_design(design, meta, episodes, seed=20 + k)
+        got, _ = evaluate_design(design, meta, episodes, seed=20 + k)
         assert got.tobytes() == reference_evaluate(design, meta, episodes, 20 + k).tobytes()
