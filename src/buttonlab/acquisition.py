@@ -1,13 +1,12 @@
 """Candidate selection: Monte-Carlo expected hypervolume improvement.
 
 EHVI for 2 and 3 objectives is one vectorized overlap of posterior
-samples with a fixed decomposition of the region the archive already
-dominates (vertical strips in 2-D, disjoint boxes in 3-D), taken over
-chunks of candidates x samples x cells.  It uses common random numbers:
-one fixed block of standard-normal draws per seed, shared by every
-candidate, so a single-candidate call reproduces a batched scan's value
-up to the GP posterior's last bits, and proposals can be audited by
-rescanning.
+samples with the disjoint boxes that hypervolume sums over the region
+the archive already dominates, taken over chunks of candidates x
+samples x boxes.  It uses common random numbers: one fixed block of
+standard-normal draws per seed, shared by every candidate, so a
+single-candidate call reproduces a batched scan's value up to the GP
+posterior's last bits, and proposals can be audited by rescanning.
 """
 
 from __future__ import annotations
@@ -17,8 +16,9 @@ import warnings
 import numpy as np
 from scipy.stats import qmc
 
+from . import seeds
 from .gp import GpModel, gp_predict_batch
-from .pareto import HypervolumeResult, ParetoArchive, ReferencePoint, _boxes3, hypervolume
+from .pareto import HypervolumeResult, ParetoArchive, ReferencePoint, _boxes, hypervolume
 
 # Posterior samples per candidate inside propose_next.
 DEFAULT_EHVI_SAMPLES = 128
@@ -33,13 +33,19 @@ REFINE_STEP_INIT = 0.2
 REFINE_STEP_MIN = 0.01
 REFINE_MOVE_LIMIT = 40
 
-# Candidates x samples x cells overlapped per EHVI chunk; larger chunks
+# Candidates x samples x boxes overlapped per EHVI chunk; larger chunks
 # only add cache misses and transient memory.
 _CELL_BUDGET = 2**16
 
 
-def _posterior_grid(models: list[GpModel], candidates: np.ndarray, block: int) -> tuple[np.ndarray, ...]:
-    """Per-objective posteriors as (n, m) mean and std arrays, ``block`` rows per prediction."""
+def _posterior_grid(models: list[GpModel], candidates: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-objective posteriors as (n, m) mean and std arrays.
+
+    A posterior row's last bits depend on its prediction block (BLAS
+    tiling), so the blocks stay those the proposals were baselined in:
+    256 candidates for 2 objectives, all of them for 3.
+    """
+    block = 256 if len(models) == 2 else max(1, candidates.shape[0])
     means = np.empty((candidates.shape[0], len(models)))
     stds = np.empty_like(means)
     for start in range(0, candidates.shape[0], block):
@@ -73,66 +79,47 @@ def _check_ref(ref: ReferencePoint, m: int) -> np.ndarray:
     return values
 
 
-def _delta_hv2(front: np.ndarray, ref: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """Hypervolume gained by each (y1, y2) over a fixed 2-D front.
-
-    Decomposes the free area above the front staircase into vertical
-    strips; each strip contributes (width) x (headroom above y2).
-    """
-    if front.shape[0] == 0:
-        return np.clip(ref[0] - y1, 0.0, None) * np.clip(ref[1] - y2, 0.0, None)
-    order = np.lexsort((front[:, 1], front[:, 0]))
-    f = front[order]
-    # Strip j spans [left[j], right[j]) with F-boundary height bound[j].
-    left = np.concatenate(([-np.inf], f[:, 0]))
-    right = np.concatenate((f[:, 0], [ref[0]]))
-    bound = np.concatenate(([ref[1]], np.minimum.accumulate(f[:, 1])))
-    widths = np.clip(right[None, :] - np.maximum(left[None, :], y1[:, None]), 0.0, None)
-    heights = np.clip(np.minimum(bound, ref[1])[None, :] - y2[:, None], 0.0, None)
-    gain = np.sum(np.minimum(widths, np.clip(ref[0] - y1, 0.0, None)[:, None]) * heights, axis=1)
-    return np.where(y2 >= ref[1], 0.0, gain)
-
-
-def _cells(archive: ParetoArchive, ref: np.ndarray):
-    """The archive's cells for _ehvi_batch: the 2-D front (_delta_hv2 strips it), or 3-D boxes."""
+def _cells(archive: ParetoArchive, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The archive's dominated boxes for _ehvi_batch, as _boxes returns them."""
     front = archive.objective_matrix if len(archive) else np.zeros((0, ref.size))
-    return front if ref.size == 2 else _boxes3(front, ref)
+    return _boxes(front, ref)
+
+
+def _gains(cells: tuple[np.ndarray, np.ndarray], ref_values: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Hypervolume each point of ``y`` (..., m) adds to the union of ``cells``.
+
+    vol(y..ref) minus its overlap with the dominated boxes, one axis at a time.
+    """
+    lo_b, hi_b = cells
+    overlap = np.ones(y.shape[:-1] + (lo_b.shape[1],))
+    # One scratch array for every axis's edge: fresh chunk-sized temporaries
+    # made the allocator hand memory back and fault it in again per chunk.
+    edge = np.empty_like(overlap)
+    for k in range(ref_values.size):
+        np.subtract(hi_b[k], np.maximum(lo_b[k], y[..., k, None], out=edge), out=edge)
+        overlap *= np.clip(edge, 0.0, None, out=edge)
+    return np.clip(np.prod(np.clip(ref_values - y, 0.0, None), axis=-1) - overlap.sum(axis=-1), 0.0, None)
 
 
 def _ehvi_batch(
     models: list[GpModel],
     candidates: np.ndarray,
-    cells,
+    cells: tuple[np.ndarray, np.ndarray],
     ref_values: np.ndarray,
     sample_count: int,
     seed: int,
 ) -> np.ndarray:
     """EHVI of every candidate against ``cells = _cells(archive, ref_values)``.
 
-    No value depends on the overlap's chunking.  A posterior row's last
-    bits do depend on its prediction block (BLAS tiling), so those blocks
-    stay fixed: 256 candidates for 2 objectives, all of them for 3.
+    No value depends on the overlap's chunking.
     """
-    m = len(models)
-    z = np.random.default_rng(seed).standard_normal((sample_count, m))
-    means, stds = _posterior_grid(models, candidates, 256 if m == 2 else max(1, candidates.shape[0]))
-    n_cells = cells.shape[0] + 1 if m == 2 else cells[0].shape[0]
-    step = max(1, _CELL_BUDGET // (sample_count * (n_cells + 3)))
+    z = np.random.default_rng(seed).standard_normal((sample_count, len(models)))
+    means, stds = _posterior_grid(models, candidates)
+    step = max(1, _CELL_BUDGET // (sample_count * (cells[0].shape[1] + 3)))
     out = np.empty(candidates.shape[0])
     for start in range(0, candidates.shape[0], step):
         y = means[start : start + step, None, :] + stds[start : start + step, None, :] * z[None, :, :]
-        if m == 2:
-            gains = _delta_hv2(cells, ref_values, y[:, :, 0].ravel(), y[:, :, 1].ravel()).reshape(y.shape[:2])
-        else:
-            # vol(y..ref) minus its overlap with the dominated boxes, one axis at a time.
-            lo_b, hi_b = cells
-            gains = np.prod(np.clip(ref_values - y, 0.0, None), axis=2)
-            if n_cells:
-                overlap = np.ones(y.shape[:2] + (n_cells,))
-                for k in range(3):
-                    overlap *= np.clip(hi_b[:, k] - np.maximum(lo_b[:, k], y[:, :, k, None]), 0.0, None)
-                gains = np.clip(gains - overlap.sum(axis=2), 0.0, None)
-        out[start : start + y.shape[0]] = gains.mean(axis=1)
+        out[start : start + y.shape[0]] = _gains(cells, ref_values, y).mean(axis=1)
     return out
 
 
@@ -207,7 +194,7 @@ def propose_next(
     scan = scan_candidates(bounds, scan_count, seed)
     pool = scan
     if len(archive):
-        prng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
+        prng = np.random.default_rng(seeds.seed_for(seed, "perturb"))
         sigma = PERTURB_FRACTION * (hi - lo)
         jumps = prng.standard_normal((len(archive), lo.size)) * sigma
         local = np.clip(archive.design_matrix + jumps, lo, hi)
@@ -225,7 +212,7 @@ def propose_next(
 
     evaluated = models[0].inputs
     if evaluated.shape[0] and np.min(np.max(np.abs(evaluated - choice[None, :]), axis=1)) < DUPLICATE_TOL:
-        bump = np.random.default_rng(np.random.SeedSequence([seed, 11, 1]))
+        bump = np.random.default_rng(seeds.seed_for(seed, "perturb", 1))
         sigma = PERTURB_FRACTION * (hi - lo)
         choice = np.clip(choice + bump.standard_normal(lo.size) * sigma, lo, hi)
     return choice
@@ -279,6 +266,4 @@ def _scan_variances(models: list[GpModel], scan: np.ndarray) -> np.ndarray:
 
 def archive_hypervolume(archive: ParetoArchive, ref: ReferencePoint) -> HypervolumeResult:
     """Hypervolume of the archive front against its reference point."""
-    if len(archive) == 0:
-        return HypervolumeResult(0.0)
     return hypervolume(archive.objective_matrix, ref)

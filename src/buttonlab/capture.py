@@ -109,23 +109,16 @@ def _group_velocity_level(traces: list[FdTrace]) -> float:
     return float(np.median(np.concatenate(speeds)))
 
 
-def _first_peak_and_valley(curve, travel: float) -> tuple[float, float | None]:
-    """Displacement of the first prominent force peak, and the valley after it."""
+def _first_peak(curve, travel: float) -> float:
+    """Displacement of the first prominent force peak."""
     grid = np.linspace(0.0, travel, 2000)
     f = curve(grid)
     scale = max(float(np.max(f)), 1e-12)
     rising = np.diff(f) > 0
-    peak_idx = None
     for i in np.flatnonzero(rising[:-1] & ~rising[1:]) + 1:
-        later_min = float(np.min(f[i:]))
-        if f[i] - later_min > 0.02 * scale:
-            peak_idx = i
-            break
-    if peak_idx is None:
-        return float(grid[int(np.argmax(f))]), None
-    tail = f[peak_idx:]
-    valley_idx = peak_idx + int(np.argmin(tail))
-    return float(grid[peak_idx]), float(grid[valley_idx])
+        if f[i] - float(np.min(f[i:])) > 0.02 * scale:
+            return float(grid[i])
+    return float(grid[int(np.argmax(f))])
 
 
 def _fit_vibration(traces: list[FdTrace]) -> VibrationSpec:
@@ -165,8 +158,7 @@ def fit_fdvv(trace_groups: list[list[FdTrace]]) -> FdvvModel:
     with BIC knot selection; the group's velocity level is its median
     absolute press speed.  Activation is read from the first prominent
     force peak of the slowest group, release from the same 0.7 ratio the
-    forward mapping uses (the valley after the peak only confirms the
-    tactile drop).
+    forward mapping uses.
 
     Raises:
         ValueError: fewer than 2 groups, an empty group, or two groups
@@ -195,8 +187,7 @@ def fit_fdvv(trace_groups: list[list[FdTrace]]) -> FdvvModel:
         max_disps.append(float(np.max(d)))
 
     travel = min(min(c.domain[1] for c in curves), min(max_disps))
-    activation, valley = _first_peak_and_valley(curves[0], travel)
-    activation = min(max(activation, 1e-3), travel * 0.999)
+    activation = min(max(_first_peak(curves[0], travel), 1e-3), travel * 0.999)
     release = 0.7 * activation
 
     grid = np.linspace(0.0, travel, 400)

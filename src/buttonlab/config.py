@@ -198,8 +198,6 @@ def parse_config(text: str) -> CidConfig:
             else:
                 _fail(path, "unknown key")
     values["bounds"] = bounds
-    if "budget" in values and values["budget"] < 1:
-        _fail("run.budget", f"must be >= 1, got {values['budget']}")
     return CidConfig(**values)
 
 

@@ -80,9 +80,6 @@ class GpModel:
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    def predict(self, query) -> "PosteriorPrediction":
-        return gp_predict(self, query)
-
 
 @dataclass(frozen=True)
 class PosteriorPrediction:
@@ -165,19 +162,13 @@ def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
 
 
 def gp_predict(model: GpModel, query) -> PosteriorPrediction:
-    """Posterior mean and variance at one query point.
+    """Posterior mean and variance at one query point: one row of
+    :func:`gp_predict_batch`.
 
     An empty model returns the prior (zero mean, signal variance).
     """
-    spec = model.kernel
-    q = _as_points(query, spec.dim, "query")
-    if model.n == 0:
-        return PosteriorPrediction(0.0, spec.signal_variance)
-    k = _kernel_matrix(spec, model.inputs, q)[:, 0]
-    mean = float(k @ model.alpha)
-    v = solve_triangular(model.factor, k, lower=True)
-    variance = float(spec.signal_variance - v @ v)
-    return PosteriorPrediction(mean, min(max(variance, 0.0), spec.signal_variance))
+    mean, variance = gp_predict_batch(model, query)
+    return PosteriorPrediction(float(mean[0]), float(variance[0]))
 
 
 def gp_predict_batch(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:

@@ -18,10 +18,10 @@ from . import seeds
 from .acquisition import propose_next, scan_candidates
 from .button import DEFAULT_DT_S, DESIGN_FIELDS, ButtonDesignParams, FdvvModel, design_to_fdvv
 from .config import OBJECTIVE_NAMES, CidConfig
-from .errors import NumericalError, StateError
+from .errors import StateError
 from .gp import GpModel, KernelFamily, gp_fit, optimize_hyperparams
 from .pareto import ParetoArchive, ReferencePoint
-from .policy import ACTION_MAX_N, MetaPolicy, TaskSpec, adapt, init_policy, rollouts
+from .policy import MetaPolicy, TaskSpec, adapt, init_policy, rollouts
 from .synthetic import get_problem
 
 _log = logging.getLogger(__name__)
@@ -137,12 +137,6 @@ def evaluate_design(
     return vector, tuple(summaries)
 
 
-def _worst_objectives(horizon: int) -> np.ndarray:
-    # Recorded when the simulator faults: timeout duration, certain
-    # failure, and ceiling effort for the whole horizon.
-    return np.array([horizon * DEFAULT_DT_S, 1.0, ACTION_MAX_N**2 * horizon * DEFAULT_DT_S])
-
-
 def _load_meta(config: CidConfig) -> MetaPolicy:
     if config.policy_path:
         from .storage import load_artifact
@@ -186,19 +180,15 @@ def make_provider(config: CidConfig, meta: MetaPolicy | None = None) -> Provider
         indices = [OBJECTIVE_NAMES.index(name) for name in config.objectives]
 
         def evaluate(design: np.ndarray, seed: int):
-            try:
-                full, summaries = evaluate_design(
-                    design,
-                    meta,
-                    config.episodes_per_eval,
-                    seed,
-                    config.horizon,
-                    config.sensory_delay,
-                    config.dwell_limit,
-                )
-            except NumericalError:
-                _log.warning("evaluation fault at %s; recording worst case", design)
-                full, summaries = _worst_objectives(config.horizon), ()
+            full, summaries = evaluate_design(
+                design,
+                meta,
+                config.episodes_per_eval,
+                seed,
+                config.horizon,
+                config.sensory_delay,
+                config.dwell_limit,
+            )
             return full[indices], summaries, (seed,)
 
         return Provider(names, tuple(config.objectives), lower, upper, None, evaluate)
@@ -335,8 +325,8 @@ def run(
 ) -> tuple[RunState, ParetoArchive]:
     """Drive the loop from scratch or from a persisted state to budget.
 
-    ``persist`` (when given) is called with the state after the initial
-    design set and after every step.  Resuming requires the exact same
+    ``persist`` (when given) is called with the starting state, fresh or
+    resumed, and after every step.  Resuming requires the exact same
     config; anything else would silently change seed derivations.
 
     Raises:
@@ -351,8 +341,8 @@ def run(
         state = resume_from
     else:
         state = initial_state(config, provider)
-        if persist is not None:
-            persist(state)
+    if persist is not None:
+        persist(state)
     while state.iteration < config.budget:
         state = cid_step(state, provider)
         if persist is not None:

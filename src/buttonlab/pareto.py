@@ -1,9 +1,9 @@
 """Pareto dominance, archive bookkeeping, and hypervolume.
 
 All objectives are minimized.  Hypervolume is exact for two and three
-objectives (a sweep, and the sum of a disjoint box decomposition that
-EHVI shares) and falls back to seeded Monte Carlo sampling above that,
-reporting the standard error of the estimate alongside the value.
+objectives (the sum of a disjoint box decomposition that EHVI shares)
+and falls back to seeded Monte Carlo sampling above that, reporting the
+standard error of the estimate alongside the value.
 """
 
 from __future__ import annotations
@@ -162,46 +162,35 @@ def _ref_values(reference) -> np.ndarray:
     return np.atleast_1d(np.asarray(reference, dtype=float))
 
 
-def _hv2(points: np.ndarray, ref: np.ndarray) -> float:
-    # Sweep the front in increasing f1; each step adds a rectangle.
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    pts = points[order]
-    total = 0.0
-    best_f2 = ref[1]
-    for f1, f2 in pts:
-        if f2 < best_f2:
-            total += (ref[0] - f1) * (best_f2 - f2)
-            best_f2 = f2
-    return total
+def _staircase(pts: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # One box per distinct first coordinate: [x_i, x_{i+1}) x [min y up to x_i, ref_1).
+    xs, inv = np.unique(pts[:, 0], return_inverse=True)
+    ymin = np.full(xs.size, np.inf)
+    np.minimum.at(ymin, inv, pts[:, 1])
+    lo = np.stack([xs, np.minimum.accumulate(ymin)])
+    hi = np.stack([np.append(xs, ref[0])[1:], np.full(xs.size, ref[1])])
+    return lo, hi
 
 
-def _boxes3(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _boxes(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint boxes whose union is the region ``front`` dominates inside ref.
 
-    Sweeps the third objective into slabs; within each slab the active
-    points form a 2-D staircase, cut into vertical strips.  Dominated
-    points may be left in: they add boxes but no volume.
+    For 2 or 3 objectives; returns (lo, hi) corners of shape (m, boxes),
+    one contiguous row per axis.  In 2-D the boxes are vertical strips
+    under the staircase.  In 3-D the third objective is swept into slabs,
+    each holding the 2-D strips of the points active in it.  Dominated
+    points may be left in: they split a box but add no volume.
     """
-    empty = np.zeros((0, 3))
     pts = front[np.all(front < ref, axis=1)]
-    if pts.shape[0] == 0:
-        return empty, empty
-    los: list[tuple[float, float, float]] = []
-    his: list[tuple[float, float, float]] = []
-    zs = np.unique(pts[:, 2])
-    z_edges = np.append(zs, ref[2])
-    for j in range(zs.size):
-        active = pts[pts[:, 2] <= zs[j]]
-        xs, inv = np.unique(active[:, 0], return_inverse=True)
-        ymin = np.full(xs.size, np.inf)
-        np.minimum.at(ymin, inv, active[:, 1])
-        ymin = np.minimum.accumulate(ymin)
-        x_edges = np.append(xs, ref[0])
-        for i in range(xs.size):
-            if x_edges[i + 1] > x_edges[i]:
-                los.append((x_edges[i], ymin[i], z_edges[j]))
-                his.append((x_edges[i + 1], ref[1], z_edges[j + 1]))
-    return np.array(los), np.array(his)
+    if ref.size == 2:
+        return _staircase(pts, ref)
+    z_edges = np.append(np.unique(pts[:, 2]), ref[2])
+    los, his = [np.zeros((3, 0))], [np.zeros((3, 0))]
+    for z0, z1 in zip(z_edges[:-1], z_edges[1:]):
+        lo, hi = _staircase(pts[pts[:, 2] <= z0], ref)
+        los.append(np.vstack([lo, np.full(lo.shape[1], z0)]))
+        his.append(np.vstack([hi, np.full(hi.shape[1], z1)]))
+    return np.hstack(los), np.hstack(his)
 
 
 def _hv_mc(points: np.ndarray, ref: np.ndarray, samples: int, seed: int) -> HypervolumeResult:
@@ -250,13 +239,9 @@ def hypervolume(
     pts = pts[inside]
     if pts.shape[0] == 0:
         return HypervolumeResult(0.0)
-    m = ref.size
-    if m == 2:
-        # _hv2's sweep already adds nothing for dominated or repeated points.
-        return HypervolumeResult(_hv2(pts, ref))
-    if m == 3:
-        lo, hi = _boxes3(pts, ref)
-        return HypervolumeResult(float(np.sum(np.prod(hi - lo, axis=1))))
+    if ref.size <= 3:
+        lo, hi = _boxes(pts, ref)
+        return HypervolumeResult(float(np.sum(np.prod(hi - lo, axis=0))))
     pts = pts[nondominated_mask(pts)]
     if mc_samples < 1_000_000:
         raise ValueError("Monte Carlo hypervolume needs at least 1e6 samples")

@@ -20,9 +20,9 @@ from buttonlab import (
     propose_next,
     scan_candidates,
 )
-from buttonlab.acquisition import _CELL_BUDGET, _cells, _delta_hv2, _ehvi_batch
-from buttonlab.pareto import _boxes3
-from test_pareto import slicing_hypervolume3
+from buttonlab.acquisition import _CELL_BUDGET, _cells, _ehvi_batch, _gains
+from buttonlab.pareto import _boxes
+from test_pareto import slicing_hypervolume3, sweep_hypervolume2
 
 
 def two_models(rng, n=6, d=2, noise=1e-6):
@@ -47,36 +47,63 @@ def archive_of(x, objs):
     return archive
 
 
-def test_delta_hv2_matches_hypervolume_difference():
+def strip_gains2(front, ref, y1, y2):
+    """Hypervolume gained by each (y1, y2) over a 2-D front inside ref:
+    the free area above the staircase cut into vertical strips, each
+    contributing width x headroom.  Strips past ref[0] are not clipped, so
+    this oracle holds only for fronts whose first objective is below ref."""
+    if front.shape[0] == 0:
+        return np.clip(ref[0] - y1, 0.0, None) * np.clip(ref[1] - y2, 0.0, None)
+    f = front[np.lexsort((front[:, 1], front[:, 0]))]
+    left = np.concatenate(([-np.inf], f[:, 0]))
+    right = np.concatenate((f[:, 0], [ref[0]]))
+    bound = np.concatenate(([ref[1]], np.minimum.accumulate(f[:, 1])))
+    widths = np.clip(right[None, :] - np.maximum(left[None, :], y1[:, None]), 0.0, None)
+    heights = np.clip(np.minimum(bound, ref[1])[None, :] - y2[:, None], 0.0, None)
+    gain = np.sum(np.minimum(widths, np.clip(ref[0] - y1, 0.0, None)[:, None]) * heights, axis=1)
+    return np.where(y2 >= ref[1], 0.0, gain)
+
+
+def test_box_gains_2d_match_hypervolume_difference():
+    # Fronts keep dominated points and points past the reference in either
+    # objective; the gain is what the sweep oracle adds for y.
     rng = np.random.default_rng(0)
     ref = np.array([1.0, 1.0])
-    for _ in range(40):
-        front = rng.random((int(rng.integers(0, 8)), 2))
-        if front.shape[0]:
-            from buttonlab import pareto_front
-
-            front = front[pareto_front(front)]
-        base = hypervolume(front, ref).value if front.shape[0] else 0.0
+    for t in range(60):
+        front = rng.uniform(-0.2, 1.3, size=(int(rng.integers(0, 10)), 2))
+        if t % 3 == 1:
+            front = np.round(front * 5.0) / 5.0
+        base = sweep_hypervolume2(front, ref)
         y = rng.uniform(-0.2, 1.2, size=(30, 2))
-        gains = _delta_hv2(front, ref, y[:, 0], y[:, 1])
+        if t % 3 == 1:
+            y = np.round(y * 5.0) / 5.0
+        gains = _gains(_boxes(front, ref), ref, y)
         for i in range(30):
-            joined = np.vstack([front, y[i][None, :]]) if front.shape[0] else y[i][None, :]
-            expected = max(0.0, hypervolume(joined, ref).value - base)
+            expected = sweep_hypervolume2(np.vstack([front, y[i]]), ref) - base
             assert gains[i] == pytest.approx(expected, abs=1e-12)
 
 
-def test_boxes3_volume_equals_exact_hypervolume():
+@pytest.mark.parametrize("m", [2, 3])
+def test_boxes_volume_equals_exact_hypervolume(m):
     rng = np.random.default_rng(1)
-    ref = np.ones(3)
-    for _ in range(60):
-        pts = rng.random((int(rng.integers(1, 25)), 3))
-        lo, hi = _boxes3(pts, ref)
-        vol = float(np.sum(np.prod(hi - lo, axis=1))) if lo.shape[0] else 0.0
-        assert vol == pytest.approx(slicing_hypervolume3(pts, ref), abs=1e-12)
-        if lo.shape[0] > 1:
-            # Pairwise disjoint: no two boxes overlap in all three axes.
-            inter_lo = np.maximum(lo[:, None, :], lo[None, :, :])
-            inter_hi = np.minimum(hi[:, None, :], hi[None, :, :])
+    ref = np.array([1.0, 1.1, 0.9])[:m]
+    oracle = sweep_hypervolume2 if m == 2 else slicing_hypervolume3
+    for t in range(60):
+        pts = rng.uniform(-0.1, 1.2, size=(int(rng.integers(1, 25)), m))
+        if t % 2:
+            pts = np.round(pts * 5.0) / 5.0
+        lo, hi = _boxes(pts, ref)
+        assert lo.shape == hi.shape and lo.shape[0] == m
+        assert np.all(hi > lo)
+        vol = float(np.sum(np.prod(hi - lo, axis=0)))
+        assert vol == pytest.approx(oracle(pts, ref), abs=1e-12)
+        if m == 2:
+            # One strip per distinct first objective inside the reference.
+            assert lo.shape[1] == np.unique(pts[np.all(pts < ref, axis=1), 0]).size
+        if lo.shape[1] > 1:
+            # Pairwise disjoint: no two boxes overlap in every axis.
+            inter_lo = np.maximum(lo.T[:, None, :], lo.T[None, :, :])
+            inter_hi = np.minimum(hi.T[:, None, :], hi.T[None, :, :])
             overlap = np.all(inter_hi > inter_lo + 1e-15, axis=2)
             np.fill_diagonal(overlap, False)
             assert not overlap.any()
@@ -182,28 +209,26 @@ def test_proposal_has_highest_ehvi_over_the_scan_three_objectives():
     assert value >= np.max(rescanned) - 1e-12
 
 
+def _posterior_blocks(models, candidates):
+    # The blocks the proposals were baselined in: 256 candidates in 2-D,
+    # the whole pool in 3-D.
+    block = 256 if len(models) == 2 else max(1, candidates.shape[0])
+    means, stds = [], []
+    for start in range(0, candidates.shape[0], block):
+        preds = [gp_predict_batch(model, candidates[start : start + block]) for model in models]
+        means.append(np.stack([p[0] for p in preds], axis=1))
+        stds.append(np.sqrt(np.stack([p[1] for p in preds], axis=1)))
+    return np.vstack(means), np.vstack(stds)
+
+
 def _ehvi_loop_reference(models, candidates, archive, ref, sample_count, seed):
-    """The per-candidate EHVI loops the batched overlap replaced: 2-D in
-    blocks of 256 candidates, 3-D one candidate at a time over the boxes."""
+    """EHVI one candidate at a time over the archive's boxes."""
     m = len(models)
     front = archive.objective_matrix if len(archive) else np.zeros((0, m))
+    lo_b, hi_b = (corner.T for corner in _boxes(front, ref))
     z = np.random.default_rng(seed).standard_normal((sample_count, m))
-
-    def posterior(block):
-        preds = [gp_predict_batch(model, block) for model in models]
-        return np.stack([p[0] for p in preds], axis=1), np.sqrt(np.stack([p[1] for p in preds], axis=1))
-
+    means, stds = _posterior_blocks(models, candidates)
     out = np.empty(candidates.shape[0])
-    if m == 2:
-        for start in range(0, candidates.shape[0], 256):
-            block = candidates[start : start + 256]
-            means, stds = posterior(block)
-            samples = means[:, None, :] + stds[:, None, :] * z[None, :, :]
-            gains = _delta_hv2(front, ref, samples[:, :, 0].ravel(), samples[:, :, 1].ravel())
-            out[start : start + block.shape[0]] = gains.reshape(block.shape[0], sample_count).mean(axis=1)
-        return out
-    lo_b, hi_b = _boxes3(front, ref)
-    means, stds = posterior(candidates)
     for i in range(candidates.shape[0]):
         samples = means[i] + stds[i] * z
         gain = np.prod(np.clip(ref - samples, 0.0, None), axis=1)
@@ -235,14 +260,34 @@ def test_batched_ehvi_matches_per_candidate_loop_bit_for_bit(m):
     }
     for name, archive in archives.items():
         cells = _cells(archive, ref)
-        n_cells = cells.shape[0] + 1 if m == 2 else cells[0].shape[0]
         for sample_count in (1, 128):
-            step = max(1, _CELL_BUDGET // (sample_count * (n_cells + 3)))
+            step = max(1, _CELL_BUDGET // (sample_count * (cells[0].shape[1] + 3)))
             for count in (1, step, step + 1):
                 cands = rng.uniform(0.0, 1.0, size=(count, d))
                 got = _ehvi_batch(models, cands, cells, ref, sample_count, seed=count)
                 want = _ehvi_loop_reference(models, cands, archive, ref, sample_count, seed=count)
                 assert got.tobytes() == want.tobytes(), (name, sample_count, count)
+
+
+def test_ehvi_2d_agrees_with_strip_formula():
+    # The strips and the boxes cut the same free area differently, so the
+    # two agree to rounding, relative to the largest EHVI of the scan.
+    rng = np.random.default_rng(34)
+    models, x, objs = two_models(rng, n=24, d=3, noise=1e-4)
+    ref = np.full(2, 1.1) * np.max(objs, axis=0)
+    cands = rng.uniform(0.0, 1.0, size=(300, 3))
+    for size in (0, 1, 6, 24):
+        archive = archive_of(x[:size], objs[:size]) if size else ParetoArchive(())
+        front = archive.objective_matrix if size else np.zeros((0, 2))
+        for sample_count, seed in ((1, 3), (128, 4)):
+            got = _ehvi_batch(models, cands, _cells(archive, ref), ref, sample_count, seed)
+            z = np.random.default_rng(seed).standard_normal((sample_count, 2))
+            means, stds = _posterior_blocks(models, cands)
+            y = means[:, None, :] + stds[:, None, :] * z[None, :, :]
+            want = strip_gains2(front, ref, y[:, :, 0].ravel(), y[:, :, 1].ravel())
+            want = want.reshape(y.shape[:2]).mean(axis=1)
+            assert np.max(want) > 0.0
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want), (size, sample_count)
 
 
 def test_proposal_with_empty_archive_is_scan_argmax():

@@ -378,6 +378,30 @@ def test_cli_optimize_resumes_a_crash_between_log_and_state(tmp_path, capsys, mo
             assert fa.read() == fb.read(), name
 
 
+def _run_outputs(out_dir):
+    outputs = {}
+    for name in ("front.csv", "hv_curve.csv", "run_state.json", "evaluations.jsonl"):
+        with open(os.path.join(out_dir, name), "rb") as handle:
+            outputs[name] = handle.read()
+    return outputs
+
+
+def test_cli_optimize_resume_of_a_finished_run_writes_every_file(tmp_path, capsys):
+    cfg = config_file(tmp_path, SMALL_SCHAFFER)
+    full_dir = str(tmp_path / "full")
+    assert main(["optimize", "--config", cfg, "--out-dir", full_dir]) == 0
+    original = _run_outputs(full_dir)
+    state_path = os.path.join(full_dir, "run_state.json")
+
+    fresh_dir = str(tmp_path / "fresh")
+    assert main(["optimize", "--config", cfg, "--out-dir", fresh_dir, "--resume", state_path]) == 0
+    assert _run_outputs(fresh_dir) == original
+    # Into the run's own directory, the resume rewrites the same bytes.
+    assert main(["optimize", "--config", cfg, "--out-dir", full_dir, "--resume", state_path]) == 0
+    assert _run_outputs(full_dir) == original
+    capsys.readouterr()
+
+
 def test_cli_fit_and_simulate_round_trip(tmp_path, capsys):
     from test_capture import constant_velocity_trace
 
