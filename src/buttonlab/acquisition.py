@@ -7,14 +7,16 @@ samples x boxes.  It uses common random numbers: one fixed block of
 standard-normal draws per seed, shared by every candidate, so a
 single-candidate call reproduces a batched scan's value up to the GP
 posterior's last bits, and proposals can be audited by rescanning.
+
+The candidate scan is a scrambled Sobol' sequence: Joe & Kuo's (2008)
+direction numbers, Owen's (2003) linear matrix scramble plus digital
+shift, and Antonov & Saleev's (1979) Gray-code order, with the same
+random bits and points as scipy's ``qmc.Sobol``.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.stats import qmc
 
 from . import seeds
 from .gp import GpModel, gp_predict_batch
@@ -36,6 +38,20 @@ REFINE_MOVE_LIMIT = 40
 # Candidates x samples x boxes overlapped per EHVI chunk; larger chunks
 # only add cache misses and transient memory.
 _CELL_BUDGET = 2**16
+
+# Sobol' direction numbers of Joe & Kuo (2008), file new-joe-kuo-6.21201,
+# for the first 21 dimensions: each dimension's primitive polynomial
+# (as bits, leading and trailing 1 included) and initial numbers m_1..m_s.
+# The first dimension is van der Corput's and has neither.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97, 103, 109, 115, 131, 137)
+_SOBOL_INIT = (
+    (), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+    (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1),
+    (1, 1, 1, 3, 11), (1, 3, 5, 5, 31), (1, 3, 3, 9, 7, 49), (1, 1, 1, 15, 21, 21),
+    (1, 3, 1, 13, 27, 49), (1, 1, 1, 15, 7, 5), (1, 3, 1, 15, 13, 25),
+    (1, 1, 5, 5, 19, 61), (1, 3, 7, 11, 23, 15, 103), (1, 3, 7, 13, 13, 15, 69),
+)
+_SOBOL_BITS = 30
 
 
 def _posterior_grid(models: list[GpModel], candidates: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -85,16 +101,32 @@ def _cells(archive: ParetoArchive, ref: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _boxes(front, ref)
 
 
-def _gains(cells: tuple[np.ndarray, np.ndarray], ref_values: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Hypervolume each point of ``y`` (..., m) adds to the union of ``cells``.
+def _scratch(cells: tuple[np.ndarray, np.ndarray], sample_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap and edge buffers for one chunk of _ehvi_batch, (chunk, samples, boxes).
 
-    vol(y..ref) minus its overlap with the dominated boxes, one axis at a time.
+    A chunk holds as many candidates as _CELL_BUDGET allows, at least one.
+    One pair serves every call of a proposal: chunk-sized arrays made anew
+    per call were handed back to the system and faulted in again.
+    """
+    chunk = max(1, _CELL_BUDGET // (sample_count * (cells[0].shape[1] + 3)))
+    shape = (chunk, sample_count, cells[0].shape[1])
+    return np.empty(shape), np.empty(shape)
+
+
+def _gains(
+    cells: tuple[np.ndarray, np.ndarray],
+    ref_values: np.ndarray,
+    y: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Hypervolume each point of ``y`` (c, s, m) adds to the union of ``cells``.
+
+    vol(y..ref) minus its overlap with the dominated boxes, one axis at a
+    time, in the first c rows of the ``scratch`` buffers.
     """
     lo_b, hi_b = cells
-    overlap = np.ones(y.shape[:-1] + (lo_b.shape[1],))
-    # One scratch array for every axis's edge: fresh chunk-sized temporaries
-    # made the allocator hand memory back and fault it in again per chunk.
-    edge = np.empty_like(overlap)
+    overlap, edge = (buf[: y.shape[0]] for buf in scratch)
+    overlap.fill(1.0)
     for k in range(ref_values.size):
         np.subtract(hi_b[k], np.maximum(lo_b[k], y[..., k, None], out=edge), out=edge)
         overlap *= np.clip(edge, 0.0, None, out=edge)
@@ -108,18 +140,20 @@ def _ehvi_batch(
     ref_values: np.ndarray,
     sample_count: int,
     seed: int,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """EHVI of every candidate against ``cells = _cells(archive, ref_values)``.
 
-    No value depends on the overlap's chunking.
+    ``scratch`` is ``_scratch(cells, sample_count)``, whose first axis
+    sets the chunk.  No value depends on the overlap's chunking.
     """
     z = np.random.default_rng(seed).standard_normal((sample_count, len(models)))
     means, stds = _posterior_grid(models, candidates)
-    step = max(1, _CELL_BUDGET // (sample_count * (cells[0].shape[1] + 3)))
+    step = scratch[0].shape[0]
     out = np.empty(candidates.shape[0])
     for start in range(0, candidates.shape[0], step):
         y = means[start : start + step, None, :] + stds[start : start + step, None, :] * z[None, :, :]
-        out[start : start + y.shape[0]] = _gains(cells, ref_values, y).mean(axis=1)
+        out[start : start + y.shape[0]] = _gains(cells, ref_values, y, scratch).mean(axis=1)
     return out
 
 
@@ -142,18 +176,67 @@ def ehvi(
         raise ValueError("sample_count must be >= 1")
     ref_values = _check_ref(ref, len(models))
     point = np.atleast_2d(np.asarray(candidate, dtype=float))
-    return float(_ehvi_batch(models, point, _cells(archive, ref_values), ref_values, sample_count, seed)[0])
+    cells = _cells(archive, ref_values)
+    scratch = _scratch(cells, sample_count)
+    return float(_ehvi_batch(models, point, cells, ref_values, sample_count, seed, scratch)[0])
+
+
+def _direction_numbers(dim: int) -> np.ndarray:
+    """Sobol' direction numbers v[d, j] as 30-bit integers, shape (dim, 30).
+
+    Bratley & Fox's recurrence (Algorithm 659) on Joe & Kuo's initial
+    numbers; v[d, j] holds m_{j+1} in its top j + 1 bits.
+    """
+    bits = _SOBOL_BITS
+    v = np.empty((dim, bits), dtype=np.uint32)
+    for d in range(dim):
+        poly, m = _SOBOL_POLY[d], len(_SOBOL_INIT[d])
+        row = list(_SOBOL_INIT[d]) if d else [1] * bits
+        for j in range(len(row), bits):
+            new = row[j - m]
+            for k in range(m):
+                if (poly >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = [r << (bits - 1 - j) for j, r in enumerate(row)]
+    return v
+
+
+def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
+    """First ``count`` points of a scrambled Sobol' sequence in [0, 1)^dim.
+
+    The random bits, their order and every point equal scipy's
+    ``qmc.Sobol(dim, scramble=True, seed=np.random.default_rng(seed))``,
+    which draws from a child of the seed's generator.
+    """
+    if dim > len(_SOBOL_POLY):
+        raise ValueError(f"Sobol' scan supports at most {len(_SOBOL_POLY)} dimensions, got {dim}")
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    powers = 2 ** np.arange(bits, dtype=np.uint32)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ powers
+    lower = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
+    lower[:, np.arange(bits), np.arange(bits)] = 1
+    # The scramble multiplies each direction number's bits, most significant
+    # first, by its dimension's unit lower-triangular matrix over GF(2).
+    msb_first = powers[::-1]
+    v = _direction_numbers(dim)
+    v_bits = (v[:, :, None] // msb_first) & 1
+    v = ((v_bits @ lower.transpose(0, 2, 1)) & 1) @ msb_first
+    index = np.arange(count)
+    gray = index ^ (index >> 1)
+    points = np.tile(shift, (count, 1))
+    for j in range((count - 1).bit_length()):
+        points ^= np.where((gray[:, None] >> j) & 1, v[:, j], np.uint32(0))
+    return points * (1.0 / 2**bits)
 
 
 def scan_candidates(bounds, scan_count: int, seed: int) -> np.ndarray:
     """Seeded scrambled-Sobol scan of the design box, shape (n, d)."""
+    if scan_count < 1:
+        raise ValueError(f"scan_count must be >= 1, got {scan_count}")
     lo, hi = _check_bounds(bounds)
-    sampler = qmc.Sobol(d=lo.size, scramble=True, seed=np.random.default_rng(seed))
-    with warnings.catch_warnings():
-        # Non power-of-two draws are fine here; balance is not required.
-        warnings.simplefilter("ignore", UserWarning)
-        unit = sampler.random(scan_count)
-    return qmc.scale(unit, lo, hi)
+    return _sobol(lo.size, scan_count, seed) * (hi - lo) + lo
 
 
 def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +244,10 @@ def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
     hi = np.atleast_1d(np.asarray(bounds[1], dtype=float))
     if lo.shape != hi.shape:
         raise ValueError("bounds halves differ in shape")
-    if np.any(lo > hi):
-        raise ValueError(f"empty bounds: {lo} > {hi} somewhere")
+    if lo.ndim != 1 or lo.size == 0:
+        raise ValueError(f"bounds must be nonempty vectors, got shape {lo.shape}")
+    if np.any(lo >= hi):
+        raise ValueError(f"empty bounds: {lo} >= {hi} somewhere")
     return lo, hi
 
 
@@ -186,8 +271,6 @@ def propose_next(
     already-evaluated design are perturbed once.
     """
     models = _check_models(models)
-    if scan_count < 1:
-        raise ValueError("scan_count must be >= 1")
     lo, hi = _check_bounds(bounds)
     ref_values = _check_ref(ref, len(models))
 
@@ -201,12 +284,13 @@ def propose_next(
         pool = np.vstack([scan, local])
 
     cells = _cells(archive, ref_values)
-    values = _ehvi_batch(models, pool, cells, ref_values, sample_count, seed)
+    scratch = _scratch(cells, sample_count)
+    values = _ehvi_batch(models, pool, cells, ref_values, sample_count, seed, scratch)
     best = float(np.max(values))
     if best > 0.0:
         choice = pool[int(np.argmax(values))]
         if len(archive):
-            choice = _refine(models, choice, best, lo, hi, cells, ref_values, sample_count, seed)
+            choice = _refine(models, choice, best, lo, hi, cells, ref_values, sample_count, seed, scratch)
     else:
         choice = scan[int(np.argmax(_scan_variances(models, scan)))]
 
@@ -228,6 +312,7 @@ def _refine(
     ref_values: np.ndarray,
     sample_count: int,
     seed: int,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Axis-aligned pattern search on EHVI around the scan argmax.
 
@@ -245,7 +330,7 @@ def _refine(
         for j in range(lo.size):
             cands[2 * j, j] = max(best[j] - step * span[j], lo[j])
             cands[2 * j + 1, j] = min(best[j] + step * span[j], hi[j])
-        vals = _ehvi_batch(models, cands, cells, ref_values, sample_count, seed)
+        vals = _ehvi_batch(models, cands, cells, ref_values, sample_count, seed, scratch)
         k = int(np.argmax(vals))
         if vals[k] > best_value:
             best = cands[k]

@@ -4,14 +4,19 @@ Fits clamped B-splines of a fixed degree on uniformly placed interior
 knots, trying a list of candidate knot counts and keeping the one with the
 lowest Bayesian Information Criterion.  Ties break toward fewer knots so
 the selected model is the lowest-parametric one that explains the data.
+
+Basis functions come from the Cox-de Boor recursion (de Boor 1978,
+Ch. X) and derivatives from de Boor's coefficient recurrence as in
+Dierckx's FITPACK ``splder``, each in the order of operations scipy's
+``BSpline`` and ``PPoly.from_spline`` use, so values are the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline as _ScipyBSpline
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,6 @@ class BSplineCurve:
     degree: int
     knots: np.ndarray
     coefficients: np.ndarray
-    _spline: _ScipyBSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -48,9 +52,6 @@ class BSplineCurve:
             raise ValueError("end knots must be clamped (repeated degree+1 times)")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(
-            self, "_spline", _ScipyBSpline(knots, coeffs, self.degree, extrapolate=False)
-        )
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -60,7 +61,76 @@ class BSplineCurve:
         """Evaluate the curve; queries are clipped to the knot span."""
         lo, hi = self.domain
         x = np.clip(np.asarray(x, dtype=float), lo, hi)
-        return self._spline(x)
+        span, bases = _bases(self.knots, self.degree, x.ravel())
+        return _combine(self.coefficients, span - self.degree, bases[-1]).reshape(x.shape)
+
+    def power_coefficients(self) -> np.ndarray:
+        """Polynomial coefficients per knot interval, shape (degree + 1, len(knots) - 1).
+
+        Column i is the curve on [t_i, t_i+1) in powers of (x - t_i),
+        highest power first: the m-th derivative at t_i over m!, with
+        FITPACK ``splder``'s arithmetic (the layout of scipy's PPoly.c).
+        """
+        t, k = self.knots, self.degree
+        span, bases = _bases(t, k, t[:-1])
+        out = np.empty((k + 1, t.size - 1))
+        coef = self.coefficients.copy()
+        for m in range(k + 1):
+            if m:
+                # One more differentiation of the degree k - m + 1 spline;
+                # a coefficient over a zero-width support stays as it was.
+                count = coef.size - m
+                fac = t[k + 1 : k + 1 + count] - t[m : m + count]
+                step = (k - m + 1) * (coef[1 : count + 1] - coef[:count])
+                np.divide(step, fac, out=coef[:count], where=fac > 0.0)
+            value = coef[span - k] if m == k else _combine(coef, span - k, bases[k - m])
+            out[k - m] = value / math.factorial(m)
+        return out
+
+
+def _bases(knots: np.ndarray, degree: int, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Knot interval of each x and the B-splines nonzero there, for degrees 0 to ``degree``.
+
+    ``span`` is the l with t_l <= x < t_l+1 in the base interval, whose
+    last piece also takes its right end.  Entry j of the list has shape
+    (n, j + 1); its column a is B_{span - j + a} of degree j.  Cox-de
+    Boor's recursion raises the degree one step at a time; a zero-width
+    knot interval adds nothing.
+    """
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1, degree, knots.size - degree - 2)
+    h = np.ones((x.size, 1))
+    out = [h]
+    for j in range(1, degree + 1):
+        index = span[:, None] + np.arange(1, j + 1)
+        right = knots[index]
+        left = knots[index - j]
+        width = right - left
+        w = h / np.where(width > 0.0, width, np.inf)
+        h = np.zeros((x.size, j + 1))
+        h[:, :j] += w * (right - x[:, None])
+        h[:, 1:] += w * (x[:, None] - left)
+        out.append(h)
+    return span, out
+
+
+def _combine(coef: np.ndarray, first: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Sum of coef[first + a] * basis[:, a], accumulated from a = 0 up."""
+    terms = coef[first[:, None] + np.arange(basis.shape[1])] * basis
+    value = np.zeros(basis.shape[0])
+    for a in range(basis.shape[1]):
+        value += terms[:, a]
+    return value
+
+
+def design_matrix(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
+    """Dense (n, len(knots) - degree - 1) matrix of every B-spline at each x.
+
+    Each x must lie in the base interval [t_degree, t_n].
+    """
+    span, bases = _bases(knots, degree, x)
+    out = np.zeros((x.size, knots.size - degree - 1))
+    out[np.arange(x.size)[:, None], span[:, None] - degree + np.arange(degree + 1)] = bases[-1]
+    return out
 
 
 def uniform_clamped_knots(lo: float, hi: float, degree: int, interior: int) -> np.ndarray:
@@ -80,10 +150,9 @@ def fit_lsq_spline(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # design_matrix rejects queries outside the base interval; the clip only
-    # absorbs floating-point spill at the ends.
+    # The clip only absorbs floating-point spill at the ends of the base interval.
     xq = np.clip(x, knots[degree], knots[-degree - 1])
-    basis = _ScipyBSpline.design_matrix(xq, knots, degree).toarray()
+    basis = design_matrix(xq, knots, degree)
     coeffs, _, _, _ = np.linalg.lstsq(basis, y, rcond=None)
     resid = y - basis @ coeffs
     return BSplineCurve(degree, knots, coeffs), float(resid @ resid)

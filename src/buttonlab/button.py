@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PPoly
 
 from .bspline import BSplineCurve, fit_lsq_spline
 
@@ -149,13 +148,11 @@ class FdvvModel:
         # lookup always lands on a real segment.
         tables = []
         for curve in self.fd_curves:
-            pp = PPoly.from_spline(
-                (curve.knots, curve.coefficients, curve.degree), extrapolate=False
-            )
-            pad = 4 - pp.c.shape[0]
-            coeffs = np.vstack([np.zeros((pad, pp.c.shape[1])), pp.c]) if pad > 0 else pp.c
-            keep = np.flatnonzero(np.diff(pp.x) > 0.0)
-            breaks = list(pp.x[keep]) + [float(pp.x[-1])]
+            c = curve.power_coefficients()
+            pad = 4 - c.shape[0]
+            coeffs = np.vstack([np.zeros((pad, c.shape[1])), c]) if pad > 0 else c
+            keep = np.flatnonzero(np.diff(curve.knots) > 0.0)
+            breaks = list(curve.knots[keep]) + [float(curve.knots[-1])]
             tables.append((breaks, [tuple(coeffs[:, j]) for j in keep]))
         return tables
 

@@ -3,6 +3,12 @@
 Turns raw press recordings into an FdvvModel (filter, pool, B-spline fit
 per speed group, vibration parameter extraction) and pre-distorts drive
 waveforms so a system with a known impulse response reproduces a target.
+
+The low-pass is a second-order Butterworth design (bilinear transform
+with frequency prewarping), run forward and backward from steady-state
+initial conditions over odd extensions of the trace ends.  It performs
+the operations of scipy.signal's ``butter`` and ``filtfilt`` in their
+order, so its outputs are the same bits.
 """
 
 from __future__ import annotations
@@ -10,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .bspline import fit_bspline_bic
 from .button import (
@@ -25,9 +30,13 @@ _MIN_FILTER_SAMPLES = 8
 
 
 def low_pass_filter(trace: FdTrace, cutoff: float) -> FdTrace:
-    """Zero-phase second-order low-pass on force and displacement.
+    """Zero-phase second-order Butterworth low-pass on force and displacement.
 
-    The vibration channel passes through untouched.  Filtered
+    Each channel is padded at both ends with an odd extension of 9
+    samples (fewer on short traces) and filtered forward, then backward,
+    as scipy's ``filtfilt`` does.  Filtering twice squares the Butterworth
+    magnitude, so ``cutoff`` is where the response is down 6 dB, not
+    3 dB.  The vibration channel passes through untouched.  Filtered
     displacement is clipped at zero, since ringing undershoot has no
     physical meaning for a press depth.
 
@@ -42,17 +51,59 @@ def low_pass_filter(trace: FdTrace, cutoff: float) -> FdTrace:
         raise ValueError(
             f"cutoff {cutoff} Hz outside (0, {trace.sample_rate / 2.0}) Hz"
         )
-    b, a = butter(2, cutoff, fs=trace.sample_rate)
-    padlen = min(3 * max(len(a), len(b)), n - 1)
-    disp = filtfilt(b, a, trace.displacement, padlen=padlen)
-    force = filtfilt(b, a, trace.force, padlen=padlen)
+    b, a = _butter2(cutoff, trace.sample_rate)
+    padlen = min(9, n - 1)
     return FdTrace(
         trace.time,
-        np.clip(disp, 0.0, None),
-        force,
+        np.clip(_filtfilt2(b, a, trace.displacement, padlen), 0.0, None),
+        _filtfilt2(b, a, trace.force, padlen),
         trace.vibration,
         trace.sample_rate,
     )
+
+
+def _butter2(cutoff: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer function (b, a) of the 2nd-order digital Butterworth low-pass.
+
+    The analog prototype's poles, frequency prewarping and the bilinear
+    transform, with numpy's complex arithmetic in scipy.signal.butter's
+    order of operations, so the coefficients are the same bits.
+    """
+    wn = np.float64(cutoff) / (float(sample_rate) / 2)
+    warped = float(2 * 2.0 * np.tan(np.pi * wn / 2.0))
+    analog = warped * -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4)
+    gain = warped**2 * np.real(1.0 / np.prod(4.0 - analog))
+    a = np.ones(1, dtype=complex)
+    for pole in (4.0 + analog) / (4.0 - analog):
+        a = np.convolve(a, np.array([1.0, -pole]))
+    return gain * np.array([1.0, 2.0, 1.0]), a.real.copy()
+
+
+def _filtfilt2(b: np.ndarray, a: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
+    """Second-order IIR filter run forward, then backward (scipy's ``filtfilt``).
+
+    Both passes over the odd extension start from the steady state for
+    the first sample they see, so a constant signal passes unchanged.
+    """
+    ext = np.concatenate((2 * x[:1] - x[padlen:0:-1], x, 2 * x[-1:] - x[-2 : -(padlen + 2) : -1]))
+    steady = np.linalg.solve(np.array([[1.0 + a[1], -1.0], [a[2], 1.0]]), b[1:] - a[1:] * b[0])
+    forward = _lfilter2(b, a, ext.tolist(), steady * ext[0])
+    backward = _lfilter2(b, a, forward[::-1], steady * forward[-1])
+    return np.array(backward[::-1][padlen:-padlen])
+
+
+def _lfilter2(b: np.ndarray, a: np.ndarray, x: list[float], state: np.ndarray) -> list[float]:
+    """Direct form II transposed, in the order of scipy's ``lfilter`` loop."""
+    b0, b1, b2 = b.tolist()
+    a1, a2 = a[1:].tolist()
+    z0, z1 = state.tolist()
+    out = []
+    for xi in x:
+        y = z0 + b0 * xi
+        z0 = z1 + xi * b1 - y * a1
+        z1 = xi * b2 - y * a2
+        out.append(y)
+    return out
 
 
 def compensate_drive(

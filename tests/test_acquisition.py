@@ -6,8 +6,12 @@ batched scan, up to the last bits of the GP posterior, so proposals can
 be audited from the outside.
 """
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from buttonlab import (
     KernelSpec,
@@ -20,7 +24,7 @@ from buttonlab import (
     propose_next,
     scan_candidates,
 )
-from buttonlab.acquisition import _CELL_BUDGET, _cells, _ehvi_batch, _gains
+from buttonlab.acquisition import _cells, _ehvi_batch, _gains, _scratch
 from buttonlab.pareto import _boxes
 from test_pareto import slicing_hypervolume3, sweep_hypervolume2
 
@@ -77,7 +81,8 @@ def test_box_gains_2d_match_hypervolume_difference():
         y = rng.uniform(-0.2, 1.2, size=(30, 2))
         if t % 3 == 1:
             y = np.round(y * 5.0) / 5.0
-        gains = _gains(_boxes(front, ref), ref, y)
+        cells = _boxes(front, ref)
+        gains = _gains(cells, ref, y[:, None, :], _scratch(cells, 1))[:, 0]
         for i in range(30):
             expected = sweep_hypervolume2(np.vstack([front, y[i]]), ref) - base
             assert gains[i] == pytest.approx(expected, abs=1e-12)
@@ -200,7 +205,8 @@ def test_proposal_has_highest_ehvi_over_the_scan_three_objectives():
     choice = propose_next(models, bounds, archive, ref, scan_count=128, seed=seed, sample_count=64)
     value = ehvi(models, choice, archive, ref, sample_count=64, seed=seed)
     scan = scan_candidates(bounds, 128, seed)
-    batched = _ehvi_batch(models, scan, _cells(archive, ref.values), ref.values, 64, seed)
+    cells = _cells(archive, ref.values)
+    batched = _ehvi_batch(models, scan, cells, ref.values, 64, seed, _scratch(cells, 64))
     rescanned = np.array([ehvi(models, c, archive, ref, sample_count=64, seed=seed) for c in scan])
     # One row of a GP posterior predicted alone differs from the same row of
     # a batch in its last bits (BLAS tiling), so a rescan agrees to 1e-12.
@@ -261,10 +267,11 @@ def test_batched_ehvi_matches_per_candidate_loop_bit_for_bit(m):
     for name, archive in archives.items():
         cells = _cells(archive, ref)
         for sample_count in (1, 128):
-            step = max(1, _CELL_BUDGET // (sample_count * (cells[0].shape[1] + 3)))
+            scratch = _scratch(cells, sample_count)
+            step = scratch[0].shape[0]
             for count in (1, step, step + 1):
                 cands = rng.uniform(0.0, 1.0, size=(count, d))
-                got = _ehvi_batch(models, cands, cells, ref, sample_count, seed=count)
+                got = _ehvi_batch(models, cands, cells, ref, sample_count, count, scratch)
                 want = _ehvi_loop_reference(models, cands, archive, ref, sample_count, seed=count)
                 assert got.tobytes() == want.tobytes(), (name, sample_count, count)
 
@@ -280,7 +287,8 @@ def test_ehvi_2d_agrees_with_strip_formula():
         archive = archive_of(x[:size], objs[:size]) if size else ParetoArchive(())
         front = archive.objective_matrix if size else np.zeros((0, 2))
         for sample_count, seed in ((1, 3), (128, 4)):
-            got = _ehvi_batch(models, cands, _cells(archive, ref), ref, sample_count, seed)
+            cells = _cells(archive, ref)
+            got = _ehvi_batch(models, cands, cells, ref, sample_count, seed, _scratch(cells, sample_count))
             z = np.random.default_rng(seed).standard_normal((sample_count, 2))
             means, stds = _posterior_blocks(models, cands)
             y = means[:, None, :] + stds[:, None, :] * z[None, :, :]
@@ -345,6 +353,43 @@ def test_scan_is_seeded_and_respects_bounds():
     assert np.all(a >= bounds[0]) and np.all(a <= bounds[1])
 
 
+@pytest.mark.parametrize("dim", range(1, 22))
+def test_scan_is_scipys_scrambled_sobol_bit_for_bit(dim):
+    lo = np.linspace(-1.0, 0.5, dim)
+    hi = lo + np.linspace(0.25, 3.0, dim)
+    for n in (1, 2, 7, 8, 1024, 1030):
+        for seed in (0, 19):
+            engine = qmc.Sobol(dim, scramble=True, seed=np.random.default_rng(seed))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # n not a power of 2
+                want = qmc.scale(engine.random(n), lo, hi)
+            assert scan_candidates((lo, hi), n, seed).tobytes() == want.tobytes(), (n, seed)
+
+
+def test_scan_bits_are_frozen():
+    # Pins the scan independently of the installed scipy.
+    scan = scan_candidates((np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 7.0])), 100, seed=2024)
+    digest = hashlib.sha256(scan.tobytes()).hexdigest()
+    assert digest == "c49bf2bc5299dd53b7a63fd64be6207b28e10d028b7945ba53c75d9a8064b77c"
+
+
+@pytest.mark.parametrize(
+    "bounds, scan_count, match",
+    [
+        ((np.zeros(2), np.ones(2)), 0, "scan_count"),
+        ((np.zeros(2), np.ones(2)), -3, "scan_count"),
+        ((np.zeros(0), np.zeros(0)), 8, "bounds"),
+        ((np.zeros(2), np.ones(3)), 8, "bounds"),
+        ((np.array([0.0, 1.0]), np.array([1.0, 1.0])), 8, "bounds"),
+        ((np.ones(2), np.zeros(2)), 8, "bounds"),
+        ((np.zeros(22), np.ones(22)), 8, "at most 21 dimensions"),
+    ],
+)
+def test_scan_validates_its_inputs(bounds, scan_count, match):
+    with pytest.raises(ValueError, match=match):
+        scan_candidates(bounds, scan_count, seed=0)
+
+
 def test_input_validation():
     rng = np.random.default_rng(10)
     models, x, objs = two_models(rng)
@@ -360,5 +405,7 @@ def test_input_validation():
         propose_next(models, (np.zeros(2), np.ones(2)), archive, ref, scan_count=0)
     with pytest.raises(ValueError):
         propose_next(models, (np.ones(2), np.zeros(2)), archive, ref)
+    with pytest.raises(ValueError, match="bounds"):
+        propose_next(models, (np.array([0.0, 1.0]), np.ones(2)), archive, ref)
     with pytest.raises(ValueError, match="2 or 3 objectives"):
         ehvi(models * 2, np.array([0.5, 0.5]), archive, ReferencePoint(np.ones(4)))

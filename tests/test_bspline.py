@@ -1,13 +1,17 @@
 """B-spline evaluation against a from-scratch Cox-de Boor oracle.
 
 The oracle builds basis functions by the textbook recursion with explicit
-Python loops so it shares nothing with the package implementation.
+Python loops so it shares nothing with the package implementation.  A
+second oracle, scipy.interpolate, pins the bits of evaluation, the design
+matrix and the piecewise-polynomial form.
 """
 
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline, PPoly
 
 from buttonlab import BSplineCurve, fit_bspline_bic, fit_lsq_spline, uniform_clamped_knots
+from buttonlab.bspline import design_matrix
 
 
 def cox_de_boor(knots, i, k, x):
@@ -78,6 +82,39 @@ def test_queries_outside_domain_clip_to_ends():
     assert curve(42.0) == pytest.approx(curve(1.0), abs=1e-12)
     got = curve(np.array([-1.0, 0.5, 2.0]))
     assert got.shape == (3,)
+
+
+def scipy_cases(rng):
+    """Curves of degree 1-5 on uniform, random and repeated interior knots."""
+    for t in range(60):
+        degree = 3 if t % 2 else int(rng.integers(1, 6))
+        interior = int(rng.integers(0, 20))
+        lo = float(rng.uniform(-2.0, 2.0))
+        hi = lo + float(rng.uniform(1e-3, 5.0))
+        inner = np.sort(rng.uniform(lo, hi, interior))
+        if t % 3 == 0:
+            inner = uniform_clamped_knots(lo, hi, degree, interior)[degree + 1 : -degree - 1]
+        elif t % 3 == 1 and interior > 2:
+            inner[1] = inner[2]
+        knots = np.concatenate([np.full(degree + 1, lo), inner, np.full(degree + 1, hi)])
+        coeffs = rng.normal(scale=10.0, size=knots.size - degree - 1)
+        # Queries between knots, on every knot and one ulp to either side.
+        xs = np.concatenate([rng.uniform(lo, hi, 50), knots, np.nextafter(knots, -np.inf)])
+        xs = np.concatenate([xs, np.nextafter(knots, np.inf)])
+        yield BSplineCurve(degree, knots, coeffs), np.clip(xs, lo, hi)
+
+
+def test_evaluation_and_design_matrix_are_scipys_bit_for_bit():
+    for curve, xs in scipy_cases(np.random.default_rng(11)):
+        t, c, k = curve.knots, curve.coefficients, curve.degree
+        assert curve(xs).tobytes() == BSpline(t, c, k, extrapolate=False)(xs).tobytes()
+        assert design_matrix(xs, t, k).tobytes() == BSpline.design_matrix(xs, t, k).toarray().tobytes()
+
+
+def test_power_coefficients_are_ppoly_from_spline_bit_for_bit():
+    for curve, _ in scipy_cases(np.random.default_rng(12)):
+        want = PPoly.from_spline((curve.knots, curve.coefficients, curve.degree), extrapolate=False)
+        assert curve.power_coefficients().tobytes() == want.c.tobytes()
 
 
 def test_uniform_clamped_knot_structure():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import butter, filtfilt
 
 from buttonlab import (
     ButtonDesignParams,
@@ -51,6 +52,28 @@ def test_low_pass_leaves_vibration_untouched_and_disp_nonnegative():
     out = low_pass_filter(trace, 30.0)
     assert np.array_equal(out.vibration, vib)
     assert np.all(out.displacement >= 0.0)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 64, 551, 20_000])
+def test_low_pass_is_scipys_butterworth_filtfilt_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for fs, cutoff in ((1000.0, 50.0), (2734.5, 0.3), (48_000.0, 23_999.0), (137.0, 137.0 / 20.0)):
+        force = np.cumsum(rng.standard_normal(n)) * 3.0
+        disp = np.abs(np.cumsum(rng.standard_normal(n)))
+        out = low_pass_filter(make_trace(force, fs=fs, disp=disp), cutoff)
+        b, a = butter(2, cutoff, fs=fs)
+        padlen = min(3 * max(len(a), len(b)), n - 1)
+        assert out.force.tobytes() == filtfilt(b, a, force, padlen=padlen).tobytes(), (fs, cutoff)
+        want_disp = np.clip(filtfilt(b, a, disp, padlen=padlen), 0.0, None)
+        assert out.displacement.tobytes() == want_disp.tobytes(), (fs, cutoff)
+
+
+def test_low_pass_cutoff_is_the_6_db_point():
+    # Forward and backward passes square the Butterworth magnitude: 1/2 at cutoff.
+    fs, cutoff = 1000.0, 40.0
+    tone = np.sin(2.0 * np.pi * cutoff * np.arange(4000) / fs)
+    out = low_pass_filter(make_trace(tone, fs=fs), cutoff)
+    assert np.max(np.abs(out.force[1000:3000])) == pytest.approx(0.5, abs=2e-3)
 
 
 def test_low_pass_validation():

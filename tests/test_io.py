@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import buttonlab
 from buttonlab import (
     ButtonDesignParams,
     CidConfig,
@@ -273,6 +276,17 @@ def test_cli_bench_prints_ratio(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("schaffer budget=2 seed=7 hv_ratio=0.")
+
+
+def test_cli_import_leaves_out_heavy_scipy_subpackages():
+    # Each of these costs a large share of a second on every start.
+    heavy = ["scipy.stats", "scipy.signal", "scipy.interpolate", "scipy.sparse", "scipy.optimize"]
+    code = f"import sys, buttonlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # The child imports the same buttonlab as this process.
+    src = os.path.dirname(os.path.dirname(buttonlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_usage_errors_exit_1(capsys):
