@@ -20,7 +20,7 @@ import numpy as np
 
 from . import seeds
 from .gp import GpModel, gp_predict_batch
-from .pareto import HypervolumeResult, ParetoArchive, ReferencePoint, _boxes, hypervolume
+from .pareto import HypervolumeResult, ParetoArchive, ReferencePoint, _boxes, _reference_values, hypervolume
 
 # Posterior samples per candidate inside propose_next.
 DEFAULT_EHVI_SAMPLES = 128
@@ -82,17 +82,6 @@ def _check_models(models) -> list[GpModel]:
     if len(dims) != 1:
         raise ValueError(f"surrogates disagree on design dimension: {sorted(dims)}")
     return models
-
-
-def _check_ref(ref: ReferencePoint, m: int) -> np.ndarray:
-    # Archive points outside the reference box are legal; they simply
-    # contribute no volume.  Only shape and finiteness are enforced.
-    values = ref.values if isinstance(ref, ReferencePoint) else np.asarray(ref, dtype=float)
-    if values.size != m:
-        raise ValueError(f"reference point has {values.size} objectives, models define {m}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("reference point must be finite")
-    return values
 
 
 def _cells(archive: ParetoArchive, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +163,7 @@ def ehvi(
     models = _check_models(models)
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    ref_values = _check_ref(ref, len(models))
+    ref_values = _reference_values(ref, len(models))
     point = np.atleast_2d(np.asarray(candidate, dtype=float))
     cells = _cells(archive, ref_values)
     scratch = _scratch(cells, sample_count)
@@ -272,7 +261,7 @@ def propose_next(
     """
     models = _check_models(models)
     lo, hi = _check_bounds(bounds)
-    ref_values = _check_ref(ref, len(models))
+    ref_values = _reference_values(ref, len(models))
 
     scan = scan_candidates(bounds, scan_count, seed)
     pool = scan

@@ -124,28 +124,27 @@ def _validate(cfg: CidConfig):
         _fail("simulator.mass_kg", f"must be > 0, got {cfg.mass_kg}")
 
 
-_INT_KEYS = {
-    ("run", "budget"): "budget",
-    ("run", "init_count"): "init_count",
-    ("run", "master_seed"): "master_seed",
-    ("optimizer", "scan_count"): "scan_count",
-    ("optimizer", "ehvi_samples"): "ehvi_samples",
-    ("user_model", "adapt_episodes"): "adapt_episodes",
-    ("user_model", "episodes_per_eval"): "episodes_per_eval",
-    ("user_model", "horizon"): "horizon",
-    ("user_model", "sensory_delay"): "sensory_delay",
-    ("user_model", "dwell_limit"): "dwell_limit",
-}
-_FLOAT_KEYS = {
-    ("user_model", "inner_lr"): "inner_lr",
-    ("simulator", "sample_rate_hz"): "sample_rate_hz",
-    ("simulator", "mass_kg"): "mass_kg",
-}
-_STR_KEYS = {
-    ("run", "provider"): "provider",
-    ("optimizer", "kernel"): "kernel",
-    ("user_model", "policy_path"): "policy_path",
-}
+# Every scalar key as (section, key, type), in the order serialize_config
+# writes them; each key is also its CidConfig field's name.
+_SCALAR_KEYS = (
+    ("optimizer", "scan_count", int),
+    ("optimizer", "ehvi_samples", int),
+    ("optimizer", "kernel", str),
+    ("user_model", "inner_lr", float),
+    ("user_model", "adapt_episodes", int),
+    ("user_model", "episodes_per_eval", int),
+    ("user_model", "horizon", int),
+    ("user_model", "sensory_delay", int),
+    ("user_model", "dwell_limit", int),
+    ("user_model", "policy_path", str),
+    ("simulator", "sample_rate_hz", float),
+    ("simulator", "mass_kg", float),
+    ("run", "provider", str),
+    ("run", "budget", int),
+    ("run", "init_count", int),
+    ("run", "master_seed", int),
+)
+_KEY_TYPES = {(section, key): kind for section, key, kind in _SCALAR_KEYS}
 _SECTIONS = ("design_space", "objectives", "optimizer", "user_model", "simulator", "run")
 
 
@@ -183,18 +182,12 @@ def parse_config(text: str) -> CidConfig:
                 if key != "minimize":
                     _fail(path, "the only objectives key is 'minimize'")
                 values["objectives"] = tuple(p.strip() for p in raw.split(",") if p.strip())
-            elif (section, key) in _INT_KEYS:
+            elif (section, key) in _KEY_TYPES:
+                kind = _KEY_TYPES[section, key]
                 try:
-                    values[_INT_KEYS[(section, key)]] = int(raw)
+                    values[key] = kind(raw.strip())
                 except ValueError:
-                    _fail(path, f"expected an integer, got {raw!r}")
-            elif (section, key) in _FLOAT_KEYS:
-                try:
-                    values[_FLOAT_KEYS[(section, key)]] = float(raw)
-                except ValueError:
-                    _fail(path, f"expected a number, got {raw!r}")
-            elif (section, key) in _STR_KEYS:
-                values[_STR_KEYS[(section, key)]] = raw.strip()
+                    _fail(path, f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}")
             else:
                 _fail(path, "unknown key")
     values["bounds"] = bounds
@@ -208,30 +201,11 @@ def serialize_config(cfg: CidConfig) -> str:
         key: f"{cfg.bounds[key][0]!r}, {cfg.bounds[key][1]!r}" for key in DESIGN_FIELDS
     }
     parser["objectives"] = {"minimize": ", ".join(cfg.objectives)}
-    parser["optimizer"] = {
-        "scan_count": str(cfg.scan_count),
-        "ehvi_samples": str(cfg.ehvi_samples),
-        "kernel": cfg.kernel,
-    }
-    parser["user_model"] = {
-        "inner_lr": repr(cfg.inner_lr),
-        "adapt_episodes": str(cfg.adapt_episodes),
-        "episodes_per_eval": str(cfg.episodes_per_eval),
-        "horizon": str(cfg.horizon),
-        "sensory_delay": str(cfg.sensory_delay),
-        "dwell_limit": str(cfg.dwell_limit),
-        "policy_path": cfg.policy_path,
-    }
-    parser["simulator"] = {
-        "sample_rate_hz": repr(cfg.sample_rate_hz),
-        "mass_kg": repr(cfg.mass_kg),
-    }
-    parser["run"] = {
-        "provider": cfg.provider,
-        "budget": str(cfg.budget),
-        "init_count": str(cfg.init_count),
-        "master_seed": str(cfg.master_seed),
-    }
+    for section, key, kind in _SCALAR_KEYS:
+        value = getattr(cfg, key)
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, repr(value) if kind is float else str(value))
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import seeds
 from .acquisition import propose_next, scan_candidates
-from .button import DEFAULT_DT_S, DESIGN_FIELDS, ButtonDesignParams, FdvvModel, design_to_fdvv
+from .button import DEFAULT_DT_S, DESIGN_FIELDS, ButtonDesignParams, design_to_fdvv
 from .config import OBJECTIVE_NAMES, CidConfig
 from .errors import StateError
 from .gp import GpModel, KernelFamily, gp_fit, optimize_hyperparams
@@ -95,7 +95,6 @@ def evaluate_design(
     horizon: int = 1000,
     sensory_delay: int = 50,
     dwell_limit: int = 300,
-    model_factory: Callable[[ButtonDesignParams], FdvvModel] = design_to_fdvv,
 ) -> tuple[np.ndarray, tuple[EpisodeSummary, ...]]:
     """Objectives of one button design under the adapted user model.
 
@@ -112,7 +111,7 @@ def evaluate_design(
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     params = design if isinstance(design, ButtonDesignParams) else ButtonDesignParams.from_array(design)
-    model = model_factory(params)
+    model = design_to_fdvv(params)
     task = TaskSpec(params, horizon, sensory_delay, dwell_limit)
     adapted = adapt(meta, task, model, seed)
 

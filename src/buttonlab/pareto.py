@@ -1,9 +1,10 @@
 """Pareto dominance, archive bookkeeping, and hypervolume.
 
-All objectives are minimized.  Hypervolume is exact for two and three
-objectives (the sum of a disjoint box decomposition that EHVI shares)
-and falls back to seeded Monte Carlo sampling above that, reporting the
-standard error of the estimate alongside the value.
+All objectives are minimized.  One kernel, ``_dominates``, decides
+strict dominance for ``dominates``, ``pareto_front`` and the archive.
+Hypervolume is exact and defined for two and three objectives only, the
+counts the loop runs: it is the sum of a disjoint box decomposition that
+EHVI shares.
 """
 
 from __future__ import annotations
@@ -13,39 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Strict dominance of ``a`` over ``b`` along the last axis, broadcast over the rest."""
+    if a.shape[-1:] != b.shape[-1:]:
+        raise ValueError(f"objective shapes differ: {a.shape} vs {b.shape}")
+    return np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
+
+
 def dominates(a, b) -> bool:
     """Strict Pareto dominance: a <= b everywhere and a < b somewhere."""
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape:
-        raise ValueError(f"objective shapes differ: {av.shape} vs {bv.shape}")
-    return bool(np.all(av <= bv) and np.any(av < bv))
-
-
-def nondominated_mask(points) -> np.ndarray:
-    """Boolean mask of rows not strictly dominated by any other row.
-
-    Duplicate rows never dominate each other, so all copies are kept.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D array")
-    n = pts.shape[0]
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        le = np.all(pts <= pts[i], axis=1)
-        lt = np.any(pts < pts[i], axis=1)
-        dominated_by = le & lt
-        dominated_by[i] = False
-        if np.any(dominated_by):
-            mask[i] = False
-    return mask
+    return bool(_dominates(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
 
 def pareto_front(points) -> np.ndarray:
-    """Indices of the nondominated rows of ``points``.
+    """Indices of the rows of ``points`` that no other row strictly dominates.
+
+    Duplicate rows never dominate each other, so all copies are kept.
+    Each row is tested against the whole set in turn, so memory stays
+    O(n * m).
 
     Raises:
         ValueError: empty input or ragged/non-2-D data.
@@ -53,7 +39,7 @@ def pareto_front(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("pareto_front needs a nonempty 2-D array of objectives")
-    return np.flatnonzero(nondominated_mask(pts))
+    return np.flatnonzero([not np.any(_dominates(pts, p)) for p in pts])
 
 
 @dataclass(frozen=True)
@@ -85,8 +71,7 @@ class ParetoArchive:
         ids = [e.record_id for e in self.entries]
         if len(ids) != len(set(ids)):
             raise ValueError("archive record ids must be unique")
-        objs = self.objective_matrix
-        if objs.shape[0] > 1 and not np.all(nondominated_mask(objs)):
+        if len(ids) > 1 and pareto_front(self.objective_matrix).size != len(ids):
             raise ValueError("archive entries must be mutually nondominated")
 
     def __len__(self) -> int:
@@ -113,10 +98,13 @@ class ParetoArchive:
         entry = ArchiveEntry(design, objectives, record_id)
         if any(e.record_id == record_id for e in self.entries):
             raise ValueError(f"record id {record_id} already archived")
-        if any(dominates(e.objectives, entry.objectives) for e in self.entries):
+        if not self.entries:
+            return ParetoArchive((entry,))
+        objs = self.objective_matrix
+        if np.any(_dominates(objs, entry.objectives)):
             return self
-        kept = tuple(e for e in self.entries if not dominates(entry.objectives, e.objectives))
-        return ParetoArchive(kept + (entry,))
+        beaten = _dominates(entry.objectives, objs)
+        return ParetoArchive(tuple(e for e, out in zip(self.entries, beaten) if not out) + (entry,))
 
 
 @dataclass(frozen=True)
@@ -126,10 +114,7 @@ class ReferencePoint:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(v)):
-            raise ValueError("reference point must be finite")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _reference_values(self.values))
 
     @classmethod
     def from_observations(cls, objectives, margin: float = 0.1) -> "ReferencePoint":
@@ -141,25 +126,25 @@ class ReferencePoint:
         span = hi - np.min(objs, axis=0)
         return cls(hi + margin * np.maximum(span, 1e-6))
 
-    def bounds(self, archive: ParetoArchive) -> bool:
-        """True when strictly worse than every archive entry in each objective."""
-        objs = archive.objective_matrix
-        if objs.shape[0] == 0:
-            return True
-        return bool(np.all(objs < self.values[None, :]))
+
+def _reference_values(reference, m: int | None = None) -> np.ndarray:
+    """A ``ReferencePoint``'s or an array's values, checked finite and, given ``m``, of m objectives.
+
+    Points beyond the reference are legal; they add no volume.
+    """
+    if isinstance(reference, ReferencePoint):
+        reference = reference.values
+    values = np.atleast_1d(np.asarray(reference, dtype=float))
+    if m is not None and values.size != m:
+        raise ValueError(f"reference point has {values.size} objectives, expected {m}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("reference point must be finite")
+    return values
 
 
 @dataclass(frozen=True)
 class HypervolumeResult:
     value: float
-    stderr: float = 0.0
-    exact: bool = True
-
-
-def _ref_values(reference) -> np.ndarray:
-    if isinstance(reference, ReferencePoint):
-        return reference.values
-    return np.atleast_1d(np.asarray(reference, dtype=float))
 
 
 def _staircase(pts: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,56 +178,24 @@ def _boxes(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack(los), np.hstack(his)
 
 
-def _hv_mc(points: np.ndarray, ref: np.ndarray, samples: int, seed: int) -> HypervolumeResult:
-    lo = np.min(points, axis=0)
-    box = float(np.prod(ref - lo))
-    rng = np.random.default_rng(seed)
-    hits = 0
-    total = 0
-    batch = 200_000
-    while total < samples:
-        m = min(batch, samples - total)
-        u = rng.uniform(lo, ref, size=(m, points.shape[1]))
-        covered = np.zeros(m, dtype=bool)
-        for p in points:
-            covered |= np.all(u >= p, axis=1)
-            if covered.all():
-                break
-        hits += int(covered.sum())
-        total += m
-    frac = hits / total
-    value = box * frac
-    stderr = box * float(np.sqrt(max(frac * (1.0 - frac), 0.0) / total))
-    return HypervolumeResult(value, stderr, exact=False)
+def hypervolume(points, reference) -> HypervolumeResult:
+    """Exact volume dominated by ``points`` and bounded above by ``reference``.
 
-
-def hypervolume(
-    points,
-    reference,
-    mc_samples: int = 1_000_000,
-    seed: int = 0,
-) -> HypervolumeResult:
-    """Volume dominated by ``points`` and bounded above by ``reference``.
-
-    Points at or beyond the reference in any coordinate contribute
-    nothing.  Exact for 2 and 3 objectives; seeded Monte Carlo beyond.
+    ``points`` is an (n, m) array or one point of m objectives, with m 2
+    or 3.  Points at or beyond the reference in any coordinate contribute
+    nothing, and empty input of any shape has volume 0.
 
     Raises:
-        ValueError: fewer than 2 objectives, shape mismatch, or an m >= 4
-            call with fewer than 1e6 Monte Carlo samples.
+        ValueError: a reference of other than 2 or 3 objectives, a
+            non-finite reference, or points of another objective count.
     """
-    ref = _ref_values(reference)
-    if ref.size < 2:
-        raise ValueError("hypervolume needs at least 2 objectives")
-    pts = np.asarray(points, dtype=float).reshape(-1, ref.size) if np.size(points) else np.zeros((0, ref.size))
-    inside = np.all(pts < ref[None, :], axis=1)
-    pts = pts[inside]
-    if pts.shape[0] == 0:
+    ref = _reference_values(reference)
+    if ref.size not in (2, 3):
+        raise ValueError(f"hypervolume supports 2 or 3 objectives, got {ref.size}")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size == 0:
         return HypervolumeResult(0.0)
-    if ref.size <= 3:
-        lo, hi = _boxes(pts, ref)
-        return HypervolumeResult(float(np.sum(np.prod(hi - lo, axis=0))))
-    pts = pts[nondominated_mask(pts)]
-    if mc_samples < 1_000_000:
-        raise ValueError("Monte Carlo hypervolume needs at least 1e6 samples")
-    return _hv_mc(pts, ref, mc_samples, seed)
+    if pts.ndim != 2 or pts.shape[1] != ref.size:
+        raise ValueError(f"points of shape {np.shape(points)} do not match {ref.size} objectives")
+    lo, hi = _boxes(pts, ref)
+    return HypervolumeResult(float(np.sum(np.prod(hi - lo, axis=0))))

@@ -314,7 +314,7 @@ def export_front(state: RunState, front_path: str, hv_path: str) -> None:
     writer.writerow(["iteration", "hypervolume"])
     for k in range(state.iteration + 1):
         archive = rebuild_archive(state.config, state.records[: init + k])
-        value = hypervolume(archive.objective_matrix, state.reference).value if len(archive) else 0.0
+        value = hypervolume(archive.objective_matrix, state.reference).value
         writer.writerow([str(k), f"{value:.9g}"])
     _atomic_write(hv_path, out.getvalue())
 

@@ -61,6 +61,22 @@ def test_config_round_trip_and_fingerprint():
     assert config_fingerprint(config) != config_fingerprint(CidConfig())
 
 
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (CidConfig(), "823711c87b61f79930bb71e61ddbd0b2f6b04d721a785392ca17d1e22f362984"),
+        (
+            CidConfig(provider="zdt1", budget=60, master_seed=3, kernel="squared_exponential",
+                      policy_path="p.json", inner_lr=0.1),
+            "751a340f891f3d4b31acf50d30dc4dd888220a00c3920bddd3a2ce94813b184e",
+        ),
+    ],
+)
+def test_config_fingerprint_is_frozen(config, digest):
+    # Saved run states carry this digest; resume refuses any other.
+    assert config_fingerprint(config) == digest
+
+
 def test_config_rejects_zero_budget_by_name():
     with pytest.raises(FormatError, match="run.budget"):
         parse_config("[run]\nbudget = 0\n")

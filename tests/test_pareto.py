@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from buttonlab import ParetoArchive, ReferencePoint, dominates, hypervolume, pareto_front
-from buttonlab.pareto import nondominated_mask
 
 
 def brute_force_front(points):
@@ -126,6 +125,11 @@ def test_hypervolume_hand_cases():
     assert hypervolume(np.array([[0.0, 0.0]]), np.array([1.0, 1.0])).value == pytest.approx(1.0)
     three = np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]])
     assert hypervolume(three, np.array([1.0, 1.0])).value == pytest.approx(0.37)
+    # Any empty input has no volume, the empty archive's (0, 0) matrix too.
+    for empty in (np.zeros((0, 0)), np.zeros(0), []):
+        assert hypervolume(empty, np.ones(3)).value == 0.0
+    # One point may come as a vector.
+    assert hypervolume(np.array([0.5, 0.5]), ReferencePoint(np.ones(2))).value == 0.25
 
 
 def test_hypervolume_2d_matches_grid_oracle():
@@ -135,7 +139,6 @@ def test_hypervolume_2d_matches_grid_oracle():
         pts = rng.random((n, 2))
         ref = np.array([1.0, 1.0])
         exact = hypervolume(pts, ref)
-        assert exact.exact
         approx = grid_hypervolume(pts, ref, 1000)
         assert abs(exact.value - approx) < 1e-3
 
@@ -147,7 +150,6 @@ def test_hypervolume_3d_matches_grid_oracle():
         pts = rng.random((n, 3))
         ref = np.array([1.0, 1.0, 1.0])
         exact = hypervolume(pts, ref)
-        assert exact.exact
         approx = grid_hypervolume(pts, ref, 100)
         assert abs(exact.value - approx) < 1e-2
 
@@ -193,22 +195,8 @@ def test_hypervolume_2d_matches_sweep_oracle_with_dominated_points():
         if t % 3 == 2:
             pts = np.vstack([pts, pts[rng.integers(0, n, size=n)]])
         inside = pts[np.all(pts < ref, axis=1)]
-        want = sweep_hypervolume2(inside[nondominated_mask(inside)], ref) if inside.shape[0] else 0.0
+        want = sweep_hypervolume2(inside[brute_force_front(inside)], ref)
         assert hypervolume(pts, ref).value == pytest.approx(want, rel=1e-15, abs=0.0)
-
-
-def test_hypervolume_4d_monte_carlo_agrees_with_product_structure():
-    # Lifting a 3-D set with a constant fourth coordinate scales the
-    # volume by the remaining headroom, giving an exact cross-check.
-    rng = np.random.default_rng(4)
-    pts3 = rng.random((12, 3))
-    exact3 = hypervolume(pts3, np.ones(3)).value
-    lifted = np.hstack([pts3, np.full((12, 1), 0.25)])
-    result = hypervolume(lifted, np.ones(4), mc_samples=1_000_000, seed=5)
-    assert not result.exact
-    assert result.stderr > 0.0
-    expected = exact3 * 0.75
-    assert abs(result.value - expected) < max(5.0 * result.stderr, 5e-3)
 
 
 def test_hypervolume_rejects_bad_inputs():
@@ -217,14 +205,24 @@ def test_hypervolume_rejects_bad_inputs():
     with pytest.raises(ValueError):
         hypervolume(np.array([[0.5, 0.5]]), np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
-        hypervolume(np.array([[0.1] * 4]), np.ones(4), mc_samples=1000)
+        hypervolume(np.array([[0.1] * 4]), np.ones(4))
 
 
-def test_nondominated_mask_matches_front_indices():
-    rng = np.random.default_rng(6)
-    pts = rng.random((50, 3))
-    mask = nondominated_mask(pts)
-    assert np.array_equal(np.flatnonzero(mask), np.sort(pareto_front(pts)))
+@pytest.mark.parametrize(
+    "points, ref, match",
+    [
+        (np.full((2, 3), 0.5), [1.0, 1.0], "do not match"),
+        (np.full(4, 0.5), [1.0, 1.0], "do not match"),
+        (np.full((2, 1, 2), 0.5), [1.0, 1.0], "do not match"),
+        (np.full((1, 2), 0.5), [np.inf, 1.0], "finite"),
+        (np.full((1, 2), 0.5), [np.nan, 1.0], "finite"),
+    ],
+)
+def test_hypervolume_validates_points_and_reference(points, ref, match):
+    # Points are never reshaped to fit the reference, and a non-finite
+    # reference would give an infinite or empty volume.
+    with pytest.raises(ValueError, match=match):
+        hypervolume(points, ref)
 
 
 def test_archive_insertion_rules():
@@ -245,6 +243,20 @@ def test_archive_insertion_rules():
         archive.inserted([0.5], [0.2, 0.2], record_id=0)
 
 
+def test_archive_insertion_matches_brute_force_front():
+    # Quarter-rounded values make ties and exact duplicates common.  After
+    # every insertion the archive holds exactly the nondominated points so far.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m = int(rng.integers(2, 5))
+        pts = np.round(rng.random((int(rng.integers(1, 21)), m)) * 4.0) / 4.0
+        archive = ParetoArchive(())
+        for i, objectives in enumerate(pts):
+            archive = archive.inserted([float(i)], objectives, record_id=i)
+            got = sorted(e.record_id for e in archive.entries)
+            assert got == list(brute_force_front(pts[: i + 1]))
+
+
 def test_archive_validates_mutual_nondominance():
     with pytest.raises(ValueError):
         ParetoArchive(
@@ -259,7 +271,5 @@ def test_reference_point_from_observations():
     objs = np.array([[1.0, 10.0], [3.0, 2.0]])
     ref = ReferencePoint.from_observations(objs, margin=0.1)
     assert np.allclose(ref.values, [3.0 + 0.2, 10.0 + 0.8])
-    archive = ParetoArchive(()).inserted([0.0], [1.0, 10.0], 0)
-    assert ref.bounds(archive)
     with pytest.raises(ValueError):
         ReferencePoint(np.array([1.0, np.inf]))
