@@ -90,23 +90,25 @@ def _cells(archive: ParetoArchive, ref: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _boxes(front, ref)
 
 
-def _scratch(cells: tuple[np.ndarray, np.ndarray], sample_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Overlap and edge buffers for one chunk of _ehvi_batch, (chunk, samples, boxes).
+def _scratch(cells: tuple[np.ndarray, np.ndarray], sample_count: int) -> tuple[np.ndarray, ...]:
+    """Buffers for one chunk of _ehvi_batch: overlap and edge, (chunk,
+    samples, boxes), then the samples and their gaps to the reference,
+    (chunk, samples, objectives).
 
     A chunk holds as many candidates as _CELL_BUDGET allows, at least one.
-    One pair serves every call of a proposal: chunk-sized arrays made anew
-    per call were handed back to the system and faulted in again.
+    One set serves every call of a proposal: chunk-sized arrays made anew
+    per chunk were handed back to the system and faulted in again.
     """
-    chunk = max(1, _CELL_BUDGET // (sample_count * (cells[0].shape[1] + 3)))
-    shape = (chunk, sample_count, cells[0].shape[1])
-    return np.empty(shape), np.empty(shape)
+    objectives, boxes = cells[0].shape
+    chunk = max(1, _CELL_BUDGET // (sample_count * (boxes + 3)))
+    return tuple(np.empty((chunk, sample_count, k)) for k in (boxes, boxes, objectives, objectives))
 
 
 def _gains(
     cells: tuple[np.ndarray, np.ndarray],
     ref_values: np.ndarray,
     y: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray],
+    scratch: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Hypervolume each point of ``y`` (c, s, m) adds to the union of ``cells``.
 
@@ -114,12 +116,13 @@ def _gains(
     time, in the first c rows of the ``scratch`` buffers.
     """
     lo_b, hi_b = cells
-    overlap, edge = (buf[: y.shape[0]] for buf in scratch)
+    overlap, edge, _, gap = (buf[: y.shape[0]] for buf in scratch)
     overlap.fill(1.0)
     for k in range(ref_values.size):
         np.subtract(hi_b[k], np.maximum(lo_b[k], y[..., k, None], out=edge), out=edge)
         overlap *= np.clip(edge, 0.0, None, out=edge)
-    return np.clip(np.prod(np.clip(ref_values - y, 0.0, None), axis=-1) - overlap.sum(axis=-1), 0.0, None)
+    np.clip(np.subtract(ref_values, y, out=gap), 0.0, None, out=gap)
+    return np.clip(np.prod(gap, axis=-1) - overlap.sum(axis=-1), 0.0, None)
 
 
 def _ehvi_batch(
@@ -129,7 +132,7 @@ def _ehvi_batch(
     ref_values: np.ndarray,
     sample_count: int,
     seed: int,
-    scratch: tuple[np.ndarray, np.ndarray],
+    scratch: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """EHVI of every candidate against ``cells = _cells(archive, ref_values)``.
 
@@ -141,8 +144,10 @@ def _ehvi_batch(
     step = scratch[0].shape[0]
     out = np.empty(candidates.shape[0])
     for start in range(0, candidates.shape[0], step):
-        y = means[start : start + step, None, :] + stds[start : start + step, None, :] * z[None, :, :]
-        out[start : start + y.shape[0]] = _gains(cells, ref_values, y, scratch).mean(axis=1)
+        mu, sd = means[start : start + step, None, :], stds[start : start + step, None, :]
+        y = np.multiply(sd, z, out=scratch[2][: mu.shape[0]])
+        y += mu
+        out[start : start + mu.shape[0]] = _gains(cells, ref_values, y, scratch).mean(axis=1)
     return out
 
 
@@ -301,7 +306,7 @@ def _refine(
     ref_values: np.ndarray,
     sample_count: int,
     seed: int,
-    scratch: tuple[np.ndarray, np.ndarray],
+    scratch: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Axis-aligned pattern search on EHVI around the scan argmax.
 

@@ -3,7 +3,8 @@
 One independent GP per objective, Matern-5/2 or squared-exponential
 kernels with ARD lengthscales, exact inference through a cached Cholesky
 factorization.  Hyperparameters are selected by maximizing the log
-marginal likelihood with a seeded multi-start search in log space.
+marginal likelihood with a seeded multi-start search in log space that
+scores each distinct candidate once, through ``gp_fit``'s factorization.
 
 Models are immutable after fitting and safe to share across threads.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import NumericalError
 
@@ -25,6 +26,8 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # Relative residual above which a "rescued" solve is declared inconsistent
 # (e.g. duplicate noise-free inputs with conflicting targets).
 _SOLVE_RTOL = 1e-6
+# The LAPACK routines behind scipy.linalg's cholesky and cho_solve.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 
 
 class KernelFamily(str, Enum):
@@ -87,24 +90,15 @@ class PosteriorPrediction:
     variance: float
 
 
-def _scaled_sqdist(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared distance of rows after ARD scaling."""
-    sa = a / spec.lengthscales
-    sb = b / spec.lengthscales
-    d2 = (
-        np.sum(sa**2, axis=1)[:, None]
-        + np.sum(sb**2, axis=1)[None, :]
-        - 2.0 * sa @ sb.T
-    )
-    return np.maximum(d2, 0.0)
-
-
-def _kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    r2 = _scaled_sqdist(spec, a, b)
-    if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
-        return spec.signal_variance * np.exp(-0.5 * r2)
+def _kernel_matrix(sv: float, ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Covariance between the rows of ``a`` and ``b`` (signal variance, ARD lengthscales)."""
+    sa = a / ls
+    sb = b / ls
+    r2 = np.maximum(np.sum(sa**2, axis=1)[:, None] + np.sum(sb**2, axis=1)[None, :] - 2.0 * sa @ sb.T, 0.0)
+    if family is KernelFamily.SQUARED_EXPONENTIAL:
+        return sv * np.exp(-0.5 * r2)
     r = np.sqrt(r2)
-    return spec.signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-_SQRT5 * r)
+    return sv * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-_SQRT5 * r)
 
 
 def _as_points(x, dim: int, what: str) -> np.ndarray:
@@ -118,14 +112,44 @@ def kernel_eval(spec: KernelSpec, a, b) -> float:
     """Covariance k(a, b) for two design points."""
     pa = _as_points(a, spec.dim, "first point")
     pb = _as_points(b, spec.dim, "second point")
-    return float(_kernel_matrix(spec, pa, pb)[0, 0])
+    return float(_kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, pa, pb)[0, 0])
+
+
+def _check_finite(x: np.ndarray, y: np.ndarray) -> None:
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("inputs and targets must be finite")
+
+
+def _factor(gram: np.ndarray, noise: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(factor, alpha, jitter) of gram + (noise + jitter) I against ``y``, as
+    :func:`gp_fit` documents; the diagonal of ``gram`` is overwritten."""
+    n = y.size
+    diag = gram.diagonal() + noise
+    failure = ""
+    for jitter in _JITTERS:
+        gram.flat[:: n + 1] = diag + jitter
+        factor, info = _POTRF(gram, lower=1, clean=1)
+        if info > 0:
+            failure = f": {info}-th leading minor of the array is not positive definite"
+            continue
+        alpha, _ = _POTRS(factor, y, lower=1)
+        # Jitter can force a factorization of a genuinely singular system;
+        # reject the fit if the solve does not reproduce the targets.
+        if jitter > 0.0:
+            gram.flat[:: n + 1] = diag
+            if np.max(np.abs(gram @ alpha - y)) > _SOLVE_RTOL * max(np.max(np.abs(y)), 1.0):
+                failure = " (inconsistent linear system)"
+                continue
+        return factor, alpha, jitter
+    raise NumericalError(f"covariance factorization failed with jitter up to {_JITTERS[-1]:g}{failure}")
 
 
 def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
     """Fit a GP by factorizing K + noise I, escalating jitter on failure.
 
     Raises:
-        ValueError: shape mismatch between inputs and targets.
+        ValueError: shape mismatch between inputs and targets, or a
+            non-finite input or target.
         NumericalError: factorization fails (or the solve is inconsistent,
             as with duplicate noise-free inputs and conflicting targets)
             even at the largest jitter; the message names the jitter tried.
@@ -134,31 +158,12 @@ def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
     y = np.asarray(targets, dtype=float).ravel()
     if x.shape[0] != y.size:
         raise ValueError(f"{x.shape[0]} inputs vs {y.size} targets")
+    _check_finite(x, y)
     if x.shape[0] == 0:
         return GpModel(x, y, spec, np.zeros((0, 0)), np.zeros(0))
-
-    gram = _kernel_matrix(spec, x, x)
-    cov = gram + spec.noise_variance * np.eye(x.shape[0])
-    last_exc: Exception | None = None
-    for jitter in _JITTERS:
-        try:
-            factor = cholesky(cov + jitter * np.eye(x.shape[0]), lower=True)
-        except np.linalg.LinAlgError as exc:
-            last_exc = exc
-            continue
-        alpha = cho_solve((factor, True), y)
-        # Jitter can force a factorization of a genuinely singular system;
-        # reject the fit if the solve does not reproduce the targets.
-        resid = np.max(np.abs(cov @ alpha - y)) if y.size else 0.0
-        scale = max(np.max(np.abs(y)), 1.0)
-        if jitter > 0.0 and resid > _SOLVE_RTOL * scale:
-            last_exc = None
-            continue
-        return GpModel(x, y, spec, factor, alpha, jitter=jitter)
-    raise NumericalError(
-        f"covariance factorization failed with jitter up to {_JITTERS[-1]:g}"
-        + (f": {last_exc}" if last_exc else " (inconsistent linear system)")
-    )
+    gram = _kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, x, x)
+    factor, alpha, jitter = _factor(gram, spec.noise_variance, y)
+    return GpModel(x, y, spec, factor, alpha, jitter=jitter)
 
 
 def gp_predict(model: GpModel, query) -> PosteriorPrediction:
@@ -177,27 +182,24 @@ def gp_predict_batch(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
     q = _as_points(queries, spec.dim, "queries")
     if model.n == 0:
         return np.zeros(q.shape[0]), np.full(q.shape[0], spec.signal_variance)
-    k = _kernel_matrix(spec, model.inputs, q)
+    k = _kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, model.inputs, q)
     mean = k.T @ model.alpha
     v = solve_triangular(model.factor, k, lower=True)
     variance = spec.signal_variance - np.sum(v * v, axis=0)
     return mean, np.clip(variance, 0.0, spec.signal_variance)
 
 
+def _lml(factor: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    quad = float(y @ alpha)
+    return -0.5 * quad - 0.5 * logdet - 0.5 * y.size * math.log(2.0 * math.pi)
+
+
 def log_marginal_likelihood(model: GpModel) -> float:
     """-1/2 y^T (K+sI)^-1 y - 1/2 log|K+sI| - n/2 log 2pi."""
     if model.n == 0:
         raise ValueError("log marginal likelihood needs at least one observation")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(model.factor))))
-    quad = float(model.targets @ model.alpha)
-    return -0.5 * quad - 0.5 * logdet - 0.5 * model.n * math.log(2.0 * math.pi)
-
-
-def _lml_of(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    try:
-        return log_marginal_likelihood(gp_fit(x, y, spec))
-    except NumericalError:
-        return -np.inf
+    return _lml(model.factor, model.alpha, model.targets)
 
 
 def optimize_hyperparams(
@@ -212,7 +214,8 @@ def optimize_hyperparams(
     Log-space random restarts (``search_budget`` of them) followed by
     coordinate-wise multiplicative refinement of the best start.  The
     returned spec scores at least as well as every probed candidate, and
-    the whole search is a pure function of the seed.
+    the whole search is a pure function of the seed.  Each distinct
+    candidate, after clipping to the search box, is scored once.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
@@ -220,13 +223,15 @@ def optimize_hyperparams(
         raise ValueError("hyperparameter search needs at least 2 observations")
     if search_budget < 1:
         raise ValueError("search_budget must be >= 1")
+    _check_finite(x, y)
     d = x.shape[1]
+    family = KernelFamily(family)
     rng = np.random.default_rng(seed)
 
     y_scale = max(float(np.var(y)), 1e-12)
     span = np.maximum(np.max(x, axis=0) - np.min(x, axis=0), 1e-3)
 
-    def make(sv: float, ls: np.ndarray, nv: float) -> KernelSpec:
+    def make(sv: float, ls: np.ndarray, nv: float) -> tuple[float, np.ndarray, float]:
         # Box constraints keep the search away from degenerate optima
         # (unbounded lengthscales with vanishing noise make the Gram
         # matrix numerically singular); the noise floor is relative to
@@ -234,7 +239,21 @@ def optimize_hyperparams(
         sv = min(max(sv, 1e-8 * y_scale), 1e8 * y_scale)
         ls = np.clip(ls, 1e-3 * span, 1e2 * span)
         nv = min(max(nv, 1e-8 * sv), 1e2 * y_scale)
-        return KernelSpec(sv, ls, nv, family)
+        return sv, ls, nv
+
+    # Clipping to the box makes many trials repeats of a scored candidate.
+    scores: dict[bytes, float] = {}
+
+    def score(candidate: tuple[float, np.ndarray, float]) -> float:
+        sv, ls, nv = candidate
+        key = np.append(ls, (sv, nv)).tobytes()
+        if key not in scores:
+            try:
+                factor, alpha, _ = _factor(_kernel_matrix(sv, ls, family, x, x), nv, y)
+                scores[key] = _lml(factor, alpha, y)
+            except NumericalError:
+                scores[key] = -np.inf
+        return scores[key]
 
     # A sensible anchor plus log-uniform random restarts.
     candidates = [make(y_scale, 0.3 * span, 1e-4 * y_scale)]
@@ -244,7 +263,7 @@ def optimize_hyperparams(
         nv = y_scale * 10.0 ** rng.uniform(-8.0, -0.5)
         candidates.append(make(sv, ls, nv))
 
-    scored = [(_lml_of(spec, x, y), i, spec) for i, spec in enumerate(candidates)]
+    scored = [(score(c), i, c) for i, c in enumerate(candidates)]
     best_lml, _, best = max(scored, key=lambda t: (t[0], -t[1]))
 
     # Coordinate-wise refinement: scale one log-coordinate at a time,
@@ -255,7 +274,7 @@ def optimize_hyperparams(
             improved = False
             for coord in range(d + 2):
                 for factor in (step, 1.0 / step):
-                    sv, ls, nv = best.signal_variance, best.lengthscales.copy(), best.noise_variance
+                    sv, ls, nv = best[0], best[1].copy(), best[2]
                     if coord < d:
                         ls[coord] *= factor
                     elif coord == d:
@@ -263,8 +282,8 @@ def optimize_hyperparams(
                     else:
                         nv *= factor
                     trial = make(sv, ls, nv)
-                    lml = _lml_of(trial, x, y)
+                    lml = score(trial)
                     if lml > best_lml:
                         best_lml, best = lml, trial
                         improved = True
-    return best
+    return KernelSpec(*best, family)

@@ -6,6 +6,9 @@ package's Cholesky path.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,3 +207,145 @@ def test_model_exposes_training_size():
     model = gp_fit(x, np.zeros(5), KernelSpec(1.0, np.array([1.0])))
     assert isinstance(model, GpModel)
     assert model.n == 5
+
+
+def test_non_finite_inputs_or_targets_raise_value_error():
+    x = np.linspace(0.0, 1.0, 4)[:, None]
+    y = np.array([0.1, -0.3, 0.2, 0.5])
+    spec = KernelSpec(1.0, np.array([0.5]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            gp_fit(np.where(np.arange(4)[:, None] == 2, bad, x), y, spec)
+        with pytest.raises(ValueError):
+            gp_fit(x, np.where(np.arange(4) == 1, bad, y), spec)
+        with pytest.raises(ValueError):
+            optimize_hyperparams(x, np.where(np.arange(4) == 3, bad, y))
+
+
+def reference_search(inputs, targets, search_budget, seed, family, tally):
+    """optimize_hyperparams before scoring was memoized: a KernelSpec and a
+    gp_fit plus log_marginal_likelihood for every trial, repeats included.
+
+    ``tally`` counts trials, distinct trials, jittered fits and failed fits.
+    """
+    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    y = np.asarray(targets, dtype=float).ravel()
+    d = x.shape[1]
+    rng = np.random.default_rng(seed)
+    y_scale = max(float(np.var(y)), 1e-12)
+    span = np.maximum(np.max(x, axis=0) - np.min(x, axis=0), 1e-3)
+
+    def make(sv, ls, nv):
+        sv = min(max(sv, 1e-8 * y_scale), 1e8 * y_scale)
+        ls = np.clip(ls, 1e-3 * span, 1e2 * span)
+        nv = min(max(nv, 1e-8 * sv), 1e2 * y_scale)
+        return KernelSpec(sv, ls, nv, family)
+
+    def lml_of(spec):
+        tally["trials"] += 1
+        tally["distinct"].add(spec_bytes(spec))
+        try:
+            model = gp_fit(x, y, spec)
+        except NumericalError:
+            tally["failed"] += 1
+            return -np.inf
+        tally["jittered"] += model.jitter > 0.0
+        return log_marginal_likelihood(model)
+
+    candidates = [make(y_scale, 0.3 * span, 1e-4 * y_scale)]
+    for _ in range(search_budget):
+        sv = y_scale * 10.0 ** rng.uniform(-1.0, 1.0)
+        ls = span * 10.0 ** rng.uniform(-1.5, 0.7, size=d)
+        nv = y_scale * 10.0 ** rng.uniform(-8.0, -0.5)
+        candidates.append(make(sv, ls, nv))
+    scored = [(lml_of(spec), i, spec) for i, spec in enumerate(candidates)]
+    best_lml, _, best = max(scored, key=lambda t: (t[0], -t[1]))
+    for step in (4.0, 2.0, 1.4, 1.15):
+        improved = True
+        while improved:
+            improved = False
+            for coord in range(d + 2):
+                for factor in (step, 1.0 / step):
+                    sv, ls, nv = best.signal_variance, best.lengthscales.copy(), best.noise_variance
+                    if coord < d:
+                        ls[coord] *= factor
+                    elif coord == d:
+                        sv *= factor
+                    else:
+                        nv *= factor
+                    trial = make(sv, ls, nv)
+                    lml = lml_of(trial)
+                    if lml > best_lml:
+                        best_lml, best = lml, trial
+                        improved = True
+    return best
+
+
+def spec_bytes(spec):
+    values = np.array([spec.signal_variance, spec.noise_variance])
+    return values.tobytes() + spec.lengthscales.tobytes() + spec.family.value.encode()
+
+
+def search_problems():
+    """(family, inputs, targets) across both families, d = 2 and 6, n = 3-70."""
+    rng = np.random.default_rng(2024)
+    for family in KernelFamily:
+        for d in (2, 6):
+            for n in (3, 9, 24, 70):
+                x = rng.uniform(0.0, 1.0, size=(n, d))
+                yield family, x, np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(n)
+            # Duplicate inputs with matching, noise-free targets: trials
+            # pile up on the noise floor and repeat clipped candidates.
+            x = rng.uniform(0.0, 1.0, size=(30, d))
+            x[15:] = x[:15]
+            yield family, x, np.sin(3.0 * x).sum(axis=1)
+            # Far from the origin, cancellation in the distances makes some
+            # trials need jitter (on a tiny target scale) or fail outright.
+            for scale in (1e-7, 1.0):
+                x = 2e5 + rng.uniform(0.0, 1.0, size=(45, d))
+                yield family, x, scale * np.sin(3.0 * (x - 2e5)).sum(axis=1)
+
+
+def test_hyperparameter_search_matches_frozen_reference_bit_for_bit():
+    tally = {"trials": 0, "distinct": set(), "jittered": 0, "failed": 0}
+    for k, (family, x, y) in enumerate(search_problems()):
+        before = len(tally["distinct"])
+        want = reference_search(x, y, 8, k, family, tally)
+        got = optimize_hyperparams(x, y, 8, k, family.value)
+        assert spec_bytes(got) == spec_bytes(want), (k, family, x.shape)
+        assert len(tally["distinct"]) > before
+    # The problem set reaches every branch of the factorization.
+    assert tally["trials"] > len(tally["distinct"])
+    assert tally["jittered"] > 0
+    assert tally["failed"] > 0
+
+
+_THREAD_PROBE = """
+import numpy as np
+from buttonlab import KernelFamily, optimize_hyperparams
+
+rng = np.random.default_rng(9)
+for family, n, d in [("matern52", 70, 6), ("squared_exponential", 48, 2), ("matern52", 12, 6)]:
+    x = rng.uniform(0.0, 1.0, size=(n, d))
+    y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(n)
+    spec = optimize_hyperparams(x, y, seed=n, family=family)
+    print(np.array([spec.signal_variance, spec.noise_variance]).tobytes().hex(), spec.lengthscales.tobytes().hex())
+"""
+
+
+def test_hyperparameter_search_bits_do_not_depend_on_blas_thread_count():
+    import buttonlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(buttonlab.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
