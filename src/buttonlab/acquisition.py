@@ -1,12 +1,17 @@
-"""Candidate selection: Monte-Carlo expected hypervolume improvement.
+"""Candidate selection: closed-form expected hypervolume improvement.
 
-EHVI for 2 and 3 objectives is one vectorized overlap of posterior
-samples with the disjoint boxes that hypervolume sums over the region
-the archive already dominates, taken over chunks of candidates x
-samples x boxes.  It uses common random numbers: one fixed block of
-standard-normal draws per seed, shared by every candidate, so a
-single-candidate call reproduces a batched scan's value up to the GP
-posterior's last bits, and proposals can be audited by rescanning.
+EHVI for 2 and 3 objectives is exact.  The region the archive already
+dominates is the union of the disjoint boxes that hypervolume sums
+(``pareto._boxes``), and the surrogates' posteriors are independent
+Gaussians, so the expected volume a candidate adds is
+
+    EHVI = prod_k psi_k(r_k) - sum_b prod_k [psi_k(hi_bk) - psi_k(lo_bk)],
+
+with psi_k(c) = E[(c - Y_k)+] and r the reference point: the box-
+decomposition EHVI of Yang, Emmerich, Deutz & Baeck (2019).  It draws
+no random numbers, so a single-candidate call reproduces a batched
+scan's value up to the GP posterior's last bits, and proposals can be
+audited by rescanning.
 
 The candidate scan is a scrambled Sobol' sequence: Joe & Kuo's (2008)
 direction numbers, Owen's (2003) linear matrix scramble plus digital
@@ -16,14 +21,14 @@ random bits and points as scipy's ``qmc.Sobol``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import seeds
 from .gp import GpModel, gp_predict_batch
 from .pareto import HypervolumeResult, ParetoArchive, ReferencePoint, _boxes, _reference_values, hypervolume
 
-# Posterior samples per candidate inside propose_next.
-DEFAULT_EHVI_SAMPLES = 128
 # Proposals closer than this (max-abs) to an evaluated design get bumped.
 DUPLICATE_TOL = 1e-9
 # Archive perturbation scale, as a fraction of each dimension's range.
@@ -35,9 +40,9 @@ REFINE_STEP_INIT = 0.2
 REFINE_STEP_MIN = 0.01
 REFINE_MOVE_LIMIT = 40
 
-# Candidates x samples x boxes overlapped per EHVI chunk; larger chunks
-# only add cache misses and transient memory.
-_CELL_BUDGET = 2**16
+# Elementwise math.erfc for the normal CDF; scipy.special's would add its
+# import to every start-up.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 # Sobol' direction numbers of Joe & Kuo (2008), file new-joe-kuo-6.21201,
 # for the first 21 dimensions: each dimension's primitive polynomial
@@ -55,21 +60,10 @@ _SOBOL_BITS = 30
 
 
 def _posterior_grid(models: list[GpModel], candidates: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-objective posteriors as (n, m) mean and std arrays.
-
-    A posterior row's last bits depend on its prediction block (BLAS
-    tiling), so the blocks stay those the proposals were baselined in:
-    256 candidates for 2 objectives, all of them for 3.
-    """
-    block = 256 if len(models) == 2 else max(1, candidates.shape[0])
-    means = np.empty((candidates.shape[0], len(models)))
-    stds = np.empty_like(means)
-    for start in range(0, candidates.shape[0], block):
-        for j, model in enumerate(models):
-            mu, var = gp_predict_batch(model, candidates[start : start + block])
-            means[start : start + block, j] = mu
-            stds[start : start + block, j] = np.sqrt(var)
-    return means, stds
+    """Per-objective posteriors as (n, m) mean and std arrays, one
+    prediction block per objective."""
+    preds = [gp_predict_batch(model, candidates) for model in models]
+    return np.stack([p[0] for p in preds], axis=1), np.sqrt(np.stack([p[1] for p in preds], axis=1))
 
 
 def _check_models(models) -> list[GpModel]:
@@ -90,39 +84,42 @@ def _cells(archive: ParetoArchive, ref: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _boxes(front, ref)
 
 
-def _scratch(cells: tuple[np.ndarray, np.ndarray], sample_count: int) -> tuple[np.ndarray, ...]:
-    """Buffers for one chunk of _ehvi_batch: overlap and edge, (chunk,
-    samples, boxes), then the samples and their gaps to the reference,
-    (chunk, samples, objectives).
+def _psi(edges: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """psi(c) = E[(c - Y)+] for Y ~ N(mean, std^2), shape (e, n) from
+    (e,) edges and (n,) posteriors.
 
-    A chunk holds as many candidates as _CELL_BUDGET allows, at least one.
-    One set serves every call of a proposal: chunk-sized arrays made anew
-    per chunk were handed back to the system and faulted in again.
+    (c - mean) Phi(u) + std phi(u) with u = (c - mean) / std, and
+    max(c - mean, 0) where std is 0.
     """
-    objectives, boxes = cells[0].shape
-    chunk = max(1, _CELL_BUDGET // (sample_count * (boxes + 3)))
-    return tuple(np.empty((chunk, sample_count, k)) for k in (boxes, boxes, objectives, objectives))
+    gap = edges[:, None] - mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = gap / std
+        cdf = 0.5 * _erfc(u * -math.sqrt(0.5)).astype(float)
+        psi = gap * cdf + std * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    return np.where(std > 0.0, psi, np.maximum(gap, 0.0))
 
 
 def _gains(
     cells: tuple[np.ndarray, np.ndarray],
     ref_values: np.ndarray,
-    y: np.ndarray,
-    scratch: tuple[np.ndarray, ...],
+    means: np.ndarray,
+    stds: np.ndarray,
 ) -> np.ndarray:
-    """Hypervolume each point of ``y`` (c, s, m) adds to the union of ``cells``.
+    """Expected hypervolume each (n, m) posterior row adds to the union of ``cells``.
 
-    vol(y..ref) minus its overlap with the dominated boxes, one axis at a
-    time, in the first c rows of the ``scratch`` buffers.
+    E vol(Y..ref) minus the expected overlap with each box, both products
+    over axes of psi, which is evaluated once per distinct edge of an axis.
+    Box-major (boxes, n) tables keep the per-box lookups row copies.
     """
     lo_b, hi_b = cells
-    overlap, edge, _, gap = (buf[: y.shape[0]] for buf in scratch)
-    overlap.fill(1.0)
+    boxes = lo_b.shape[1]
+    total = overlap = 1.0
     for k in range(ref_values.size):
-        np.subtract(hi_b[k], np.maximum(lo_b[k], y[..., k, None], out=edge), out=edge)
-        overlap *= np.clip(edge, 0.0, None, out=edge)
-    np.clip(np.subtract(ref_values, y, out=gap), 0.0, None, out=gap)
-    return np.clip(np.prod(gap, axis=-1) - overlap.sum(axis=-1), 0.0, None)
+        edges, at = np.unique(np.concatenate([lo_b[k], hi_b[k], ref_values[k : k + 1]]), return_inverse=True)
+        psi = _psi(edges, means[:, k], stds[:, k])
+        overlap = overlap * (psi[at[boxes : 2 * boxes]] - psi[at[:boxes]])
+        total = total * psi[at[-1]]
+    return np.clip(total - overlap.sum(axis=0), 0.0, None)
 
 
 def _ehvi_batch(
@@ -130,49 +127,21 @@ def _ehvi_batch(
     candidates: np.ndarray,
     cells: tuple[np.ndarray, np.ndarray],
     ref_values: np.ndarray,
-    sample_count: int,
-    seed: int,
-    scratch: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """EHVI of every candidate against ``cells = _cells(archive, ref_values)``.
-
-    ``scratch`` is ``_scratch(cells, sample_count)``, whose first axis
-    sets the chunk.  No value depends on the overlap's chunking.
-    """
-    z = np.random.default_rng(seed).standard_normal((sample_count, len(models)))
-    means, stds = _posterior_grid(models, candidates)
-    step = scratch[0].shape[0]
-    out = np.empty(candidates.shape[0])
-    for start in range(0, candidates.shape[0], step):
-        mu, sd = means[start : start + step, None, :], stds[start : start + step, None, :]
-        y = np.multiply(sd, z, out=scratch[2][: mu.shape[0]])
-        y += mu
-        out[start : start + mu.shape[0]] = _gains(cells, ref_values, y, scratch).mean(axis=1)
-    return out
+    """EHVI of every candidate against ``cells = _cells(archive, ref_values)``."""
+    return _gains(cells, ref_values, *_posterior_grid(models, candidates))
 
 
-def ehvi(
-    models,
-    candidate,
-    archive: ParetoArchive,
-    ref: ReferencePoint,
-    sample_count: int = 10_000,
-    seed: int = 0,
-) -> float:
+def ehvi(models, candidate, archive: ParetoArchive, ref: ReferencePoint) -> float:
     """Expected hypervolume improvement of evaluating ``candidate``.
 
-    Mean over posterior samples of max(0, HV(archive + y) - HV(archive)),
-    with objectives sampled independently per surrogate.  Deterministic
-    for a given seed.
+    E max(0, HV(archive + y) - HV(archive)) in closed form, with the
+    objectives y independent Gaussians, one per surrogate's posterior.
     """
     models = _check_models(models)
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
     ref_values = _reference_values(ref, len(models))
     point = np.atleast_2d(np.asarray(candidate, dtype=float))
-    cells = _cells(archive, ref_values)
-    scratch = _scratch(cells, sample_count)
-    return float(_ehvi_batch(models, point, cells, ref_values, sample_count, seed, scratch)[0])
+    return float(_ehvi_batch(models, point, _cells(archive, ref_values), ref_values)[0])
 
 
 def _direction_numbers(dim: int) -> np.ndarray:
@@ -252,41 +221,33 @@ def propose_next(
     ref: ReferencePoint,
     scan_count: int = 1024,
     seed: int = 0,
-    sample_count: int = DEFAULT_EHVI_SAMPLES,
 ) -> np.ndarray:
     """Next design to evaluate: EHVI argmax over a candidate pool.
 
     The pool is a Sobol scan of the box plus one Gaussian perturbation
     (5% of range per dimension) of each archived design.  The argmax is
-    then refined by a pattern search under the same random numbers, so
-    the returned point's EHVI never falls below the scanned maximum.
-    The all-zero-EHVI case falls back to the scanned candidate with the
-    largest summed posterior variance.  Proposals within 1e-9 of an
+    then refined by a pattern search, so the returned point's EHVI never
+    falls below the scanned maximum.  Proposals within 1e-9 of an
     already-evaluated design are perturbed once.
     """
     models = _check_models(models)
     lo, hi = _check_bounds(bounds)
     ref_values = _reference_values(ref, len(models))
 
-    scan = scan_candidates(bounds, scan_count, seed)
-    pool = scan
+    pool = scan_candidates(bounds, scan_count, seed)
     if len(archive):
         prng = np.random.default_rng(seeds.seed_for(seed, "perturb"))
         sigma = PERTURB_FRACTION * (hi - lo)
         jumps = prng.standard_normal((len(archive), lo.size)) * sigma
         local = np.clip(archive.design_matrix + jumps, lo, hi)
-        pool = np.vstack([scan, local])
+        pool = np.vstack([pool, local])
 
     cells = _cells(archive, ref_values)
-    scratch = _scratch(cells, sample_count)
-    values = _ehvi_batch(models, pool, cells, ref_values, sample_count, seed, scratch)
-    best = float(np.max(values))
-    if best > 0.0:
-        choice = pool[int(np.argmax(values))]
-        if len(archive):
-            choice = _refine(models, choice, best, lo, hi, cells, ref_values, sample_count, seed, scratch)
-    else:
-        choice = scan[int(np.argmax(_scan_variances(models, scan)))]
+    values = _ehvi_batch(models, pool, cells, ref_values)
+    best = int(np.argmax(values))
+    choice = pool[best]
+    if len(archive):
+        choice = _refine(models, choice, float(values[best]), lo, hi, cells, ref_values)
 
     evaluated = models[0].inputs
     if evaluated.shape[0] and np.min(np.max(np.abs(evaluated - choice[None, :]), axis=1)) < DUPLICATE_TOL:
@@ -304,15 +265,12 @@ def _refine(
     hi: np.ndarray,
     cells,
     ref_values: np.ndarray,
-    sample_count: int,
-    seed: int,
-    scratch: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Axis-aligned pattern search on EHVI around the scan argmax.
 
-    Every comparison reuses the scan's common-random-number block, so a
-    move is accepted only on a genuine EHVI gain and the result never
-    falls below the scanned maximum.
+    Every comparison is between exact EHVI values, so a move is accepted
+    only on a genuine gain and the result never falls below the scanned
+    maximum.
     """
     span = hi - lo
     best = np.array(start, dtype=float)
@@ -324,7 +282,7 @@ def _refine(
         for j in range(lo.size):
             cands[2 * j, j] = max(best[j] - step * span[j], lo[j])
             cands[2 * j + 1, j] = min(best[j] + step * span[j], hi[j])
-        vals = _ehvi_batch(models, cands, cells, ref_values, sample_count, seed, scratch)
+        vals = _ehvi_batch(models, cands, cells, ref_values)
         k = int(np.argmax(vals))
         if vals[k] > best_value:
             best = cands[k]
@@ -333,14 +291,6 @@ def _refine(
         else:
             step *= 0.5
     return best
-
-
-def _scan_variances(models: list[GpModel], scan: np.ndarray) -> np.ndarray:
-    variances = np.zeros(scan.shape[0])
-    for model in models:
-        _, var = gp_predict_batch(model, scan)
-        variances += var
-    return variances
 
 
 def archive_hypervolume(archive: ParetoArchive, ref: ReferencePoint) -> HypervolumeResult:

@@ -44,7 +44,6 @@ class CidConfig:
     init_count: int = 8
     master_seed: int = 0
     scan_count: int = 1024
-    ehvi_samples: int = 128
     kernel: str = "matern52"
     inner_lr: float = DEFAULT_INNER_LR
     adapt_episodes: int = 8
@@ -53,8 +52,6 @@ class CidConfig:
     sensory_delay: int = 50
     dwell_limit: int = 300
     policy_path: str = ""
-    sample_rate_hz: float = 1000.0
-    mass_kg: float = 0.005
 
     def __post_init__(self):
         object.__setattr__(self, "objectives", tuple(self.objectives))
@@ -102,7 +99,6 @@ def _validate(cfg: CidConfig):
     positives = (
         ("run.budget", cfg.budget),
         ("optimizer.scan_count", cfg.scan_count),
-        ("optimizer.ehvi_samples", cfg.ehvi_samples),
         ("user_model.episodes_per_eval", cfg.episodes_per_eval),
         ("user_model.horizon", cfg.horizon),
         ("user_model.dwell_limit", cfg.dwell_limit),
@@ -118,17 +114,12 @@ def _validate(cfg: CidConfig):
         _fail("user_model.adapt_episodes", f"must be >= 0, got {cfg.adapt_episodes}")
     if cfg.sensory_delay < 0:
         _fail("user_model.sensory_delay", f"must be >= 0, got {cfg.sensory_delay}")
-    if cfg.sample_rate_hz <= 0:
-        _fail("simulator.sample_rate_hz", f"must be > 0, got {cfg.sample_rate_hz}")
-    if cfg.mass_kg <= 0:
-        _fail("simulator.mass_kg", f"must be > 0, got {cfg.mass_kg}")
 
 
 # Every scalar key as (section, key, type), in the order serialize_config
 # writes them; each key is also its CidConfig field's name.
 _SCALAR_KEYS = (
     ("optimizer", "scan_count", int),
-    ("optimizer", "ehvi_samples", int),
     ("optimizer", "kernel", str),
     ("user_model", "inner_lr", float),
     ("user_model", "adapt_episodes", int),
@@ -137,15 +128,13 @@ _SCALAR_KEYS = (
     ("user_model", "sensory_delay", int),
     ("user_model", "dwell_limit", int),
     ("user_model", "policy_path", str),
-    ("simulator", "sample_rate_hz", float),
-    ("simulator", "mass_kg", float),
     ("run", "provider", str),
     ("run", "budget", int),
     ("run", "init_count", int),
     ("run", "master_seed", int),
 )
 _KEY_TYPES = {(section, key): kind for section, key, kind in _SCALAR_KEYS}
-_SECTIONS = ("design_space", "objectives", "optimizer", "user_model", "simulator", "run")
+_SECTIONS = ("design_space", "objectives", "optimizer", "user_model", "run")
 
 
 def parse_config(text: str) -> CidConfig:

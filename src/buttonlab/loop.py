@@ -299,7 +299,6 @@ def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
         state.reference,
         scan_count=config.scan_count,
         seed=seeds.seed_int(config.master_seed, "acquisition", state.iteration),
-        sample_count=config.ehvi_samples,
     )
     record_index = len(state.records)
     raw = _from_unit(provider, unit_choice)

@@ -39,7 +39,6 @@ master_seed = 5
 
 [optimizer]
 scan_count = 64
-ehvi_samples = 16
 """
 
 
@@ -64,11 +63,11 @@ def test_config_round_trip_and_fingerprint():
 @pytest.mark.parametrize(
     "config, digest",
     [
-        (CidConfig(), "823711c87b61f79930bb71e61ddbd0b2f6b04d721a785392ca17d1e22f362984"),
+        (CidConfig(), "1c5001f85a0c2d5d843c798df1cfeb121c4d5306a0a8f8fe17dac787e92d7aff"),
         (
             CidConfig(provider="zdt1", budget=60, master_seed=3, kernel="squared_exponential",
                       policy_path="p.json", inner_lr=0.1),
-            "751a340f891f3d4b31acf50d30dc4dd888220a00c3920bddd3a2ce94813b184e",
+            "06d35d9dff3ce9663ace7f4bf205d1fe197759be0861f4c05a5f3912cc746f6f",
         ),
     ],
 )
@@ -89,6 +88,11 @@ def test_config_rejects_unknown_names():
         parse_config("[warp]\nbudget = 3\n")
     with pytest.raises(FormatError):
         parse_config("[run]\nprovider = antigravity\n")
+    # Keys that once parsed but steered nothing.
+    with pytest.raises(FormatError, match="optimizer.ehvi_samples"):
+        parse_config("[optimizer]\nehvi_samples = 128\n")
+    with pytest.raises(FormatError, match="simulator"):
+        parse_config("[simulator]\nmass_kg = 0.005\n")
 
 
 def test_config_rejects_bad_values():
@@ -296,7 +300,7 @@ def test_cli_bench_prints_ratio(capsys):
 
 def test_cli_import_leaves_out_heavy_scipy_subpackages():
     # Each of these costs a large share of a second on every start.
-    heavy = ["scipy.stats", "scipy.signal", "scipy.interpolate", "scipy.sparse", "scipy.optimize"]
+    heavy = ["scipy.stats", "scipy.signal", "scipy.interpolate", "scipy.sparse", "scipy.optimize", "scipy.special"]
     code = f"import sys, buttonlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
     # The child imports the same buttonlab as this process.
     src = os.path.dirname(os.path.dirname(buttonlab.__file__))

@@ -29,7 +29,6 @@ SCHAFFER = CidConfig(
     init_count=4,
     master_seed=3,
     scan_count=128,
-    ehvi_samples=32,
 )
 
 TINY_BUTTON = CidConfig(
@@ -38,7 +37,6 @@ TINY_BUTTON = CidConfig(
     init_count=2,
     master_seed=1,
     scan_count=64,
-    ehvi_samples=16,
     episodes_per_eval=2,
     adapt_episodes=2,
     horizon=200,
