@@ -1,9 +1,10 @@
 """The closed design loop: propose, render, evaluate, update.
 
 Surrogates and the archive live in the unit cube (each design parameter
-rescaled to [0, 1]); records keep raw parameter values.  All randomness
-is drawn from the per-purpose seed tree, so a resumed run consumes
-exactly the numbers the uninterrupted run would have.
+rescaled to [0, 1]), on rows ``unit_designs`` derives from the records'
+raw parameter values.  All randomness is drawn from the per-purpose seed
+tree, so a resumed run consumes exactly the numbers the uninterrupted
+run would have.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class EvaluationRecord:
 class RunState:
     """Everything the loop carries between iterations.
 
-    ``iteration`` counts completed model-guided steps (the initial
-    design set is iteration 0); ``seed_cursor`` counts evaluation seeds
-    allocated so far and always equals ``len(records)``.
+    The config, records, kernels and reference are the whole state: the
+    archive and the surrogates are what ``restore_state`` rebuilds from
+    them, and a state saved and loaded again holds the same bits.
     """
 
     config: CidConfig
@@ -71,8 +72,11 @@ class RunState:
     archive: ParetoArchive
     models: tuple[GpModel, ...]
     reference: ReferencePoint
-    iteration: int
-    seed_cursor: int
+
+    @property
+    def iteration(self) -> int:
+        """Completed model-guided steps; the initial design set is iteration 0."""
+        return len(self.records) - self.config.init_count
 
 
 @dataclass(frozen=True)
@@ -202,16 +206,20 @@ def make_provider(config: CidConfig, meta: MetaPolicy | None = None) -> Provider
     )
 
 
-def _to_unit(provider: Provider, raw: np.ndarray) -> np.ndarray:
-    return (raw - provider.lower) / (provider.upper - provider.lower)
-
-
 def _from_unit(provider: Provider, unit: np.ndarray) -> np.ndarray:
     return provider.lower + unit * (provider.upper - provider.lower)
 
 
-def _unit_designs(provider: Provider, records) -> np.ndarray:
-    return np.array([_to_unit(provider, rec.design) for rec in records])
+def unit_designs(config: CidConfig, records) -> np.ndarray:
+    """The records' raw designs rescaled to the unit cube: every unit row the loop keeps."""
+    _, lower, upper = design_box(config)
+    return (np.array([rec.design for rec in records]) - lower) / (upper - lower)
+
+
+def _surrogates(inputs: np.ndarray, records, kernels) -> tuple[GpModel, ...]:
+    """One GP per objective on the unit inputs, with the given kernels."""
+    targets = np.array([rec.objectives for rec in records])
+    return tuple(gp_fit(inputs, targets[:, j], spec) for j, spec in enumerate(kernels))
 
 
 def _fit_models(
@@ -223,32 +231,40 @@ def _fit_models(
 ) -> tuple[GpModel, ...]:
     """One GP per objective; hyperparameters re-searched only when
     ``fit_event`` is a re-optimization step (0, or a multiple of the period)."""
+    if previous is not None and fit_event % HYPEROPT_PERIOD:
+        return _surrogates(inputs, records, [m.kernel for m in previous])
     targets = np.array([rec.objectives for rec in records])
-    reoptimize = previous is None or fit_event % HYPEROPT_PERIOD == 0
     family = KernelFamily(config.kernel)
-    models = []
-    for j in range(targets.shape[1]):
-        if reoptimize:
-            spec = optimize_hyperparams(
-                inputs,
-                targets[:, j],
-                seed=seeds.seed_int(config.master_seed, "hyperopt", fit_event, j),
-                family=family,
-            )
-        else:
-            spec = previous[j].kernel
-        models.append(gp_fit(inputs, targets[:, j], spec))
-    return tuple(models)
+    kernels = [
+        optimize_hyperparams(
+            inputs, y, seed=seeds.seed_int(config.master_seed, "hyperopt", fit_event, j), family=family
+        )
+        for j, y in enumerate(targets.T)
+    ]
+    return _surrogates(inputs, records, kernels)
+
+
+def archive_replay(config: CidConfig, records):
+    """The archive after each record of a sequence, inserted in order."""
+    archive = ParetoArchive(())
+    for i, (unit, rec) in enumerate(zip(unit_designs(config, records), records)):
+        archive = archive.inserted(unit, rec.objectives, i)
+        yield archive
 
 
 def rebuild_archive(config: CidConfig, records) -> ParetoArchive:
     """Archive implied by a record sequence, in insertion order."""
-    _, lower, upper = design_box(config)
     archive = ParetoArchive(())
-    for i, rec in enumerate(records):
-        unit = (rec.design - lower) / (upper - lower)
-        archive = archive.inserted(unit, rec.objectives, i)
+    for archive in archive_replay(config, records):
+        pass
     return archive
+
+
+def restore_state(config: CidConfig, records, kernels, reference: ReferencePoint) -> RunState:
+    """The run state that records, kernels and reference imply under ``config``."""
+    records = tuple(records)
+    models = _surrogates(unit_designs(config, records), records, kernels)
+    return RunState(config, records, rebuild_archive(config, records), models, reference)
 
 
 def initial_state(config: CidConfig, provider: Provider | None = None) -> RunState:
@@ -274,9 +290,8 @@ def initial_state(config: CidConfig, provider: Provider | None = None) -> RunSta
         reference = ReferencePoint(provider.fixed_reference)
     else:
         reference = ReferencePoint.from_observations(np.array([r.objectives for r in records]))
-    models = _fit_models(config, unit, records, None, 0)
-    archive = rebuild_archive(config, records)
-    return RunState(config, records, archive, models, reference, 0, len(records))
+    models = _fit_models(config, unit_designs(config, records), records, None, 0)
+    return RunState(config, records, rebuild_archive(config, records), models, reference)
 
 
 def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
@@ -308,11 +323,10 @@ def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
     record = EvaluationRecord(raw, objectives, used, summaries, record_index)
     records = state.records + (record,)
 
-    archive = state.archive.inserted(unit_choice, objectives, record_index)
-    inputs = _unit_designs(provider, records)
-    step_number = state.iteration + 1
-    models = _fit_models(config, inputs, records, state.models, step_number)
-    return RunState(config, records, archive, models, state.reference, step_number, len(records))
+    inputs = unit_designs(config, records)
+    archive = state.archive.inserted(inputs[-1], objectives, record_index)
+    models = _fit_models(config, inputs, records, state.models, state.iteration + 1)
+    return RunState(config, records, archive, models, state.reference)
 
 
 def run(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -21,8 +22,8 @@ from .bspline import BSplineCurve
 from .button import FdTrace, FdvvModel, VibrationSpec
 from .config import config_fingerprint, parse_config, serialize_config
 from .errors import FormatError
-from .gp import KernelFamily, KernelSpec, gp_fit
-from .loop import EpisodeSummary, EvaluationRecord, RunState, design_box, objective_names, rebuild_archive
+from .gp import KernelFamily, KernelSpec
+from .loop import EpisodeSummary, EvaluationRecord, RunState, archive_replay, design_box, objective_names, restore_state
 from .pareto import ReferencePoint, hypervolume
 from .policy import MetaPolicy, PolicyParams
 
@@ -112,8 +113,6 @@ def _encode_runstate(state: RunState) -> dict:
         "fingerprint": config_fingerprint(state.config),
         "config": serialize_config(state.config),
         "reference": _floats(state.reference.values),
-        "iteration": int(state.iteration),
-        "seed_cursor": int(state.seed_cursor),
         "kernels": [
             {
                 "signal_variance": float(m.kernel.signal_variance),
@@ -166,27 +165,20 @@ def _decode_runstate(doc: dict) -> RunState:
         )
         for r in doc["records"]
     )
-    _, lower, upper = design_box(config)
-    inputs = np.array([(r.design - lower) / (upper - lower) for r in records])
-    targets = np.array([r.objectives for r in records])
-    models = []
-    for j, spec_doc in enumerate(doc["kernels"]):
-        spec = KernelSpec(
-            spec_doc["signal_variance"],
-            np.array(spec_doc["lengthscales"], dtype=float),
-            spec_doc["noise_variance"],
-            KernelFamily(spec_doc["family"]),
-        )
-        models.append(gp_fit(inputs, targets[:, j], spec))
-    return RunState(
-        config=config,
-        records=records,
-        archive=rebuild_archive(config, records),
-        models=tuple(models),
-        reference=ReferencePoint(np.array(doc["reference"], dtype=float)),
-        iteration=int(doc["iteration"]),
-        seed_cursor=int(doc["seed_cursor"]),
-    )
+    kernels = [
+        KernelSpec(k["signal_variance"], np.array(k["lengthscales"], dtype=float), k["noise_variance"],
+                   KernelFamily(k["family"]))
+        for k in doc["kernels"]
+    ]
+    reference = ReferencePoint(np.array(doc["reference"], dtype=float))
+    m = len(objective_names(config))
+    if len(kernels) != m:
+        raise FormatError(f"run state has {len(kernels)} kernels for {m} objectives")
+    if reference.values.size != m:
+        raise FormatError(f"run state reference has {reference.values.size} values for {m} objectives")
+    if len(records) < config.init_count:
+        raise FormatError(f"run state has {len(records)} records, fewer than init_count {config.init_count}")
+    return restore_state(config, records, kernels, reference)
 
 
 def save_artifact(path: str, artifact) -> None:
@@ -308,12 +300,11 @@ def export_front(state: RunState, front_path: str, hv_path: str) -> None:
         writer.writerow(row + [str(entry.record_id)])
     _atomic_write(front_path, out.getvalue())
 
-    init = state.config.init_count
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["iteration", "hypervolume"])
-    for k in range(state.iteration + 1):
-        archive = rebuild_archive(state.config, state.records[: init + k])
+    replay = archive_replay(state.config, state.records)
+    for k, archive in enumerate(itertools.islice(replay, state.config.init_count - 1, None)):
         value = hypervolume(archive.objective_matrix, state.reference).value
         writer.writerow([str(k), f"{value:.9g}"])
     _atomic_write(hv_path, out.getvalue())

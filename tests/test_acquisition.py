@@ -229,15 +229,18 @@ def test_ehvi_collapses_to_deterministic_gain_at_zero_variance():
     # the expectation equals the plain hypervolume gain of the mean.
     rng = np.random.default_rng(4)
     models, x, objs = two_models(rng, noise=0.0)
-    keep = [0, 2, 4]
+    keep = [0, 2, 5]
     archive = archive_of(x[keep], objs[keep])
     ref = ReferencePoint.from_observations(objs)
-    idx = 1
+    # Training input 4 dominates archived input 5, so it gains volume.
+    idx = 4
+    assert all(gp_predict_batch(m, x[idx][None, :])[1][0] == 0.0 for m in models)
     value = ehvi(models, x[idx], archive, ref)
     front = archive.objective_matrix
     base = hypervolume(front, ref).value
     joined = np.vstack([front, objs[idx][None, :]])
-    expected = max(0.0, hypervolume(joined, ref).value - base)
+    expected = hypervolume(joined, ref).value - base
+    assert expected > 0.0
     assert value == pytest.approx(expected, abs=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Config parsing, artifact and trace serialization, CLI round trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,12 +11,15 @@ import pytest
 
 import buttonlab
 from buttonlab import (
+    DESIGN_BOUNDS,
+    DESIGN_FIELDS,
     ButtonDesignParams,
     CidConfig,
     FdTrace,
     FormatError,
     MetaPolicy,
     RunState,
+    cid_step,
     config_fingerprint,
     design_to_fdvv,
     init_policy,
@@ -29,6 +33,7 @@ from buttonlab import (
     serialize_config,
 )
 from buttonlab.cli import main
+from buttonlab.loop import Provider
 
 SMALL_SCHAFFER = """
 [run]
@@ -207,7 +212,6 @@ def test_runstate_artifact_round_trip(tmp_path):
     assert isinstance(back, RunState)
     assert back.config == config
     assert back.iteration == state.iteration
-    assert back.seed_cursor == state.seed_cursor
     assert len(back.records) == len(state.records)
     for ra, rb in zip(back.records, state.records):
         assert np.array_equal(ra.design, rb.design)
@@ -222,6 +226,35 @@ def test_runstate_artifact_round_trip(tmp_path):
         assert ma.kernel.family == mb.kernel.family
         assert ma.kernel.signal_variance == mb.kernel.signal_variance
         assert np.array_equal(ma.kernel.lengthscales, mb.kernel.lengthscales)
+
+    # On the button's design box the unit rescaling does not round-trip
+    # exactly, yet the reloaded state must hold the live state's bits.
+    config = CidConfig(budget=4, init_count=6, master_seed=3, scan_count=256)
+    provider = sphere_provider()
+    state = initial_state(config, provider)
+    for step in range(config.budget + 1):
+        if step:
+            state = cid_step(state, provider)
+        save_artifact(path, state)
+        back = load_artifact(path)
+        assert back.iteration == state.iteration == step
+        assert back.archive.design_matrix.tobytes() == state.archive.design_matrix.tobytes(), step
+        for mb, ms in zip(back.models, state.models, strict=True):
+            for name in ("inputs", "factor", "alpha"):
+                assert getattr(mb, name).tobytes() == getattr(ms, name).tobytes(), (step, name)
+
+
+def sphere_provider():
+    """Three closed-form objectives over the button's design box: the
+    first two unit coordinates place a point on the unit sphere's octant."""
+    lower = np.array([DESIGN_BOUNDS[k][0] for k in DESIGN_FIELDS])
+    upper = np.array([DESIGN_BOUNDS[k][1] for k in DESIGN_FIELDS])
+
+    def evaluate(design, seed):
+        a, b = (design[:2] - lower[:2]) / (upper[:2] - lower[:2]) * (math.pi / 2.0)
+        return np.array([math.cos(a) * math.cos(b), math.cos(a) * math.sin(b), math.sin(a)]), (), ()
+
+    return Provider(DESIGN_FIELDS, ("f1", "f2", "f3"), lower, upper, np.full(3, 1.1), evaluate)
 
 
 def test_runstate_resume_continues_from_artifact(tmp_path):
@@ -275,6 +308,37 @@ def test_tampered_runstate_fingerprint_is_refused(tmp_path):
         json.dump(payload, handle)
     with pytest.raises(FormatError, match="fingerprint"):
         load_artifact(path)
+
+
+def _drop_last_kernel(doc):
+    doc["kernels"].pop()
+
+
+def _add_kernel(doc):
+    doc["kernels"].append(doc["kernels"][0])
+
+
+def _shorten_reference(doc):
+    doc["reference"].pop()
+
+
+def _drop_record(doc):
+    doc["records"].pop()
+
+
+@pytest.mark.parametrize("tamper", [_add_kernel, _drop_last_kernel, _shorten_reference, _drop_record])
+def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
+    path = str(tmp_path / "state.json")
+    save_artifact(path, initial_state(parse_config(SMALL_SCHAFFER)))
+    with open(path) as handle:
+        payload = json.load(handle)
+    tamper(payload)
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+    with pytest.raises(FormatError, match="run state"):
+        load_artifact(path)
+    assert main(["report", "--state", path, "--out-dir", str(tmp_path / "report")]) == 2
+    assert "run state" in capsys.readouterr().err
 
 
 def test_save_artifact_rejects_unknown_types(tmp_path):
@@ -352,24 +416,33 @@ def test_cli_optimize_resume_matches_full_run(tmp_path, capsys):
     assert main(["optimize", "--config", cfg, "--out-dir", full_dir]) == 0
 
     config = parse_config(SMALL_SCHAFFER)
-    from buttonlab import cid_step, make_provider
+    from buttonlab import make_provider
 
     provider = make_provider(config)
     half = initial_state(config, provider)
     half = cid_step(half, provider)
     half_path = str(tmp_path / "half.json")
     save_artifact(half_path, half)
+    # Older run states also store `iteration` and `seed_cursor`, which
+    # restate the record count; the decoder ignores both.
+    with open(half_path) as handle:
+        payload = json.load(handle)
+    payload.update(iteration=1, seed_cursor=len(payload["records"]))
+    legacy_path = str(tmp_path / "legacy.json")
+    with open(legacy_path, "w") as handle:
+        json.dump(payload, handle)
 
-    resume_dir = str(tmp_path / "resumed")
-    assert main([
-        "optimize", "--config", cfg, "--out-dir", resume_dir, "--resume", half_path,
-    ]) == 0
-    capsys.readouterr()
-    for name in ("front.csv", "hv_curve.csv", "run_state.json", "evaluations.jsonl"):
-        with open(os.path.join(full_dir, name), "rb") as fa, open(
-            os.path.join(resume_dir, name), "rb"
-        ) as fb:
-            assert fa.read() == fb.read(), name
+    for state_path in (half_path, legacy_path):
+        resume_dir = str(tmp_path / ("resumed-" + os.path.basename(state_path)))
+        assert main([
+            "optimize", "--config", cfg, "--out-dir", resume_dir, "--resume", state_path,
+        ]) == 0
+        capsys.readouterr()
+        for name in ("front.csv", "hv_curve.csv", "run_state.json", "evaluations.jsonl"):
+            with open(os.path.join(full_dir, name), "rb") as fa, open(
+                os.path.join(resume_dir, name), "rb"
+            ) as fb:
+                assert fa.read() == fb.read(), (state_path, name)
 
 
 def test_cli_optimize_resumes_a_crash_between_log_and_state(tmp_path, capsys, monkeypatch):
