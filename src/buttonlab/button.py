@@ -33,6 +33,9 @@ DESIGN_VELOCITY_LEVELS = (10.0, 100.0, 300.0)
 # Vibration waveform is truncated once its envelope falls to 0.1%.
 _VIB_ENVELOPE_FLOOR = 1e-3
 _VIB_MAX_DURATION_S = 0.25
+# numpy converts a Python float operand on every ufunc call, which costs
+# small-array kernels about a third of the call; a 0-d array does not.
+_ZERO = np.array(0.0)
 
 
 @dataclass(frozen=True)
@@ -185,95 +188,156 @@ def _table_eval(table, x: float) -> float:
     return ((c3 * t + c2) * t + c1) * t + c0
 
 
+def _segments(table, travel: float) -> tuple[list[float], list[tuple[float, float, float, float]]]:
+    """A curve's segment starts and coefficients over [0, travel].
+
+    Where the curve's domain starts above 0 or ends below travel, a
+    constant segment continues it with the value :func:`_table_eval`
+    clamps to.  Its coefficients -0.0, -0.0, -0.0 and that value give the
+    value bit for bit under Horner's rule at any t >= 0.
+    """
+    breaks, coeffs = table
+    starts, segments = list(breaks[:-1]), list(coeffs)
+    if breaks[0] > 0.0:
+        starts.insert(0, 0.0)
+        segments.insert(0, (-0.0, -0.0, -0.0, _table_eval(table, breaks[0])))
+    if breaks[-1] < travel:
+        starts.append(breaks[-1])
+        segments.append((-0.0, -0.0, -0.0, _table_eval(table, breaks[-1])))
+    return starts, segments
+
+
 class SpringTables:
     """The spring lookups of a batch of episodes, one model per episode.
 
     ``force(d, v)[i]`` equals ``models[i]._spring_force(d[i], v[i])`` bit
-    for bit for every displacement but -0.0, which the stepper never
-    produces: the same tables, clamps, Horner steps and blend.  Each curve is
-    evaluated on every level at once; one extra level of zeros above
-    every model's last keeps the level above the lookup's in range, and
-    its blend weight is never positive.  ``bisect_right`` over a curve's
-    breaks (or a model's levels) becomes a count of the breaks (levels)
-    at or below the value, padded with +inf to a common length.  All
-    comparisons are exact, so the counts are too.
+    for bit for every displacement in [0, travel] but -0.0, the range the
+    stepper keeps to: the same tables, Horner steps, blend and clamps.
+    Each curve is evaluated on every level at once; one extra level of
+    zeros above every model's last keeps the level above the lookup's in
+    range, and its blend weight is never positive.  ``bisect_right`` over
+    a curve's segment starts (or a model's levels) becomes a count of the
+    starts (levels) at or below the value, padded with +inf to a common
+    length.  All comparisons are exact, so the counts are too.
+
+    A lookup is about thirty numpy calls on one-dimensional arrays: one
+    comparison and one sum count the segments of every (episode, level)
+    curve and the levels of every episode together, one subtraction takes
+    every x from its segment's start and every |v| from its level, and
+    each table is read by a one-dimensional gather, numpy's cheapest
+    indexing.
     """
 
     def __init__(self, models):
         ids: dict[int, int] = {}
-        which = np.array([ids.setdefault(id(m), len(ids)) for m in models])
+        self._which = np.array([ids.setdefault(id(m), len(ids)) for m in models])
         unique = list({id(m): m for m in models}.values())
-        tables = [m._tables for m in unique]
-        n_levels = max(len(t) for t in tables) + 1
-        n_segments = max(len(coeffs) for t in tables for _, coeffs in t)
-        # Per curve (model, level): its clamp range, and its segments'
-        # starts and coefficients.  Counting the starts at or below the
-        # clamped x finds the segment.  A level of zeros gets one start,
-        # at 0, so that its value, which is never blended in, is 0 too.
-        bounds = np.zeros((len(unique), n_levels, 2))
+        curves = [[_segments(table, m.travel) for table in m._tables] for m in unique]
+        n_levels = max(len(c) for c in curves) + 1
+        n_segments = max(len(starts) for c in curves for starts, _ in c)
+        # Per curve (model, level): its segments' starts and coefficients.
+        # A level of zeros has one segment, at 0, of zeros.
         starts = np.full((len(unique), n_levels, n_segments), np.inf)
         starts[:, :, 0] = 0.0
         coeffs = np.zeros((len(unique), n_levels, n_segments, 4))
-        # Per model: the levels above its first, the levels, and the gaps
-        # to the next level (inf from the last on).
-        upper = np.full((len(unique), n_levels), np.inf)
+        # Per model: the thresholds counted, each curve's starts after its
+        # first (d is never below that) and the levels after the first,
+        # padded with +inf to one height; then per level its value and the
+        # gap to the next (inf from the last on).
+        height = max(n_segments - 1, n_levels - 2)
+        segment_rows = np.full((len(unique), n_levels, height), np.inf)
+        level_rows = np.full((len(unique), height), np.inf)
         lower = np.zeros((len(unique), n_levels))
         gap = np.full((len(unique), n_levels), np.inf)
-        for k, (model, table) in enumerate(zip(unique, tables)):
+        for k, (model, model_curves) in enumerate(zip(unique, curves)):
             levels = np.array(model.velocity_levels)
-            upper[k, : levels.size - 1] = levels[1:]
+            level_rows[k, : levels.size - 1] = levels[1:]
             lower[k, : levels.size] = levels
             gap[k, : levels.size - 1] = levels[1:] - levels[:-1]
-            for li, (breaks, segment) in enumerate(table):
-                bounds[k, li] = breaks[0], breaks[-1]
-                starts[k, li, : len(segment)] = breaks[:-1]
+            for li, (curve_starts, segment) in enumerate(model_curves):
+                starts[k, li, : len(segment)] = curve_starts
                 coeffs[k, li, : len(segment)] = segment
+        segment_rows[..., : n_segments - 1] = starts[..., 1:]
+        self._levels = n_levels
         self._starts = starts.ravel()
         self._coeffs = [coeffs[..., j].ravel() for j in range(4)]
-        self._lower = lower.ravel()
-        self._gap = gap.ravel()
-        # Per episode.  The breaks and levels counted over lead their
-        # arrays, as numpy sums fastest over a leading axis.
-        self._rows = [
-            bounds[which, :, 0],
-            bounds[which, :, 1],
-            np.ascontiguousarray(np.moveaxis(starts[which], -1, 0)),
-            (which[:, None] * n_levels + np.arange(n_levels)) * n_segments,
-            np.ascontiguousarray(upper[which].T),
-            which * n_levels,
-            np.array([m.max_force for m in models]),
-        ]
-        self._row_base = np.arange(len(models)) * n_levels
+        self._model = {
+            "segment_rows": segment_rows,
+            "level_rows": level_rows,
+            "first_segment": (np.arange(len(unique) * n_levels) * n_segments).reshape(-1, n_levels),
+            "lower": lower,
+            "gap": gap,
+            "max_force": np.array([m.max_force for m in unique]),
+        }
+        self._select()
 
     def take(self, keep: np.ndarray) -> None:
         """Keep only the episodes where ``keep`` is true, in order."""
-        first, last, starts, curve_base, upper, level_base, max_force = self._rows
-        self._rows = [
-            first[keep], last[keep], np.ascontiguousarray(starts[:, keep]), curve_base[keep],
-            np.ascontiguousarray(upper[:, keep]), level_base[keep], max_force[keep],
-        ]
-        self._row_base = self._row_base[: np.count_nonzero(keep)]
+        self._which = self._which[keep]
+        self._select()
 
-    def force(self, d: np.ndarray, v: np.ndarray) -> np.ndarray:
-        first, last, starts, curve_base, upper, level_base, max_force = self._rows
-        # Every level's curve at d: clamp, find the segment, Horner's rule.
-        # Equal values differ at most in the sign of zero, and d is never -0.0.
-        x = np.minimum(np.maximum(d[:, None], first), last)
-        i = curve_base + (starts <= x).sum(axis=0) - 1
-        c3, c2, c1, c0 = (c[i] for c in self._coeffs)
-        t = x - self._starts[i]
-        curves = (((c3 * t + c2) * t + c1) * t + c0).ravel()
+    def _select(self) -> None:
+        """The episodes' rows of the model tables, and their scratch arrays."""
+        model, which, levels, tables = self._model, self._which, self._levels, self._starts.size
+        n = which.size
+        curves = n * levels
+        self._spread = np.repeat(np.arange(n), levels)
+        # The thresholds counted, one column per (episode, level) curve
+        # and then one per episode.
+        height = model["level_rows"].shape[1]
+        self._thresholds = np.concatenate(
+            [model["segment_rows"][which].reshape(curves, height).T, model["level_rows"][which].T], axis=1
+        )
+        # Gathers read [every curve's segments; every episode's levels]: an
+        # index is a curve's first segment or an episode's first level,
+        # plus its count.  The tally's first row holds those offsets and
+        # the others the comparisons, so its column sums are the indices.
+        self._tally = np.empty((height + 1, curves + n), dtype=np.intp)
+        self._tally[0] = np.concatenate([model["first_segment"][which].ravel(), tables + np.arange(n) * levels])
+        self._below = self._tally[1:]
+        self._origin = np.concatenate([self._starts, model["lower"][which].ravel()])
+        self._gap = np.concatenate([np.ones(tables), model["gap"][which].ravel()])
+        self._max_force = model["max_force"][which]
+        self._values = np.empty(curves + n)  # the x of each curve, then |v|
+        self._x, self._speed = self._values[:curves], self._values[curves:]
+        self._index = np.empty(curves + n, dtype=np.intp)
+        self._segment, self._level = self._index[:curves], self._index[curves:]
+        self._offset = np.empty(curves + n)  # t of each curve, then |v| less its level
+        self._t, self._w = self._offset[:curves], self._offset[curves:]
+        # Every curve's value, placed where its level's index points, and a
+        # view one place on: at the same index, the level above's value.
+        self._curve_values = np.empty(tables + curves)
+        self._curves, self._next = self._curve_values[tables:], self._curve_values[1:]
+        self._mask = np.empty(n, dtype=bool)
+
+    def force(self, d: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Every episode's spring force at (d, v), written into ``out`` if given."""
+        segment, level, t, w = self._segment, self._level, self._t, self._w
+        # Find every curve's segment at d and every episode's level below |v|.
+        self._x[:] = d[self._spread]
+        np.absolute(v, out=self._speed)
+        np.less_equal(self._thresholds, self._values, out=self._below)
+        np.add.reduce(self._tally, axis=0, out=self._index)
+        np.subtract(self._values, self._origin[self._index], out=self._offset)
+        # Horner's rule on every level's curve.
+        c3, c2, c1, c0 = self._coeffs
+        curves = np.multiply(c3[segment], t, out=self._curves)
+        np.add(curves, c2[segment], out=curves)
+        np.multiply(curves, t, out=curves)
+        np.add(curves, c1[segment], out=curves)
+        np.multiply(curves, t, out=curves)
+        np.add(curves, c0[segment], out=curves)
         # Blend the levels around |v|; below the first level the weight is
         # negative, and from the last one on the gap is infinite.
-        speed = np.abs(v)
-        lo = (upper <= speed).sum(axis=0)
-        at = level_base + lo
-        w = (speed - self._lower[at]) / self._gap[at]
-        at = self._row_base + lo
-        f = curves[at]
-        f = np.where(w > 0.0, f + w * (curves[at + 1] - f), f)
-        f = np.where(0.0 > f, 0.0, f)
-        return np.where(max_force < f, max_force, f)
+        np.divide(w, self._gap[level], out=w)
+        f = self._curve_values[level]
+        step = self._next[level]
+        np.subtract(step, f, out=step)
+        np.multiply(w, step, out=step)
+        np.add(f, step, out=f, where=np.greater(w, _ZERO, out=self._mask))
+        # Then min(max(f, 0), max_force): a zero keeps its sign, max_force > 0.
+        np.putmask(f, np.less(f, _ZERO, out=self._mask), _ZERO)
+        return np.minimum(f, self._max_force, out=out)
 
 
 @dataclass(frozen=True)

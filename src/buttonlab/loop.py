@@ -206,6 +206,26 @@ def make_provider(config: CidConfig, meta: MetaPolicy | None = None) -> Provider
     )
 
 
+def _provider_for(config: CidConfig, provider: Provider | None) -> Provider:
+    """``provider``, or the config's own when None.
+
+    The loop proposes in the provider's box but fits and archives in the
+    config's (:func:`unit_designs`), so the two must be the same box.
+
+    Raises:
+        ValueError: the provider's box differs from ``design_box(config)``.
+    """
+    if provider is None:
+        return make_provider(config)
+    _, lower, upper = design_box(config)
+    if not (np.array_equal(provider.lower, lower) and np.array_equal(provider.upper, upper)):
+        raise ValueError(
+            f"provider box [{provider.lower}, {provider.upper}] differs from the config's "
+            f"design box [{lower}, {upper}]"
+        )
+    return provider
+
+
 def _from_unit(provider: Provider, unit: np.ndarray) -> np.ndarray:
     return provider.lower + unit * (provider.upper - provider.lower)
 
@@ -272,8 +292,11 @@ def initial_state(config: CidConfig, provider: Provider | None = None) -> RunSta
 
     The reference point comes from the provider when it defines one,
     otherwise from the initial observations with a 10% margin.
+
+    Raises:
+        ValueError: a provider whose box is not the config's design box.
     """
-    provider = provider if provider is not None else make_provider(config)
+    provider = _provider_for(config, provider)
     d = provider.lower.size
     unit = scan_candidates(
         (np.zeros(d), np.ones(d)), config.init_count,
@@ -299,11 +322,12 @@ def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
 
     Raises:
         StateError: the evaluation budget is already spent.
+        ValueError: a provider whose box is not the config's design box.
     """
     config = state.config
     if state.iteration >= config.budget:
         raise StateError(f"budget exhausted: {state.iteration} of {config.budget} steps done")
-    provider = provider if provider is not None else make_provider(config)
+    provider = _provider_for(config, provider)
     d = provider.lower.size
     bounds = (np.zeros(d), np.ones(d))
 

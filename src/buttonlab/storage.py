@@ -222,7 +222,7 @@ def load_artifact(path: str):
         return decoders[tag](doc)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):
-            raise
+            raise FormatError(f"{path}: {exc}") from exc
         raise FormatError(f"{path}: malformed {tag} artifact ({exc})") from exc
 
 

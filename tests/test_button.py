@@ -279,6 +279,24 @@ def test_spring_tables_match_scalar_lookup():
         assert got.tobytes() == want.tobytes()
 
 
+def test_spring_tables_match_scalar_lookup_on_breaks_and_levels():
+    # Lookups exactly on a segment start or a velocity level, where a
+    # count that used < for <= would pick the segment or level below.
+    rng = np.random.default_rng(22)
+    inner = BSplineCurve(1, np.array([1e-13, 1e-13, 2.0, TRAVEL - 1e-13, TRAVEL - 1e-13]),
+                         np.array([0.1, 3.0, 1.0]))
+    odd = FdvvModel((5.0, 50.0, 150.0), (inner, inner, inner), TRAVEL, 3.0, 2.1,
+                    VibrationSpec(200.0, 0.0, 200.0), max_force=3.5, damping=DAMPING)
+    for model in [design_to_fdvv(random_design(rng)) for _ in range(4)] + [odd]:
+        breaks = sorted({x for table_breaks, _ in model._tables for x in table_breaks})
+        d = np.array([x for x in breaks if 0.0 <= x <= model.travel] + [0.0, model.travel])
+        for level in model.velocity_levels:
+            for v in (level, -level):
+                got = SpringTables([model] * d.size).force(d, np.full(d.size, v))
+                want = np.array([model._spring_force(float(x), v) for x in d])
+                assert got.tobytes() == want.tobytes(), (model.velocity_levels, v)
+
+
 def test_force_respects_ceiling():
     params = ButtonDesignParams(3.0, 0.5, FORCE_CEILING_N, 0.2, 1.0, 0.01)
     model = design_to_fdvv(params)

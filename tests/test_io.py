@@ -335,10 +335,12 @@ def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
     tamper(payload)
     with open(path, "w") as handle:
         json.dump(payload, handle)
-    with pytest.raises(FormatError, match="run state"):
+    with pytest.raises(FormatError, match="run state") as raised:
         load_artifact(path)
+    assert path in str(raised.value)
     assert main(["report", "--state", path, "--out-dir", str(tmp_path / "report")]) == 2
-    assert "run state" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "run state" in err and path in err
 
 
 def test_save_artifact_rejects_unknown_types(tmp_path):

@@ -270,3 +270,17 @@ def test_button_records_keep_episode_summaries():
         for ep in rec.episodes:
             assert isinstance(ep.success, bool)
             assert np.isnan(ep.time_to_activation_s) or ep.time_to_activation_s >= 0.0
+
+
+def test_provider_box_must_be_the_config_design_box():
+    # The loop proposes in the provider's box but fits and archives in the
+    # config's; a ZDT1 provider cut to [0, 0.5] would mix two cubes.
+    config = dataclasses.replace(SCHAFFER, provider="zdt1")
+    provider = make_provider(config)
+    cut = dataclasses.replace(provider, upper=np.full_like(provider.upper, 0.5))
+    with pytest.raises(ValueError, match="design box"):
+        initial_state(config, cut)
+    state = initial_state(config, provider)
+    with pytest.raises(ValueError, match="design box"):
+        cid_step(state, cut)
+    assert cid_step(state, provider).iteration == 1

@@ -257,6 +257,29 @@ def test_timeout_return_matches_hand_formula():
     assert traj.return_ == pytest.approx(expected_return, abs=1e-10)
 
 
+def numpy_scalar_returns_to_go(rewards):
+    """Discounted returns-to-go by a backward loop over numpy scalars."""
+    out = np.empty_like(rewards)
+    acc = 0.0
+    for i in range(rewards.size - 1, -1, -1):
+        acc = rewards[i] + GAMMA * acc
+        out[i] = acc
+    return out
+
+
+def test_returns_to_go_match_numpy_scalar_loop_bit_for_bit():
+    model = design_to_fdvv(EASY)
+    idle = linear_params(bias=-50.0)
+    press = init_policy(4)
+    for params, horizon in ((idle, 1), (idle, 2), (idle, 1000), (press, 1000)):
+        traj = rollout(params, TaskSpec(EASY, horizon=horizon), model, seed=horizon)
+        got = traj.returns_to_go
+        assert got.dtype == traj.rewards.dtype and got.shape == traj.rewards.shape
+        assert got.tobytes() == numpy_scalar_returns_to_go(traj.rewards).tobytes()
+        assert got[0] == traj.return_
+    assert [len(rollout(idle, TaskSpec(EASY, horizon=h), model, seed=0)) for h in (1, 2, 1000)] == [1, 2, 1000]
+
+
 def test_successful_press_ends_with_bonus():
     # Press until the activation cue arrives, then let go: a large
     # negative weight on the cue channel flips the mean below zero.
@@ -355,7 +378,7 @@ def test_policy_gradient_rejects_empty_batch():
 
 _THREAD_PROBE = """
 import numpy as np
-from buttonlab import TaskSpec, adapt, design_to_fdvv, evaluate_design, meta_train
+from buttonlab import MetaPolicy, TaskSpec, adapt, design_to_fdvv, evaluate_design, meta_train
 from buttonlab.policy import LOCKSTEP_MIN_EPISODES, default_task_sampler
 
 meta = meta_train(default_task_sampler, iterations=2, seed=3, tasks_per_iteration=4)
@@ -365,6 +388,8 @@ objectives, _ = evaluate_design(design, meta, LOCKSTEP_MIN_EPISODES, seed=6)
 print(meta.init_params.vector.tobytes().hex())
 print(adapted.vector.tobytes().hex())
 print(objectives.tobytes().hex())
+four = adapt(MetaPolicy(meta.init_params, adapt_episodes=4), TaskSpec(design), design_to_fdvv(design), seed=7)
+print(four.vector.tobytes().hex())
 """
 
 
@@ -557,3 +582,62 @@ def test_lockstep_callers_match_sequential_reference():
         episodes = LOCKSTEP_MIN_EPISODES + 2 * k
         got, _ = evaluate_design(design, meta, episodes, seed=20 + k)
         assert got.tobytes() == reference_evaluate(design, meta, episodes, 20 + k).tobytes()
+
+
+def shared_policy_batches():
+    """Three 12-episode batches, each of one policy, over designs and task limits.
+
+    The first ends in all four ways at scattered ticks.  In the second,
+    every episode activates before the first one ends.  The third's
+    policy pushes past ACTION_MAX_N and, on the cue, below zero.
+    """
+    base = init_policy(2)
+    relay = np.zeros(base.layer_sizes[-2])
+    relay[0] = -10.0  # hidden unit 0 carries the release cue
+    policy = head_params(base, relay, 3.0, -3.0)
+    hard = head_params(base, 2.0 * relay, 8.0, -1.0)
+    rng = np.random.default_rng(8)
+    designs = [EASY] + [default_task_sampler(rng) for _ in range(3)]
+    models = [design_to_fdvv(d) for d in designs]
+    # (design, horizon, sensory delay, dwell limit); design 1 is too
+    # heavy to activate, design 3 releases two ticks in.
+    plans = (
+        [
+            (0, 1000, 10, 300), (0, 1000, 10, 5), (0, 8, 5, 40), (1, 60, 40, 300),
+            (2, 1000, 100, 300), (3, 1000, 10, 300), (2, 1000, 10, 5), (1, 1000, 10, 300),
+            (0, 500, 50, 80), (2, 60, 40, 300), (3, 8, 5, 40), (0, 1000, 100, 300),
+        ],
+        [
+            (0, 1000, 100, 300), (2, 1000, 120, 300), (0, 1000, 150, 60), (2, 400, 200, 300),
+            (0, 300, 60, 250), (2, 1000, 90, 40), (0, 1000, 180, 300), (2, 700, 70, 300),
+            (0, 200, 100, 300), (2, 1000, 130, 100), (0, 1000, 110, 300), (2, 900, 160, 300),
+        ],
+    )
+    for k, (plan, shared) in enumerate(zip(plans + plans[:1], [policy, policy, hard])):
+        yield (
+            [shared] * len(plan),
+            [TaskSpec(designs[m], horizon, delay, dwell) for m, horizon, delay, dwell in plan],
+            [models[m] for m, *_ in plan],
+            [seeds.seed_for(23, "rollout", k, i) for i in range(len(plan))],
+        )
+
+
+def test_shared_policy_rollouts_equal_rollout_bit_for_bit():
+    scattered, activated_first, clamped = shared_policy_batches()
+    wants = {}
+    for name, batch in (("scattered", scattered), ("activated first", activated_first), ("clamped", clamped)):
+        want = wants[name] = [rollout(*args) for args in zip(*batch)]
+        for size in range(LOCKSTEP_MIN_EPISODES, len(want) + 1):
+            got = rollouts(*(part[:size] for part in batch))
+            for g, w in zip(got, want[:size], strict=True):
+                assert_same_trajectory(g, w)
+    endings = {
+        "success" if t.success else "no activation" if t.activation_step is None
+        else "horizon" if len(t) == task.horizon else "dwell"
+        for t, task in zip(wants["scattered"], scattered[1])
+    }
+    assert endings == {"success", "dwell", "horizon", "no activation"}
+    first = wants["activated first"]
+    assert max(t.activation_step for t in first) < min(len(t) for t in first) - 1
+    raws = np.concatenate([t.raw_actions for t in wants["clamped"]])
+    assert raws.max() > ACTION_MAX_N and raws.min() < 0.0
