@@ -1,10 +1,12 @@
 """Gaussian-process regression over the design space.
 
 One independent GP per objective, Matern-5/2 or squared-exponential
-kernels with ARD lengthscales, exact inference through a cached Cholesky
-factorization.  Hyperparameters are selected by maximizing the log
-marginal likelihood with a seeded multi-start search in log space that
-scores each distinct candidate once, through ``gp_fit``'s factorization.
+kernels with ARD lengthscales, exact inference on ``numpy.linalg`` alone:
+one Cholesky factorization of the Gram matrix bordered by the targets
+gives the log marginal likelihood, and a cached inverse factor gives the
+posterior.  Hyperparameters are selected by maximizing the log marginal
+likelihood with a seeded multi-start search in log space that scores
+each distinct candidate once, through ``gp_fit``'s factorization.
 
 Models are immutable after fitting and safe to share across threads.
 """
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import NumericalError
 
@@ -26,8 +27,6 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # Relative residual above which a "rescued" solve is declared inconsistent
 # (e.g. duplicate noise-free inputs with conflicting targets).
 _SOLVE_RTOL = 1e-6
-# The LAPACK routines behind scipy.linalg's cholesky and cho_solve.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 
 
 class KernelFamily(str, Enum):
@@ -66,17 +65,20 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted GP: training set plus cached factorization.
+    """Fitted GP: what the posterior and the log marginal likelihood read.
 
-    ``factor`` is the lower Cholesky factor of K + (noise + jitter) I and
-    ``alpha`` solves that matrix against the targets.
+    With L the lower Cholesky factor of K + (noise + jitter) I over the
+    training inputs, ``inverse_factor`` is L^-1 and ``whitened`` is
+    L^-1 y.  A query whose covariances with the inputs are k has
+    v = L^-1 k, posterior mean v.whitened and variance k(q, q) - v.v.
+    ``log_likelihood`` is the targets' log marginal likelihood.
     """
 
     inputs: np.ndarray
-    targets: np.ndarray
     kernel: KernelSpec
-    factor: np.ndarray
-    alpha: np.ndarray
+    inverse_factor: np.ndarray
+    whitened: np.ndarray
+    log_likelihood: float
     jitter: float = 0.0
 
     @property
@@ -121,27 +123,46 @@ def _check_finite(x: np.ndarray, y: np.ndarray) -> None:
 
 
 def _factor(gram: np.ndarray, noise: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(factor, alpha, jitter) of gram + (noise + jitter) I against ``y``, as
-    :func:`gp_fit` documents; the diagonal of ``gram`` is overwritten."""
+    """(L, L^-1 y, jitter) for L the lower Cholesky factor of
+    gram + (noise + jitter) I, escalating jitter on failure.
+
+    Each try is one ``np.linalg.cholesky`` call on the Gram matrix
+    bordered by the targets, [[gram + (noise + jitter) I, y], [y^T, inf]]:
+    its leading block is L and its last row is (L^-1 y)^T.  The infinite
+    corner makes the last pivot succeed, so a try fails exactly when the
+    Gram matrix does.
+    """
     n = y.size
+    bordered = np.empty((n + 1, n + 1))
+    bordered[:n, :n] = gram
+    bordered[:n, n] = y
+    bordered[n, :n] = y
+    bordered[n, n] = np.inf
     diag = gram.diagonal() + noise
     failure = ""
     for jitter in _JITTERS:
-        gram.flat[:: n + 1] = diag + jitter
-        factor, info = _POTRF(gram, lower=1, clean=1)
-        if info > 0:
-            failure = f": {info}-th leading minor of the array is not positive definite"
+        bordered.flat[: n * (n + 2) : n + 2] = diag + jitter
+        try:
+            lower = np.linalg.cholesky(bordered)
+        except np.linalg.LinAlgError:
+            failure = ": the matrix is not positive definite"
             continue
-        alpha, _ = _POTRS(factor, y, lower=1)
+        factor, whitened = lower[:n, :n], lower[n, :n]
         # Jitter can force a factorization of a genuinely singular system;
         # reject the fit if the solve does not reproduce the targets.
         if jitter > 0.0:
-            gram.flat[:: n + 1] = diag
-            if np.max(np.abs(gram @ alpha - y)) > _SOLVE_RTOL * max(np.max(np.abs(y)), 1.0):
+            alpha = np.linalg.solve(factor.T, whitened)
+            if np.max(np.abs(gram @ alpha + noise * alpha - y)) > _SOLVE_RTOL * max(np.max(np.abs(y)), 1.0):
                 failure = " (inconsistent linear system)"
                 continue
-        return factor, alpha, jitter
+        return factor, whitened, jitter
     raise NumericalError(f"covariance factorization failed with jitter up to {_JITTERS[-1]:g}{failure}")
+
+
+def _lml(factor: np.ndarray, whitened: np.ndarray) -> float:
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    quad = float(whitened @ whitened)
+    return -0.5 * quad - 0.5 * logdet - 0.5 * whitened.size * math.log(2.0 * math.pi)
 
 
 def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
@@ -160,10 +181,10 @@ def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
         raise ValueError(f"{x.shape[0]} inputs vs {y.size} targets")
     _check_finite(x, y)
     if x.shape[0] == 0:
-        return GpModel(x, y, spec, np.zeros((0, 0)), np.zeros(0))
+        return GpModel(x, spec, np.zeros((0, 0)), np.zeros(0), 0.0)
     gram = _kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, x, x)
-    factor, alpha, jitter = _factor(gram, spec.noise_variance, y)
-    return GpModel(x, y, spec, factor, alpha, jitter=jitter)
+    factor, whitened, jitter = _factor(gram, spec.noise_variance, y)
+    return GpModel(x, spec, np.linalg.inv(factor), whitened, _lml(factor, whitened), jitter)
 
 
 def gp_predict(model: GpModel, query) -> PosteriorPrediction:
@@ -183,23 +204,17 @@ def gp_predict_batch(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
     if model.n == 0:
         return np.zeros(q.shape[0]), np.full(q.shape[0], spec.signal_variance)
     k = _kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, model.inputs, q)
-    mean = k.T @ model.alpha
-    v = solve_triangular(model.factor, k, lower=True)
+    v = model.inverse_factor @ k
+    mean = model.whitened @ v
     variance = spec.signal_variance - np.sum(v * v, axis=0)
     return mean, np.clip(variance, 0.0, spec.signal_variance)
-
-
-def _lml(factor: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    quad = float(y @ alpha)
-    return -0.5 * quad - 0.5 * logdet - 0.5 * y.size * math.log(2.0 * math.pi)
 
 
 def log_marginal_likelihood(model: GpModel) -> float:
     """-1/2 y^T (K+sI)^-1 y - 1/2 log|K+sI| - n/2 log 2pi."""
     if model.n == 0:
         raise ValueError("log marginal likelihood needs at least one observation")
-    return _lml(model.factor, model.alpha, model.targets)
+    return model.log_likelihood
 
 
 def optimize_hyperparams(
@@ -249,8 +264,8 @@ def optimize_hyperparams(
         key = np.append(ls, (sv, nv)).tobytes()
         if key not in scores:
             try:
-                factor, alpha, _ = _factor(_kernel_matrix(sv, ls, family, x, x), nv, y)
-                scores[key] = _lml(factor, alpha, y)
+                factor, whitened, _ = _factor(_kernel_matrix(sv, ls, family, x, x), nv, y)
+                scores[key] = _lml(factor, whitened)
             except NumericalError:
                 scores[key] = -np.inf
         return scores[key]

@@ -49,13 +49,10 @@ class EvaluationRecord:
     objectives: np.ndarray
     seeds: tuple[int, ...]
     episodes: tuple[EpisodeSummary, ...]
-    iteration: int
 
     def __post_init__(self):
         object.__setattr__(self, "design", np.asarray(self.design, dtype=float))
         object.__setattr__(self, "objectives", np.asarray(self.objectives, dtype=float))
-        if self.iteration < 0:
-            raise ValueError("iteration must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -306,7 +303,7 @@ def initial_state(config: CidConfig, provider: Provider | None = None) -> RunSta
     for i in range(config.init_count):
         raw = _from_unit(provider, unit[i])
         objectives, summaries, used = provider.evaluate(raw, seeds.seed_int(config.master_seed, "evaluate", i))
-        records.append(EvaluationRecord(raw, objectives, used, summaries, i))
+        records.append(EvaluationRecord(raw, objectives, used, summaries))
     records = tuple(records)
 
     if provider.fixed_reference is not None:
@@ -344,7 +341,7 @@ def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
     objectives, summaries, used = provider.evaluate(
         raw, seeds.seed_int(config.master_seed, "evaluate", record_index)
     )
-    record = EvaluationRecord(raw, objectives, used, summaries, record_index)
+    record = EvaluationRecord(raw, objectives, used, summaries)
     records = state.records + (record,)
 
     inputs = unit_designs(config, records)

@@ -137,7 +137,6 @@ def _encode_runstate(state: RunState) -> dict:
                     }
                     for e in r.episodes
                 ],
-                "iteration": int(r.iteration),
             }
             for r in state.records
         ],
@@ -161,7 +160,6 @@ def _decode_runstate(doc: dict) -> RunState:
                 )
                 for e in r["episodes"]
             ),
-            iteration=int(r["iteration"]),
         )
         for r in doc["records"]
     )
@@ -191,7 +189,7 @@ def save_artifact(path: str, artifact) -> None:
         doc = _encode_runstate(artifact)
     else:
         raise TypeError(f"cannot serialize {type(artifact).__name__} as an artifact")
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 
 
 def load_artifact(path: str):
@@ -314,9 +312,9 @@ def export_evaluations(state: RunState, path: str) -> None:
     """Rewrite the evaluation log from the state: one JSON line per record, in order."""
     _atomic_write(path, "".join(
         json.dumps({
-            "iteration": record.iteration,
+            "iteration": index,
             "design": [float(v) for v in record.design],
             "objectives": [float(v) for v in record.objectives],
         }, sort_keys=True) + "\n"
-        for record in state.records
+        for index, record in enumerate(state.records)
     ))

@@ -321,8 +321,12 @@ def test_hyperparameter_search_matches_frozen_reference_bit_for_bit():
 
 
 _THREAD_PROBE = """
+import hashlib
 import numpy as np
-from buttonlab import KernelFamily, optimize_hyperparams
+from buttonlab import KernelFamily, KernelSpec, gp_fit, gp_predict_batch, optimize_hyperparams
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)).hexdigest()
 
 rng = np.random.default_rng(9)
 for family, n, d in [("matern52", 70, 6), ("squared_exponential", 48, 2), ("matern52", 12, 6)]:
@@ -330,6 +334,21 @@ for family, n, d in [("matern52", 70, 6), ("squared_exponential", 48, 2), ("mate
     y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(n)
     spec = optimize_hyperparams(x, y, seed=n, family=family)
     print(np.array([spec.signal_variance, spec.noise_variance]).tobytes().hex(), spec.lengthscales.tobytes().hex())
+
+# The posterior over a scan-sized block of queries.
+scan = rng.uniform(0.0, 1.0, size=(1064, 6))
+for n in (44, 70):
+    x = rng.uniform(0.0, 1.0, size=(n, 6))
+    y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(n)
+    model = gp_fit(x, y, optimize_hyperparams(x, y, seed=n))
+    print(n, digest(*gp_predict_batch(model, scan)))
+
+# Duplicate noise-free inputs with matching targets: a fit that needs jitter.
+x = rng.uniform(0.0, 1.0, size=(30, 6))
+x[15:] = x[:15]
+model = gp_fit(x, np.sin(3.0 * x).sum(axis=1), KernelSpec(1.0, np.full(6, 0.5), noise_variance=0.0))
+assert model.jitter > 0.0
+print(model.jitter, digest(model.inverse_factor, model.whitened, model.log_likelihood))
 """
 
 

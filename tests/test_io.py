@@ -217,7 +217,6 @@ def test_runstate_artifact_round_trip(tmp_path):
         assert np.array_equal(ra.design, rb.design)
         assert np.array_equal(ra.objectives, rb.objectives)
         assert ra.seeds == rb.seeds
-        assert ra.iteration == rb.iteration
     assert {e.record_id for e in back.archive.entries} == {
         e.record_id for e in state.archive.entries
     }
@@ -240,7 +239,7 @@ def test_runstate_artifact_round_trip(tmp_path):
         assert back.iteration == state.iteration == step
         assert back.archive.design_matrix.tobytes() == state.archive.design_matrix.tobytes(), step
         for mb, ms in zip(back.models, state.models, strict=True):
-            for name in ("inputs", "factor", "alpha"):
+            for name in ("inputs", "inverse_factor", "whitened"):
                 assert getattr(mb, name).tobytes() == getattr(ms, name).tobytes(), (step, name)
 
 
@@ -365,14 +364,22 @@ def test_cli_bench_prints_ratio(capsys):
 
 
 def test_cli_import_leaves_out_heavy_scipy_subpackages():
-    # Each of these costs a large share of a second on every start.
-    heavy = ["scipy.stats", "scipy.signal", "scipy.interpolate", "scipy.sparse", "scipy.optimize", "scipy.special"]
-    code = f"import sys, buttonlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # scipy is no run-time dependency: importing any of it costs a large
+    # share of a second and a second BLAS on every start.
+    code = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import buttonlab\n"
+        "print(scipy_modules())\n"
+        "import buttonlab.cli\n"
+        "print(scipy_modules())\n"
+    )
     # The child imports the same buttonlab as this process.
     src = os.path.dirname(os.path.dirname(buttonlab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_cli_usage_errors_exit_1(capsys):
@@ -426,13 +433,16 @@ def test_cli_optimize_resume_matches_full_run(tmp_path, capsys):
     half_path = str(tmp_path / "half.json")
     save_artifact(half_path, half)
     # Older run states also store `iteration` and `seed_cursor`, which
-    # restate the record count; the decoder ignores both.
+    # restate the record count, and each record's index as its
+    # `iteration`, all indented; the decoder ignores the three keys.
     with open(half_path) as handle:
         payload = json.load(handle)
     payload.update(iteration=1, seed_cursor=len(payload["records"]))
+    for index, record in enumerate(payload["records"]):
+        record["iteration"] = index
     legacy_path = str(tmp_path / "legacy.json")
     with open(legacy_path, "w") as handle:
-        json.dump(payload, handle)
+        json.dump(payload, handle, indent=2)
 
     for state_path in (half_path, legacy_path):
         resume_dir = str(tmp_path / ("resumed-" + os.path.basename(state_path)))

@@ -123,8 +123,7 @@ def test_initial_state_invariants():
     assert state.iteration == 0
     assert len(state.models) == 2
     assert np.array_equal(state.reference.values, np.array([4.0, 4.0]))
-    for i, rec in enumerate(state.records):
-        assert rec.iteration == i
+    for rec in state.records:
         assert np.all(rec.design >= provider.lower - 1e-12)
         assert np.all(rec.design <= provider.upper + 1e-12)
 
@@ -160,7 +159,6 @@ def test_cid_step_appends_and_preserves_invariants():
         state = cid_step(state, provider)
         assert len(state.records) == SCHAFFER.init_count + state.iteration
         newest = state.records[-1]
-        assert newest.iteration == len(state.records) - 1
         assert np.all(newest.design >= provider.lower - 1e-12)
         assert np.all(newest.design <= provider.upper + 1e-12)
 
@@ -178,7 +176,6 @@ def test_run_produces_exactly_init_plus_budget_records():
     state, archive = run(SCHAFFER)
     assert len(state.records) == SCHAFFER.init_count + SCHAFFER.budget
     assert state.iteration == SCHAFFER.budget
-    assert [r.iteration for r in state.records] == list(range(len(state.records)))
     assert archive is state.archive
 
 
