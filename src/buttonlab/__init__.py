@@ -6,7 +6,7 @@ Gaussian policy presses them; objective values feed back into Gaussian
 process surrogates until the evaluation budget is spent.
 """
 
-from .acquisition import archive_hypervolume, ehvi, propose_next, scan_candidates
+from .acquisition import ehvi, propose_next, scan_candidates
 from .bspline import BSplineCurve, fit_bspline_bic, fit_lsq_spline, uniform_clamped_knots
 from .button import (
     ACTIVATION,
@@ -33,9 +33,7 @@ from .gp import (
     KernelFamily,
     KernelSpec,
     gp_fit,
-    gp_predict,
     gp_predict_batch,
-    kernel_eval,
     log_marginal_likelihood,
     optimize_hyperparams,
 )
@@ -47,7 +45,6 @@ from .loop import (
     evaluate_design,
     initial_state,
     make_provider,
-    rebuild_archive,
     run,
 )
 from .pareto import (
@@ -65,9 +62,7 @@ from .policy import (
     adapt,
     init_policy,
     meta_train,
-    policy_act,
     policy_gradient,
-    policy_mean,
     rollout,
     rollouts,
     surrogate_objective,
@@ -105,7 +100,6 @@ __all__ = [
     "Trajectory",
     "VibrationSpec",
     "adapt",
-    "archive_hypervolume",
     "cid_step",
     "compensate_drive",
     "config_fingerprint",
@@ -119,12 +113,10 @@ __all__ = [
     "fit_lsq_spline",
     "force_at",
     "gp_fit",
-    "gp_predict",
     "gp_predict_batch",
     "get_problem",
     "hypervolume",
     "init_policy",
-    "kernel_eval",
     "initial_state",
     "load_artifact",
     "load_trace",
@@ -134,12 +126,9 @@ __all__ = [
     "meta_train",
     "optimize_hyperparams",
     "pareto_front",
-    "policy_act",
-    "policy_mean",
     "parse_config",
     "policy_gradient",
     "propose_next",
-    "rebuild_archive",
     "rollout",
     "rollouts",
     "run",

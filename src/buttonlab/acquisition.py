@@ -27,7 +27,7 @@ import numpy as np
 
 from . import seeds
 from .gp import GpModel, gp_predict_batch
-from .pareto import HypervolumeResult, ParetoArchive, ReferencePoint, _boxes, _reference_values, hypervolume
+from .pareto import ParetoArchive, ReferencePoint, _boxes, _reference_values
 
 # Proposals closer than this (max-abs) to an evaluated design get bumped.
 DUPLICATE_TOL = 1e-9
@@ -291,8 +291,3 @@ def _refine(
         else:
             step *= 0.5
     return best
-
-
-def archive_hypervolume(archive: ParetoArchive, ref: ReferencePoint) -> HypervolumeResult:
-    """Hypervolume of the archive front against its reference point."""
-    return hypervolume(archive.objective_matrix, ref)

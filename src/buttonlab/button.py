@@ -30,6 +30,8 @@ DEFAULT_MASS_KG = 0.005
 DEFAULT_DT_S = 0.001
 # Velocity levels (mm/s) at which generated designs sample FD curves.
 DESIGN_VELOCITY_LEVELS = (10.0, 100.0, 300.0)
+# Release displacement as a fraction of the activation displacement.
+RELEASE_FRACTION = 0.7
 # Vibration waveform is truncated once its envelope falls to 0.1%.
 _VIB_ENVELOPE_FLOOR = 1e-3
 _VIB_MAX_DURATION_S = 0.25
@@ -344,9 +346,10 @@ class SpringTables:
 class ButtonDesignParams:
     """The six-dimensional design space the optimizer searches.
 
-    travel mm in [0.5, 5]; activation_fraction in (0.2, 0.9); peak_force N
-    in (0.3, 4.4]; snap_ratio in [0, 0.8]; velocity_stiffening in [0, 1]
-    (fractional force increase per 100 mm/s); damping N*s/mm > 0.
+    Each field lies in its DESIGN_LIMITS range: travel mm in [0.5, 5];
+    activation_fraction in (0.2, 0.9); peak_force N in (0.3, 4.4];
+    snap_ratio in [0, 0.8]; velocity_stiffening in [0, 1] (fractional force
+    increase per 100 mm/s); damping N*s/mm in (0, 1].
     """
 
     travel: float
@@ -357,24 +360,9 @@ class ButtonDesignParams:
     damping: float
 
     def __post_init__(self):
-        checks = (
-            ("travel", self.travel, 0.5 <= self.travel <= 5.0),
-            (
-                "activation_fraction",
-                self.activation_fraction,
-                0.2 < self.activation_fraction < 0.9,
-            ),
-            ("peak_force", self.peak_force, 0.3 < self.peak_force <= FORCE_CEILING_N),
-            ("snap_ratio", self.snap_ratio, 0.0 <= self.snap_ratio <= 0.8),
-            (
-                "velocity_stiffening",
-                self.velocity_stiffening,
-                0.0 <= self.velocity_stiffening <= 1.0,
-            ),
-            ("damping", self.damping, self.damping > 0.0),
-        )
-        for name, value, ok in checks:
-            if not ok or not np.isfinite(value):
+        for name in DESIGN_FIELDS:
+            value = getattr(self, name)
+            if not within_limits(name, value):
                 raise ValueError(f"{name} = {value} outside its allowed range")
 
     def to_array(self) -> np.ndarray:
@@ -396,6 +384,24 @@ DESIGN_FIELDS = (
     "velocity_stiffening",
     "damping",
 )
+
+# Admissible range of each design field: (low, high, low included, high
+# included).  Design parameters and configured bounds must stay inside.
+DESIGN_LIMITS = {
+    "travel": (0.5, 5.0, True, True),
+    "activation_fraction": (0.2, 0.9, False, False),
+    "peak_force": (0.3, FORCE_CEILING_N, False, True),
+    "snap_ratio": (0.0, 0.8, True, True),
+    "velocity_stiffening": (0.0, 1.0, True, True),
+    "damping": (0.0, 1.0, False, True),
+}
+
+
+def within_limits(name: str, value: float) -> bool:
+    """Whether ``value`` lies in design field ``name``'s admissible range (nan never does)."""
+    lo, hi, closed_lo, closed_hi = DESIGN_LIMITS[name]
+    return (lo <= value if closed_lo else lo < value) and (value <= hi if closed_hi else value < hi)
+
 
 # Optimizer box per design field; inner margins keep the open-interval
 # fields strictly inside their admissible ranges.
@@ -461,7 +467,7 @@ def design_to_fdvv(params: ButtonDesignParams) -> FdvvModel:
         fd_curves=tuple(curves),
         travel=params.travel,
         activation_disp=activation,
-        release_disp=0.7 * activation,
+        release_disp=RELEASE_FRACTION * activation,
         vibration=vibration,
         max_force=FORCE_CEILING_N,
         damping=params.damping,

@@ -20,6 +20,7 @@ import numpy as np
 from .bspline import fit_bspline_bic
 from .button import (
     FORCE_CEILING_N,
+    RELEASE_FRACTION,
     VIBRATION_BAND_HZ,
     FdTrace,
     FdvvModel,
@@ -208,8 +209,8 @@ def fit_fdvv(trace_groups: list[list[FdTrace]]) -> FdvvModel:
     Per group, pools (displacement, force) samples into one B-spline fit
     with BIC knot selection; the group's velocity level is its median
     absolute press speed.  Activation is read from the first prominent
-    force peak of the slowest group, release from the same 0.7 ratio the
-    forward mapping uses.
+    force peak of the slowest group, release from RELEASE_FRACTION of it,
+    as in the forward mapping.
 
     Raises:
         ValueError: fewer than 2 groups, an empty group, or two groups
@@ -239,7 +240,7 @@ def fit_fdvv(trace_groups: list[list[FdTrace]]) -> FdvvModel:
 
     travel = min(min(c.domain[1] for c in curves), min(max_disps))
     activation = min(max(_first_peak(curves[0], travel), 1e-3), travel * 0.999)
-    release = 0.7 * activation
+    release = RELEASE_FRACTION * activation
 
     grid = np.linspace(0.0, travel, 400)
     peak_force = max(float(np.max(c(grid))) for c in curves)

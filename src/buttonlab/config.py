@@ -10,25 +10,16 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 
-from .button import DESIGN_BOUNDS, DESIGN_FIELDS, FORCE_CEILING_N
+from .button import DESIGN_BOUNDS, DESIGN_FIELDS, DESIGN_LIMITS, within_limits
 from .errors import FormatError
 from .policy import DEFAULT_INNER_LR
 
 OBJECTIVE_NAMES = ("completion_time_s", "error_rate", "effort")
 PROVIDERS = ("simulated_button", "schaffer", "zdt1")
 KERNELS = ("matern52", "squared_exponential")
-
-# Admissible design-parameter ranges; configured bounds must stay inside.
-_FIELD_LIMITS = {
-    "travel": (0.5, 5.0, True, True),
-    "activation_fraction": (0.2, 0.9, False, False),
-    "peak_force": (0.3, FORCE_CEILING_N, False, True),
-    "snap_ratio": (0.0, 0.8, True, True),
-    "velocity_stiffening": (0.0, 1.0, True, True),
-    "damping": (0.0, 1.0, False, True),
-}
 
 
 @dataclass(frozen=True)
@@ -88,10 +79,8 @@ def _validate(cfg: CidConfig):
         lo, hi = cfg.bounds[key]
         if not lo < hi:
             _fail(f"design_space.{key}", f"lower bound {lo} must be < upper bound {hi}")
-        lim_lo, lim_hi, closed_lo, closed_hi = _FIELD_LIMITS[key]
-        lo_ok = lo >= lim_lo if closed_lo else lo > lim_lo
-        hi_ok = hi <= lim_hi if closed_hi else hi < lim_hi
-        if not (lo_ok and hi_ok):
+        if not (within_limits(key, lo) and within_limits(key, hi)):
+            lim_lo, lim_hi, closed_lo, closed_hi = DESIGN_LIMITS[key]
             bracket = f"{'[' if closed_lo else '('}{lim_lo}, {lim_hi}{']' if closed_hi else ')'}"
             _fail(f"design_space.{key}", f"bounds ({lo}, {hi}) outside admissible {bracket}")
     if cfg.init_count < 2:
@@ -108,8 +97,8 @@ def _validate(cfg: CidConfig):
             _fail(path, f"must be >= 1, got {value}")
     if cfg.kernel not in KERNELS:
         _fail("optimizer.kernel", f"must be one of {KERNELS}, got {cfg.kernel!r}")
-    if cfg.inner_lr <= 0:
-        _fail("user_model.inner_lr", f"must be > 0, got {cfg.inner_lr}")
+    if not 0 < cfg.inner_lr < math.inf:  # written so that nan fails too
+        _fail("user_model.inner_lr", f"must be finite and > 0, got {cfg.inner_lr}")
     if cfg.adapt_episodes < 0:
         _fail("user_model.adapt_episodes", f"must be >= 0, got {cfg.adapt_episodes}")
     if cfg.sensory_delay < 0:

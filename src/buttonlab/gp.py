@@ -86,12 +86,6 @@ class GpModel:
         return self.inputs.shape[0]
 
 
-@dataclass(frozen=True)
-class PosteriorPrediction:
-    mean: float
-    variance: float
-
-
 def _kernel_matrix(sv: float, ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Covariance between the rows of ``a`` and ``b`` (signal variance, ARD lengthscales)."""
     sa = a / ls
@@ -108,13 +102,6 @@ def _as_points(x, dim: int, what: str) -> np.ndarray:
     if pts.shape[1] != dim:
         raise ValueError(f"{what} has dimension {pts.shape[1]}, expected {dim}")
     return pts
-
-
-def kernel_eval(spec: KernelSpec, a, b) -> float:
-    """Covariance k(a, b) for two design points."""
-    pa = _as_points(a, spec.dim, "first point")
-    pb = _as_points(b, spec.dim, "second point")
-    return float(_kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, pa, pb)[0, 0])
 
 
 def _check_finite(x: np.ndarray, y: np.ndarray) -> None:
@@ -187,18 +174,11 @@ def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
     return GpModel(x, spec, np.linalg.inv(factor), whitened, _lml(factor, whitened), jitter)
 
 
-def gp_predict(model: GpModel, query) -> PosteriorPrediction:
-    """Posterior mean and variance at one query point: one row of
-    :func:`gp_predict_batch`.
+def gp_predict_batch(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances over an (m, d) block of query points.
 
     An empty model returns the prior (zero mean, signal variance).
     """
-    mean, variance = gp_predict_batch(model, query)
-    return PosteriorPrediction(float(mean[0]), float(variance[0]))
-
-
-def gp_predict_batch(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized posterior over an (m, d) block of query points."""
     spec = model.kernel
     q = _as_points(queries, spec.dim, "queries")
     if model.n == 0:

@@ -20,7 +20,7 @@ from .acquisition import propose_next, scan_candidates
 from .button import DEFAULT_DT_S, DESIGN_FIELDS, ButtonDesignParams, design_to_fdvv
 from .config import OBJECTIVE_NAMES, CidConfig
 from .errors import StateError
-from .gp import GpModel, KernelFamily, gp_fit, optimize_hyperparams
+from .gp import GpModel, KernelFamily, KernelSpec, gp_fit, optimize_hyperparams
 from .pareto import ParetoArchive, ReferencePoint
 from .policy import MetaPolicy, TaskSpec, adapt, init_policy, rollouts
 from .synthetic import get_problem
@@ -239,26 +239,16 @@ def _surrogates(inputs: np.ndarray, records, kernels) -> tuple[GpModel, ...]:
     return tuple(gp_fit(inputs, targets[:, j], spec) for j, spec in enumerate(kernels))
 
 
-def _fit_models(
-    config: CidConfig,
-    inputs: np.ndarray,
-    records,
-    previous: tuple[GpModel, ...] | None,
-    fit_event: int,
-) -> tuple[GpModel, ...]:
-    """One GP per objective; hyperparameters re-searched only when
-    ``fit_event`` is a re-optimization step (0, or a multiple of the period)."""
-    if previous is not None and fit_event % HYPEROPT_PERIOD:
-        return _surrogates(inputs, records, [m.kernel for m in previous])
+def _searched_kernels(config: CidConfig, inputs: np.ndarray, records, fit_event: int) -> list[KernelSpec]:
+    """One kernel per objective by hyperparameter search, seeded by ``fit_event``."""
     targets = np.array([rec.objectives for rec in records])
     family = KernelFamily(config.kernel)
-    kernels = [
+    return [
         optimize_hyperparams(
             inputs, y, seed=seeds.seed_int(config.master_seed, "hyperopt", fit_event, j), family=family
         )
         for j, y in enumerate(targets.T)
     ]
-    return _surrogates(inputs, records, kernels)
 
 
 def archive_replay(config: CidConfig, records):
@@ -269,19 +259,14 @@ def archive_replay(config: CidConfig, records):
         yield archive
 
 
-def rebuild_archive(config: CidConfig, records) -> ParetoArchive:
-    """Archive implied by a record sequence, in insertion order."""
-    archive = ParetoArchive(())
-    for archive in archive_replay(config, records):
-        pass
-    return archive
-
-
 def restore_state(config: CidConfig, records, kernels, reference: ReferencePoint) -> RunState:
     """The run state that records, kernels and reference imply under ``config``."""
     records = tuple(records)
     models = _surrogates(unit_designs(config, records), records, kernels)
-    return RunState(config, records, rebuild_archive(config, records), models, reference)
+    archive = ParetoArchive(())
+    for archive in archive_replay(config, records):
+        pass
+    return RunState(config, records, archive, models, reference)
 
 
 def initial_state(config: CidConfig, provider: Provider | None = None) -> RunState:
@@ -310,8 +295,8 @@ def initial_state(config: CidConfig, provider: Provider | None = None) -> RunSta
         reference = ReferencePoint(provider.fixed_reference)
     else:
         reference = ReferencePoint.from_observations(np.array([r.objectives for r in records]))
-    models = _fit_models(config, unit_designs(config, records), records, None, 0)
-    return RunState(config, records, rebuild_archive(config, records), models, reference)
+    kernels = _searched_kernels(config, unit_designs(config, records), records, 0)
+    return restore_state(config, records, kernels, reference)
 
 
 def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
@@ -346,8 +331,12 @@ def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
 
     inputs = unit_designs(config, records)
     archive = state.archive.inserted(inputs[-1], objectives, record_index)
-    models = _fit_models(config, inputs, records, state.models, state.iteration + 1)
-    return RunState(config, records, archive, models, state.reference)
+    fit_event = state.iteration + 1
+    if fit_event % HYPEROPT_PERIOD:
+        kernels = [m.kernel for m in state.models]
+    else:
+        kernels = _searched_kernels(config, inputs, records, fit_event)
+    return RunState(config, records, archive, _surrogates(inputs, records, kernels), state.reference)
 
 
 def run(

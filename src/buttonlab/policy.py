@@ -134,16 +134,6 @@ def init_policy(seed, layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES) -> Pol
     return PolicyParams(tuple(layer_sizes), np.concatenate(parts))
 
 
-def policy_mean(params: PolicyParams, obs) -> float:
-    """Deterministic mean force for one observation."""
-    h = np.asarray(obs, dtype=float)
-    layers = params.weights
-    for w, b in layers[:-1]:
-        h = np.tanh(h @ w + b)
-    w, b = layers[-1]
-    return float((h @ w + b)[0])
-
-
 def _mean_batch(params: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Batched forward pass; returns means and hidden activations."""
     layers = params.weights
@@ -154,22 +144,6 @@ def _mean_batch(params: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, list
         hidden.append(h)
     w, b = layers[-1]
     return (h @ w + b)[:, 0], hidden
-
-
-def policy_act(params: PolicyParams, obs, rng) -> tuple[float, float]:
-    """Sample one action: Normal(mean, exp(log_std)) clamped to [0, 6] N.
-
-    The log-probability is of the raw (pre-clamp) draw.
-    """
-    o = np.asarray(obs, dtype=float)
-    if o.shape != (5,) or not np.all(np.isfinite(o)):
-        raise ValueError(f"observation must be 5 finite values, got {o}")
-    mean = policy_mean(params, o)
-    sigma = math.exp(params.log_std)
-    z = float(rng.standard_normal())
-    raw = mean + sigma * z
-    log_prob = -0.5 * z * z - params.log_std - _HALF_LOG_2PI
-    return min(max(raw, 0.0), ACTION_MAX_N), log_prob
 
 
 @dataclass(frozen=True)
@@ -197,10 +171,14 @@ class Trajectory:
     rewards: np.ndarray
     success: bool
     activation_step: int | None
-    return_: float
 
     def __len__(self) -> int:
         return self.actions.size
+
+    @property
+    def return_(self) -> float:
+        """The episode's discounted return."""
+        return float(self.returns_to_go[0])
 
     @cached_property
     def returns_to_go(self) -> np.ndarray:
@@ -278,9 +256,6 @@ def _press(params, task, model, z, obs_buf, actions, raws, rewards, start, d, v,
 
 def _trajectory(params, z, obs, actions, raws, rewards, steps, success, activation_step):
     """The first ``steps`` ticks of an episode's buffers as a Trajectory."""
-    ret = 0.0  # Python floats round as float64 scalars do
-    for r in reversed(rewards[:steps].tolist()):
-        ret = r + GAMMA * ret
     return Trajectory(
         observations=obs[:steps],
         actions=actions[:steps],
@@ -289,7 +264,6 @@ def _trajectory(params, z, obs, actions, raws, rewards, steps, success, activati
         rewards=rewards[:steps],
         success=success,
         activation_step=activation_step,
-        return_=ret,
     )
 
 
@@ -632,8 +606,8 @@ class MetaPolicy:
     adapt_episodes: int = 8
 
     def __post_init__(self):
-        if self.inner_lr <= 0:
-            raise ValueError("inner_lr must be > 0")
+        if not 0 < self.inner_lr < math.inf:  # written so that nan fails too
+            raise ValueError(f"inner_lr must be finite and > 0, got {self.inner_lr}")
         if self.adapt_episodes < 0:
             raise ValueError("adapt_episodes must be >= 0")
 

@@ -24,7 +24,6 @@ from buttonlab import (
     SimState,
     TaskSpec,
     adapt,
-    archive_hypervolume,
     cid_step,
     compensate_drive,
     design_to_fdvv,
@@ -34,7 +33,6 @@ from buttonlab import (
     force_at,
     get_problem,
     gp_fit,
-    gp_predict,
     hypervolume,
     init_policy,
     initial_state,
@@ -65,7 +63,7 @@ from test_button import (
     rk4_reference,
 )
 from test_capture import constant_velocity_trace
-from test_gp import oracle_predict, random_problem
+from test_gp import oracle_predict, predict_one, random_problem
 from test_policy import EASY, linear_params
 
 
@@ -88,9 +86,9 @@ def test_c01_gp_matches_dense_oracle():
             for _ in range(2):
                 q = rng.uniform(-2.5, 2.5, size=x.shape[1])
                 mean, var = oracle_predict(spec, x, y, q)
-                pred = gp_predict(model, q)
-                worst_mean = max(worst_mean, abs(pred.mean - mean))
-                worst_var = max(worst_var, abs(pred.variance - max(var, 0.0)))
+                pred_mean, pred_var = predict_one(model, q)
+                worst_mean = max(worst_mean, abs(pred_mean - mean))
+                worst_var = max(worst_var, abs(pred_var - max(var, 0.0)))
 
     worst_interp = 0.0
     for family in list(KernelFamily):
@@ -98,7 +96,7 @@ def test_c01_gp_matches_dense_oracle():
             x, y, spec = random_problem(rng, family)
             exact = KernelSpec(spec.signal_variance, spec.lengthscales, 0.0, family)
             model = gp_fit(x, y, exact)
-            preds = np.array([gp_predict(model, xi).mean for xi in x])
+            preds = np.array([predict_one(model, xi)[0] for xi in x])
             worst_interp = max(worst_interp, float(np.max(np.abs(preds - y))))
 
     ok = worst_mean < 1e-8 and worst_var < 1e-8 and worst_interp < 1e-6
@@ -192,7 +190,7 @@ def test_c04_mobo_sample_efficiency():
     for seed in range(10):
         cfg = CidConfig(provider="schaffer", budget=40, init_count=8, master_seed=seed)
         state, archive = run(cfg)
-        got = archive_hypervolume(archive, state.reference).value
+        got = hypervolume(archive.objective_matrix, state.reference).value
         ratios_s.append(got / truth_s)
         # Paired random search with the same evaluation count.
         rng = np.random.default_rng(seed)
@@ -209,7 +207,7 @@ def test_c04_mobo_sample_efficiency():
     for seed in range(10):
         cfg = CidConfig(provider="zdt1", budget=60, init_count=8, master_seed=seed)
         state, archive = run(cfg)
-        ratios_z.append(archive_hypervolume(archive, state.reference).value / truth_z)
+        ratios_z.append(hypervolume(archive.objective_matrix, state.reference).value / truth_z)
 
     mean_s, mean_z = float(np.mean(ratios_s)), float(np.mean(ratios_z))
     ok = mean_s >= 0.95 and wins >= 9 and mean_z >= 0.90
@@ -456,7 +454,7 @@ def test_c10_end_to_end_design_loop(tmp_path):
             le = np.all(objs <= objs[r], axis=1)
             lt = np.any(objs < objs[r], axis=1)
             nondominated = nondominated and not np.any(le & lt)
-        hv_trail.append(archive_hypervolume(state.archive, state.reference).value)
+        hv_trail.append(hypervolume(state.archive.objective_matrix, state.reference).value)
 
     state_a, _ = run(cfg, persist=persist)
     monotone = all(b >= a - 1e-12 for a, b in zip(hv_trail, hv_trail[1:]))

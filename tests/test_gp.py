@@ -19,12 +19,11 @@ from buttonlab import (
     KernelSpec,
     NumericalError,
     gp_fit,
-    gp_predict,
     gp_predict_batch,
-    kernel_eval,
     log_marginal_likelihood,
     optimize_hyperparams,
 )
+from buttonlab.gp import _kernel_matrix
 
 SQRT5 = math.sqrt(5.0)
 
@@ -54,6 +53,12 @@ def oracle_predict(spec, x, y, q):
     return mean, var
 
 
+def predict_one(model, query):
+    """Posterior (mean, variance) at one point: a one-row gp_predict_batch."""
+    mean, variance = gp_predict_batch(model, query)
+    return float(mean[0]), float(variance[0])
+
+
 def random_problem(rng, family):
     n = int(rng.integers(2, 21))
     d = int(rng.integers(1, 5))
@@ -77,9 +82,9 @@ def test_predictions_match_dense_oracle(family):
         for _ in range(4):
             q = rng.uniform(-2.5, 2.5, size=x.shape[1])
             mean, var = oracle_predict(spec, x, y, q)
-            pred = gp_predict(model, q)
-            assert abs(pred.mean - mean) < 1e-8
-            assert abs(pred.variance - max(var, 0.0)) < 1e-8
+            pred_mean, pred_var = predict_one(model, q)
+            assert abs(pred_mean - mean) < 1e-8
+            assert abs(pred_var - max(var, 0.0)) < 1e-8
 
 
 def test_noise_free_interpolation():
@@ -89,9 +94,9 @@ def test_noise_free_interpolation():
     spec = KernelSpec(1.5, np.full(3, 0.8), noise_variance=0.0)
     model = gp_fit(x, y, spec)
     for i in range(x.shape[0]):
-        pred = gp_predict(model, x[i])
-        assert abs(pred.mean - y[i]) < 1e-6
-        assert pred.variance < 1e-6
+        pred_mean, pred_var = predict_one(model, x[i])
+        assert abs(pred_mean - y[i]) < 1e-6
+        assert pred_var < 1e-6
 
 
 def test_batch_prediction_agrees_with_scalar_path():
@@ -101,9 +106,9 @@ def test_batch_prediction_agrees_with_scalar_path():
     queries = rng.uniform(-2.0, 2.0, size=(30, x.shape[1]))
     means, variances = gp_predict_batch(model, queries)
     for i, q in enumerate(queries):
-        pred = gp_predict(model, q)
-        assert means[i] == pytest.approx(pred.mean, abs=1e-12)
-        assert variances[i] == pytest.approx(pred.variance, abs=1e-12)
+        pred_mean, pred_var = predict_one(model, q)
+        assert means[i] == pytest.approx(pred_mean, abs=1e-12)
+        assert variances[i] == pytest.approx(pred_var, abs=1e-12)
 
 
 def test_log_marginal_likelihood_matches_dense_formula():
@@ -128,19 +133,19 @@ def test_variance_bounds_and_far_field():
     x = np.array([[0.0], [0.4], [1.1]])
     y = np.array([0.3, -0.2, 0.9])
     model = gp_fit(x, y, spec)
-    near = gp_predict(model, np.array([0.2]))
-    far = gp_predict(model, np.array([80.0]))
-    assert 0.0 <= near.variance <= spec.signal_variance
-    assert far.variance == pytest.approx(spec.signal_variance, rel=1e-6)
-    assert far.mean == pytest.approx(0.0, abs=1e-6)
+    _, near_var = predict_one(model, np.array([0.2]))
+    far_mean, far_var = predict_one(model, np.array([80.0]))
+    assert 0.0 <= near_var <= spec.signal_variance
+    assert far_var == pytest.approx(spec.signal_variance, rel=1e-6)
+    assert far_mean == pytest.approx(0.0, abs=1e-6)
 
 
 def test_empty_model_returns_prior():
     spec = KernelSpec(1.7, np.array([1.0, 1.0]))
     model = gp_fit(np.zeros((0, 2)), np.zeros(0), spec)
-    pred = gp_predict(model, np.array([0.3, -0.4]))
-    assert pred.mean == 0.0
-    assert pred.variance == spec.signal_variance
+    mean, variance = predict_one(model, np.array([0.3, -0.4]))
+    assert mean == 0.0
+    assert variance == spec.signal_variance
     with pytest.raises(ValueError):
         log_marginal_likelihood(model)
 
@@ -148,11 +153,15 @@ def test_empty_model_returns_prior():
 def test_kernel_eval_symmetry_and_diagonal():
     rng = np.random.default_rng(5)
     spec = KernelSpec(1.3, np.array([0.7, 1.4, 0.9]), family=KernelFamily.SQUARED_EXPONENTIAL)
+
+    def kernel(a, b):
+        return float(_kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, a[None, :], b[None, :])[0, 0])
+
     for _ in range(20):
         a, b = rng.standard_normal(3), rng.standard_normal(3)
-        assert kernel_eval(spec, a, b) == pytest.approx(kernel_eval(spec, b, a), rel=1e-12)
-        assert kernel_eval(spec, a, a) == pytest.approx(spec.signal_variance, rel=1e-9)
-        assert kernel_eval(spec, a, b) <= spec.signal_variance + 1e-12
+        assert kernel(a, b) == pytest.approx(kernel(b, a), rel=1e-12)
+        assert kernel(a, a) == pytest.approx(spec.signal_variance, rel=1e-9)
+        assert kernel(a, b) <= spec.signal_variance + 1e-12
 
 
 def test_inconsistent_noise_free_system_is_rejected():
@@ -168,7 +177,7 @@ def test_duplicate_inputs_with_matching_targets_fit():
     x = np.array([[0.5], [0.5], [1.5]])
     y = np.array([0.7, 0.7, -0.2])
     model = gp_fit(x, y, KernelSpec(1.0, np.array([1.0]), noise_variance=0.0))
-    assert gp_predict(model, np.array([0.5])).mean == pytest.approx(0.7, abs=1e-6)
+    assert predict_one(model, np.array([0.5]))[0] == pytest.approx(0.7, abs=1e-6)
 
 
 def test_shape_mismatch_raises():
@@ -176,7 +185,7 @@ def test_shape_mismatch_raises():
         gp_fit(np.zeros((3, 1)), np.zeros(4), KernelSpec(1.0, np.array([1.0])))
     model = gp_fit(np.zeros((2, 2)), np.zeros(2), KernelSpec(1.0, np.ones(2)))
     with pytest.raises(ValueError):
-        gp_predict(model, np.zeros(3))
+        gp_predict_batch(model, np.zeros(3))
 
 
 def test_hyperparameter_search_improves_on_poor_guess():

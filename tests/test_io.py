@@ -113,6 +113,39 @@ def test_config_rejects_bad_values():
         parse_config("[user_model]\ninner_lr = -0.5\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_rejects_non_finite_inner_lr(value):
+    with pytest.raises(FormatError, match="user_model.inner_lr"):
+        parse_config(f"[user_model]\ninner_lr = {value}\n")
+
+
+def test_config_bounds_admissible_exactly_where_design_values_are():
+    # Probes at, just inside and just outside every edge of every field's range.
+    edges = (-1.0, 0.0, 0.2, 0.3, 0.5, 0.8, 0.9, 1.0, 4.4, 5.0, 6.0)
+    probes = sorted({e + s for e in edges for s in (-1e-9, 0.0, 1e-9)})
+    interior = {k: 0.5 * (lo + hi) for k, (lo, hi) in DESIGN_BOUNDS.items()}
+
+    def design_ok(key, value):
+        try:
+            ButtonDesignParams(**{**interior, key: value})
+        except ValueError:
+            return False
+        return True
+
+    def bounds_ok(key, lo, hi):
+        try:
+            CidConfig(bounds={**DESIGN_BOUNDS, key: (lo, hi)})
+        except FormatError:
+            return False
+        return True
+
+    for key in DESIGN_FIELDS:
+        ok = {v: design_ok(key, v) for v in probes}
+        for i, lo in enumerate(probes):
+            for hi in probes[i + 1 :]:
+                assert bounds_ok(key, lo, hi) == (ok[lo] and ok[hi]), (key, lo, hi)
+
+
 def test_config_objective_subset_parses():
     config = parse_config("[objectives]\nminimize = error_rate, effort\n")
     assert config.objectives == ("error_rate", "effort")
@@ -201,6 +234,18 @@ def test_policy_artifact_round_trip(tmp_path):
     assert back.init_params.layer_sizes == meta.init_params.layer_sizes
     assert back.inner_lr == meta.inner_lr
     assert back.adapt_episodes == meta.adapt_episodes
+
+
+def test_policy_artifact_with_nan_inner_lr_is_rejected(tmp_path):
+    path = str(tmp_path / "policy.json")
+    save_artifact(path, MetaPolicy(init_policy(3)))
+    with open(path) as handle:
+        doc = json.load(handle)
+    doc["inner_lr"] = math.nan
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    with pytest.raises(FormatError, match="inner_lr"):
+        load_artifact(path)
 
 
 def test_runstate_artifact_round_trip(tmp_path):

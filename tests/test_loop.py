@@ -18,10 +18,9 @@ from buttonlab import (
     initial_state,
     make_provider,
     pareto_front,
-    rebuild_archive,
     run,
 )
-from buttonlab.loop import design_box, objective_names
+from buttonlab.loop import design_box, objective_names, restore_state
 
 SCHAFFER = CidConfig(
     provider="schaffer",
@@ -223,7 +222,8 @@ def test_persist_callback_sees_every_state():
 
 def test_rebuild_archive_matches_live_archive():
     state, _ = run(SCHAFFER)
-    rebuilt = rebuild_archive(SCHAFFER, state.records)
+    kernels = [m.kernel for m in state.models]
+    rebuilt = restore_state(SCHAFFER, state.records, kernels, state.reference).archive
     assert [e.record_id for e in rebuilt.entries] == [e.record_id for e in state.archive.entries]
     assert rebuilt.design_matrix.tobytes() == state.archive.design_matrix.tobytes()
     assert rebuilt.objective_matrix.tobytes() == state.archive.objective_matrix.tobytes()

@@ -27,9 +27,7 @@ from buttonlab import (
     force_at,
     init_policy,
     meta_train,
-    policy_act,
     policy_gradient,
-    policy_mean,
     rollout,
     rollouts,
     step,
@@ -42,6 +40,7 @@ from buttonlab.policy import (
     LOCKSTEP_MIN_EPISODES,
     _adapt_tasks,
     _layer,
+    _mean_batch,
     default_task_sampler,
     param_count,
 )
@@ -93,23 +92,13 @@ def test_init_policy_is_seeded_with_pressing_bias():
 
 def test_log_prob_matches_normal_density():
     params = linear_params(weights=[0.5, -0.2, 0.1, 0.0, 0.3], bias=1.0, log_std=-0.3)
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        obs = rng.uniform(-1.0, 1.0, size=5)
-        action, lp = policy_act(params, obs, np.random.default_rng(7))
-        mean = policy_mean(params, obs)
-        sigma = math.exp(-0.3)
-        raw = mean + sigma * float(np.random.default_rng(7).standard_normal())
-        assert lp == pytest.approx(norm.logpdf(raw, loc=mean, scale=sigma), abs=1e-12)
-        assert 0.0 <= action <= ACTION_MAX_N
-
-
-def test_policy_act_validates_observation():
-    params = linear_params()
-    with pytest.raises(ValueError):
-        policy_act(params, np.zeros(4), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        policy_act(params, np.full(5, np.nan), np.random.default_rng(0))
+    model = design_to_fdvv(EASY)
+    sigma = math.exp(-0.3)
+    for seed in range(5):
+        traj = rollout(params, TaskSpec(EASY, horizon=200), model, seed=seed)
+        means, _ = _mean_batch(params, traj.observations)
+        assert traj.log_probs == pytest.approx(norm.logpdf(traj.raw_actions, loc=means, scale=sigma), abs=1e-12)
+        assert np.all((0.0 <= traj.actions) & (traj.actions <= ACTION_MAX_N))
 
 
 def test_gradient_matches_finite_differences():
@@ -168,7 +157,6 @@ def zeroed_trajectory(params, n=20):
         rewards=np.zeros(n),
         success=False,
         activation_step=None,
-        return_=0.0,
     )
 
 
@@ -192,7 +180,6 @@ def test_gradient_is_linear_in_advantage():
         rewards=2.0 * traj.rewards,
         success=traj.success,
         activation_step=traj.activation_step,
-        return_=2.0 * traj.return_,
     )
     g1 = policy_gradient([traj], params, baseline=0.0)
     g2 = policy_gradient([doubled], params, baseline=0.0)
@@ -335,8 +322,9 @@ def test_task_spec_validation():
 
 
 def test_meta_policy_validation():
-    with pytest.raises(ValueError):
-        MetaPolicy(init_policy(0), inner_lr=0.0)
+    for inner_lr in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MetaPolicy(init_policy(0), inner_lr=inner_lr)
     with pytest.raises(ValueError):
         MetaPolicy(init_policy(0), adapt_episodes=-1)
 
