@@ -42,7 +42,7 @@ from .loop import (
     EvaluationRecord,
     RunState,
     cid_step,
-    evaluate_design,
+    evaluate_designs,
     initial_state,
     make_provider,
     run,
@@ -106,7 +106,7 @@ __all__ = [
     "design_to_fdvv",
     "dominates",
     "ehvi",
-    "evaluate_design",
+    "evaluate_designs",
     "export_front",
     "fit_bspline_bic",
     "fit_fdvv",

@@ -59,8 +59,8 @@ class FdTrace:
             raise ValueError("trace channels differ in length")
         if t.size and np.any(np.diff(t) <= 0):
             raise ValueError("trace time must be strictly increasing")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not 0 < self.sample_rate < math.inf:  # written so that nan fails too
+            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         if np.any(d < 0):
             raise ValueError("displacement must be nonnegative")
         for name, ch in (("time", t), ("displacement", d), ("force", f), ("vibration", v)):
@@ -87,10 +87,10 @@ class VibrationSpec:
         lo, hi = VIBRATION_BAND_HZ
         if not lo <= self.frequency <= hi:
             raise ValueError(f"vibration frequency {self.frequency} outside [{lo}, {hi}] Hz")
-        if self.amplitude < 0:
-            raise ValueError("vibration amplitude must be >= 0")
-        if self.decay <= 0:
-            raise ValueError("vibration decay must be > 0")
+        if not 0 <= self.amplitude < math.inf:  # written so that nan fails too
+            raise ValueError(f"vibration amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0 < self.decay < math.inf:
+            raise ValueError(f"vibration decay must be finite and > 0, got {self.decay}")
 
     def waveform(self, dt: float) -> np.ndarray:
         """Sampled burst starting one step after onset, truncated at 0.1% envelope."""
@@ -141,8 +141,8 @@ class FdvvModel:
                 raise ValueError(f"curve domain [{lo}, {hi}] does not cover [0, {self.travel}]")
         if not 0 < self.max_force <= FORCE_CEILING_N + 1e-9:
             raise ValueError(f"max_force must be in (0, {FORCE_CEILING_N}], got {self.max_force}")
-        if self.damping <= 0:
-            raise ValueError("damping must be > 0")
+        if not 0 < self.damping < math.inf:  # written so that nan fails too
+            raise ValueError(f"damping must be finite and > 0, got {self.damping}")
         object.__setattr__(self, "velocity_levels", levels)
         object.__setattr__(self, "fd_curves", curves)
 

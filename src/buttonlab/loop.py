@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .config import OBJECTIVE_NAMES, CidConfig
 from .errors import StateError
 from .gp import GpModel, KernelFamily, KernelSpec, gp_fit, optimize_hyperparams
 from .pareto import ParetoArchive, ReferencePoint
-from .policy import MetaPolicy, TaskSpec, adapt, init_policy, rollouts
+from .policy import MetaPolicy, TaskSpec, _adapt_tasks, init_policy, rollouts
 from .synthetic import get_problem
 
 _log = logging.getLogger(__name__)
@@ -78,7 +78,15 @@ class RunState:
 
 @dataclass(frozen=True)
 class Provider:
-    """Where objective values come from: the button pipeline or a test function."""
+    """Where objective values come from: the button pipeline or a test function.
+
+    ``evaluate(design, seed)`` returns ``(objectives, summaries, seeds)``
+    for one raw design.  ``evaluate_batch(designs, seeds)``, when set,
+    takes a (k, d) array of raw designs and k seeds and returns k such
+    tuples, row by row the bits that mapping ``evaluate`` over the rows
+    would give; :func:`initial_state` evaluates the initial set with it
+    in one call.
+    """
 
     parameter_names: tuple[str, ...]
     objective_names: tuple[str, ...]
@@ -86,36 +94,54 @@ class Provider:
     upper: np.ndarray
     fixed_reference: np.ndarray | None
     evaluate: Callable[[np.ndarray, int], tuple[np.ndarray, tuple[EpisodeSummary, ...], tuple[int, ...]]]
+    evaluate_batch: (
+        Callable[[np.ndarray, Sequence[int]], list[tuple[np.ndarray, tuple[EpisodeSummary, ...], tuple[int, ...]]]]
+        | None
+    ) = None
 
 
-def evaluate_design(
-    design,
+def evaluate_designs(
+    designs,
     meta: MetaPolicy,
     episodes: int,
-    seed: int,
+    seeds,
     horizon: int = 1000,
     sensory_delay: int = 50,
     dwell_limit: int = 300,
-) -> tuple[np.ndarray, tuple[EpisodeSummary, ...]]:
-    """Objectives of one button design under the adapted user model.
+) -> list[tuple[np.ndarray, tuple[EpisodeSummary, ...]]]:
+    """Objectives of button designs, each under the user model adapted to it.
 
-    Renders the design, adapts the meta-policy (K episodes per its
-    recipe), then runs ``episodes`` evaluation rollouts.  Returns the
-    canonical objective vector (completion_time_s, error_rate, effort),
-    all minimized: mean time to a successful release with timeouts
-    counted at the full horizon, failure fraction, and mean integrated
-    squared force; and a summary of each evaluation episode.
+    Renders every design and adapts the meta-policy to all of them at
+    once (K episodes each per its recipe; every adaptation batch of every
+    design runs in one lockstep), then runs each design's ``episodes``
+    evaluation rollouts in a lockstep of their own.  Design k's result
+    depends only on ``designs[k]`` and ``seeds[k]``, bit for bit, so a
+    one-design call gives the same result as that design in any batch.
+
+    Returns one ``(objectives, summaries)`` per design: the canonical
+    objective vector (completion_time_s, error_rate, effort), all
+    minimized: mean time to a successful release with timeouts counted
+    at the full horizon, failure fraction, and mean integrated squared
+    force; and a summary of each evaluation episode.
 
     Raises:
-        ValueError: out-of-range design or episodes < 1.
+        ValueError: out-of-range design, designs and seeds of different
+            lengths, or episodes < 1.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    params = design if isinstance(design, ButtonDesignParams) else ButtonDesignParams.from_array(design)
-    model = design_to_fdvv(params)
-    task = TaskSpec(params, horizon, sensory_delay, dwell_limit)
-    adapted = adapt(meta, task, model, seed)
+    designs, seeds = list(designs), list(seeds)
+    if len(designs) != len(seeds):
+        raise ValueError(f"{len(designs)} designs but {len(seeds)} seeds: need one seed per design")
+    params = [d if isinstance(d, ButtonDesignParams) else ButtonDesignParams.from_array(d) for d in designs]
+    models = [design_to_fdvv(p) for p in params]
+    tasks = [TaskSpec(p, horizon, sensory_delay, dwell_limit) for p in params]
+    adapted = _adapt_tasks(meta, tasks, models, seeds)
+    return [_evaluated(*args, episodes) for args in zip(adapted, tasks, models, seeds)]
 
+
+def _evaluated(adapted, task: TaskSpec, model, seed, episodes: int):
+    """One design's objective vector and episode summaries under its adapted policy."""
     dt = DEFAULT_DT_S
     durations = np.empty(episodes)
     successes = np.empty(episodes, dtype=bool)
@@ -129,7 +155,7 @@ def evaluate_design(
     )
     for i, traj in enumerate(trajectories):
         successes[i] = traj.success
-        durations[i] = len(traj) * dt if traj.success else horizon * dt
+        durations[i] = len(traj) * dt if traj.success else task.horizon * dt
         efforts[i] = float(np.sum(traj.actions**2)) * dt
         t_act = np.nan if traj.activation_step is None else traj.activation_step * dt
         summaries.append(EpisodeSummary(traj.return_, traj.success, t_act))
@@ -179,19 +205,22 @@ def make_provider(config: CidConfig, meta: MetaPolicy | None = None) -> Provider
         meta = meta if meta is not None else _load_meta(config)
         indices = [OBJECTIVE_NAMES.index(name) for name in config.objectives]
 
-        def evaluate(design: np.ndarray, seed: int):
-            full, summaries = evaluate_design(
-                design,
+        def evaluate_batch(designs, eval_seeds):
+            results = evaluate_designs(
+                designs,
                 meta,
                 config.episodes_per_eval,
-                seed,
+                eval_seeds,
                 config.horizon,
                 config.sensory_delay,
                 config.dwell_limit,
             )
-            return full[indices], summaries, (seed,)
+            return [(full[indices], summaries, (seed,)) for (full, summaries), seed in zip(results, eval_seeds)]
 
-        return Provider(names, tuple(config.objectives), lower, upper, None, evaluate)
+        def evaluate(design: np.ndarray, seed: int):
+            return evaluate_batch([design], [seed])[0]
+
+        return Provider(names, tuple(config.objectives), lower, upper, None, evaluate, evaluate_batch)
 
     problem = get_problem(config.provider)
 
@@ -284,12 +313,16 @@ def initial_state(config: CidConfig, provider: Provider | None = None) -> RunSta
         (np.zeros(d), np.ones(d)), config.init_count,
         seeds.seed_int(config.master_seed, "doe"),
     )
-    records = []
-    for i in range(config.init_count):
-        raw = _from_unit(provider, unit[i])
-        objectives, summaries, used = provider.evaluate(raw, seeds.seed_int(config.master_seed, "evaluate", i))
-        records.append(EvaluationRecord(raw, objectives, used, summaries))
-    records = tuple(records)
+    raw = _from_unit(provider, unit)
+    eval_seeds = [seeds.seed_int(config.master_seed, "evaluate", i) for i in range(config.init_count)]
+    if provider.evaluate_batch is not None:
+        results = provider.evaluate_batch(raw, eval_seeds)
+    else:
+        results = [provider.evaluate(x, s) for x, s in zip(raw, eval_seeds)]
+    records = tuple(
+        EvaluationRecord(x, objectives, used, summaries)
+        for x, (objectives, summaries, used) in zip(raw, results, strict=True)
+    )
 
     if provider.fixed_reference is not None:
         reference = ReferencePoint(provider.fixed_reference)

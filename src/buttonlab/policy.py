@@ -654,6 +654,9 @@ def _adapt_tasks(meta: MetaPolicy, tasks, models, task_seeds) -> list[PolicyPara
             vector = p.vector.copy()
             vector[-head:] += rates * _gradient(episodes[k * size : (k + 1) * size], p, None, 1)
             stepped.append(p.replaced(vector))
+        # The trajectories are views of the lockstep's span-sized buffers:
+        # free them before the next batch allocates its own.
+        del episodes
         params = stepped
         remaining -= size
         batch_index += 1

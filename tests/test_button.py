@@ -368,6 +368,11 @@ def test_vibration_spec_validation():
         VibrationSpec(300.0, -0.1, 200.0)
     with pytest.raises(ValueError):
         VibrationSpec(300.0, 0.5, 0.0)
+    for amplitude in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="amplitude"):
+            VibrationSpec(300.0, amplitude, 200.0)
+    with pytest.raises(ValueError, match="decay"):
+        VibrationSpec(300.0, 0.5, math.nan)
 
 
 def test_vibration_burst_appears_in_trace_after_activation():
@@ -437,6 +442,9 @@ def test_fd_trace_validation():
         FdTrace(t, z - 1.0, z, z, 100.0)
     with pytest.raises(ValueError):
         FdTrace(t, z, z, z, 0.0)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sample_rate"):
+            FdTrace(t, z, z, z, rate)
     bad_f = z.copy()
     bad_f[2] = np.inf
     with pytest.raises(ValueError):
@@ -459,3 +467,6 @@ def test_fdvv_model_validation():
         FdvvModel((10.0, 100.0), (line, line), 4.0, 3.0, 2.0, vib, max_force=9.0)
     with pytest.raises(ValueError):
         FdvvModel((10.0, 100.0), (line, line), 4.0, 3.0, 2.0, vib, damping=0.0)
+    for damping in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="damping"):
+            FdvvModel((10.0, 100.0), (line, line), 4.0, 3.0, 2.0, vib, damping=damping)

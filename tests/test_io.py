@@ -248,6 +248,25 @@ def test_policy_artifact_with_nan_inner_lr_is_rejected(tmp_path):
         load_artifact(path)
 
 
+@pytest.mark.parametrize("field", ["damping", "vibration.decay"])
+def test_model_artifact_with_nan_parameter_is_rejected(tmp_path, field):
+    # A NaN damping used to load, and the first press then failed with an
+    # IndexError deep in the spring-force lookup.
+    path = str(tmp_path / "model.json")
+    save_artifact(path, design_to_fdvv(ButtonDesignParams(2.0, 0.5, 1.0, 0.2, 0.1, 0.01)))
+    with open(path) as handle:
+        doc = json.load(handle)
+    *parents, key = field.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = math.nan
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    with pytest.raises(FormatError, match=key):
+        load_artifact(path)
+
+
 def test_runstate_artifact_round_trip(tmp_path):
     config = parse_config(SMALL_SCHAFFER)
     state = initial_state(config)

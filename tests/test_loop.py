@@ -1,6 +1,7 @@
 """Closed-loop optimizer: evaluation, stepping, resuming, bookkeeping."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +13,17 @@ from buttonlab import (
     MetaPolicy,
     StateError,
     cid_step,
-    evaluate_design,
+    evaluate_designs,
     hypervolume,
     init_policy,
     initial_state,
     make_provider,
     pareto_front,
     run,
+    save_artifact,
 )
+from buttonlab import seeds
+from buttonlab.acquisition import scan_candidates
 from buttonlab.loop import design_box, objective_names, restore_state
 
 SCHAFFER = CidConfig(
@@ -59,9 +63,9 @@ def mid_design():
 def test_evaluate_design_is_deterministic_and_bounded():
     meta = MetaPolicy(init_policy(0, layer_sizes=(5, 8, 1)), 0.05, 2)
     design = mid_design()
-    a, _ = evaluate_design(design, meta, episodes=3, seed=5, horizon=150)
-    b, _ = evaluate_design(design, meta, episodes=3, seed=5, horizon=150)
-    c, _ = evaluate_design(design, meta, episodes=3, seed=6, horizon=150)
+    [(a, _)] = evaluate_designs([design], meta, episodes=3, seeds=[5], horizon=150)
+    [(b, _)] = evaluate_designs([design], meta, episodes=3, seeds=[5], horizon=150)
+    [(c, _)] = evaluate_designs([design], meta, episodes=3, seeds=[6], horizon=150)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (3,)
@@ -75,9 +79,66 @@ def test_evaluate_design_rejects_bad_input():
     bad = mid_design()
     bad[0] = 99.0
     with pytest.raises(ValueError):
-        evaluate_design(bad, meta, episodes=2, seed=0)
+        evaluate_designs([bad], meta, episodes=2, seeds=[0])
     with pytest.raises(ValueError):
-        evaluate_design(mid_design(), meta, episodes=0, seed=0)
+        evaluate_designs([mid_design()], meta, episodes=0, seeds=[0])
+    with pytest.raises(ValueError, match="seed per design"):
+        evaluate_designs([mid_design(), mid_design()], meta, episodes=2, seeds=[0])
+
+
+def initial_designs(config):
+    """The raw initial design set ``initial_state`` evaluates under ``config``."""
+    _, lower, upper = design_box(config)
+    unit = scan_candidates(
+        (np.zeros(lower.size), np.ones(lower.size)), config.init_count,
+        seeds.seed_int(config.master_seed, "doe"),
+    )
+    return lower + unit * (upper - lower)
+
+
+def traced_peak(fn):
+    """``fn()`` and the tracemalloc peak of the bytes it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batched_evaluation_memory_stays_near_one_design():
+    # Adaptation runs all designs' episodes in one lockstep, evaluation
+    # one design's at a time.  Every lockstep episode holds span-sized
+    # buffers, so evaluating all designs' episodes in one lockstep would
+    # peak at about 3.5 times one design's; this split stays near 1.6.
+    config = CidConfig(master_seed=1, init_count=8)
+    designs = initial_designs(config)
+    eval_seeds = [seeds.seed_int(config.master_seed, "evaluate", i) for i in range(config.init_count)]
+    # The benchmark's fixed user: every episode runs long.
+    meta = MetaPolicy(init_policy(seeds.seed_for(0, "meta_init")))
+
+    def evaluate(rows, row_seeds):
+        return evaluate_designs(rows, meta, 20, row_seeds, horizon=300)
+
+    singles = [traced_peak(lambda: evaluate([d], [s])) for d, s in zip(designs, eval_seeds)]
+    batch, peak = traced_peak(lambda: evaluate(designs, eval_seeds))
+    for (got, got_summaries), ([(want, want_summaries)], _) in zip(batch, singles, strict=True):
+        assert got.tobytes() == want.tobytes()
+        assert repr(got_summaries) == repr(want_summaries)
+    assert peak < 2.5 * max(p for _, p in singles)
+
+
+def test_initial_state_batch_matches_per_design_evaluation(tmp_path):
+    # The simulated provider evaluates the initial set in one batch; its
+    # run state holds the bits of evaluating the designs one at a time.
+    config = dataclasses.replace(TINY_BUTTON, init_count=4, adapt_episodes=8, episodes_per_eval=4)
+    provider = make_provider(config, small_meta(config))
+    assert provider.evaluate_batch is not None
+    saved = []
+    for name, source in (("batch", provider), ("mapped", dataclasses.replace(provider, evaluate_batch=None))):
+        path = tmp_path / f"{name}.json"
+        save_artifact(str(path), initial_state(config, source))
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
 
 
 def test_schaffer_provider_evaluates_exactly():
@@ -245,11 +306,11 @@ def test_button_loop_with_objective_subset():
     # The subset provider reorders the canonical triple.
     design = state.records[0].design
     seed = state.records[0].seeds[0]
-    full, _ = evaluate_design(
-        design,
+    [(full, _)] = evaluate_designs(
+        [design],
         meta,
         config.episodes_per_eval,
-        seed,
+        [seed],
         config.horizon,
         config.sensory_delay,
         config.dwell_limit,

@@ -22,7 +22,7 @@ from buttonlab import (
     Trajectory,
     adapt,
     design_to_fdvv,
-    evaluate_design,
+    evaluate_designs,
     fit_fdvv,
     force_at,
     init_policy,
@@ -366,16 +366,21 @@ def test_policy_gradient_rejects_empty_batch():
 
 _THREAD_PROBE = """
 import numpy as np
-from buttonlab import MetaPolicy, TaskSpec, adapt, design_to_fdvv, evaluate_design, meta_train
+from buttonlab import MetaPolicy, TaskSpec, adapt, design_to_fdvv, evaluate_designs, meta_train
 from buttonlab.policy import LOCKSTEP_MIN_EPISODES, default_task_sampler
 
 meta = meta_train(default_task_sampler, iterations=2, seed=3, tasks_per_iteration=4)
-design = default_task_sampler(np.random.default_rng(5))
+rng = np.random.default_rng(5)
+design = default_task_sampler(rng)
 adapted = adapt(meta, TaskSpec(design), design_to_fdvv(design), seed=4)
-objectives, _ = evaluate_design(design, meta, LOCKSTEP_MIN_EPISODES, seed=6)
+[(objectives, _)] = evaluate_designs([design], meta, LOCKSTEP_MIN_EPISODES, [6])
 print(meta.init_params.vector.tobytes().hex())
 print(adapted.vector.tobytes().hex())
 print(objectives.tobytes().hex())
+# Three designs adapt in one lockstep, on stacked per-design head weights.
+trio = [design, default_task_sampler(rng), default_task_sampler(rng)]
+for objectives, _ in evaluate_designs(trio, meta, LOCKSTEP_MIN_EPISODES, [6, 7, 8]):
+    print(objectives.tobytes().hex())
 four = adapt(MetaPolicy(meta.init_params, adapt_episodes=4), TaskSpec(design), design_to_fdvv(design), seed=7)
 print(four.vector.tobytes().hex())
 """
@@ -542,7 +547,7 @@ def reference_meta_train(task_sampler, iterations, seed, tasks_per_iteration, me
 
 
 def reference_evaluate(design, meta, episodes, seed):
-    """evaluate_design's objectives, one rollout at a time."""
+    """evaluate_designs' objectives for one design, one rollout at a time."""
     model = design_to_fdvv(design)
     task = TaskSpec(design)
     adapted = adapt(meta, task, model, seed)
@@ -568,8 +573,15 @@ def test_lockstep_callers_match_sequential_reference():
 
     for k, design in enumerate(designs):
         episodes = LOCKSTEP_MIN_EPISODES + 2 * k
-        got, _ = evaluate_design(design, meta, episodes, seed=20 + k)
+        [(got, _)] = evaluate_designs([design], meta, episodes, [20 + k])
         assert got.tobytes() == reference_evaluate(design, meta, episodes, 20 + k).tobytes()
+
+    # One batch over all three: their episodes end after a few ticks
+    # (designs[2]), after about 65 (designs[1]) and never (designs[0]), and
+    # a lockstep mixing them keeps every design's bits.
+    batch = evaluate_designs(designs, meta, LOCKSTEP_MIN_EPISODES, [30, 31, 32])
+    for k, (design, (got, _)) in enumerate(zip(designs, batch, strict=True)):
+        assert got.tobytes() == reference_evaluate(design, meta, LOCKSTEP_MIN_EPISODES, 30 + k).tobytes()
 
 
 def shared_policy_batches():
