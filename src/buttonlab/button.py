@@ -147,50 +147,65 @@ class FdvvModel:
         object.__setattr__(self, "fd_curves", curves)
 
     @cached_property
-    def _tables(self) -> list[tuple[list[float], list[tuple[float, float, float, float]]]]:
-        # Piecewise-polynomial form of each curve for cheap scalar lookups.
-        # Zero-width intervals at repeated knots are dropped so the edge
-        # lookup always lands on a real segment.
+    def _tables(self) -> list[tuple[list[float], list[list[float]], float, float, list[float]]]:
+        # Piecewise-polynomial form of each curve for cheap scalar lookups:
+        # the segment starts, each segment's coefficients, the first and
+        # last break and the breaks between them.  Zero-width intervals at
+        # repeated knots are dropped so the edge lookup always lands on a
+        # real segment.
         tables = []
         for curve in self.fd_curves:
             c = curve.power_coefficients()
             pad = 4 - c.shape[0]
             coeffs = np.vstack([np.zeros((pad, c.shape[1])), c]) if pad > 0 else c
             keep = np.flatnonzero(np.diff(curve.knots) > 0.0)
-            breaks = list(curve.knots[keep]) + [float(curve.knots[-1])]
-            tables.append((breaks, [tuple(coeffs[:, j]) for j in keep]))
+            breaks = curve.knots[keep].tolist() + [float(curve.knots[-1])]
+            tables.append((breaks[:-1], coeffs[:, keep].T.tolist(), breaks[0], breaks[-1], breaks[1:-1]))
         return tables
 
-    def _spring_force(self, displacement: float, velocity: float) -> float:
-        speed = abs(velocity)
+    @cached_property
+    def _lookup(self) -> tuple:
+        """What :meth:`_spring_force` reads, built once per model."""
         levels = self.velocity_levels
-        if speed <= levels[0]:
-            lo_i, hi_i, w = 0, 0, 0.0
-        elif speed >= levels[-1]:
-            lo_i, hi_i, w = len(levels) - 1, len(levels) - 1, 0.0
+        gaps = [b - a for a, b in zip(levels, levels[1:])]
+        return levels[0], levels[-1], levels, gaps, self._tables, self.max_force
+
+    def _spring_force(self, displacement: float, velocity: float) -> float:
+        slowest, fastest, levels, gaps, tables, max_force = self._lookup
+        speed = abs(velocity)
+        if speed <= slowest:
+            f = _table_eval(tables[0], displacement)
+        elif speed >= fastest:
+            f = _table_eval(tables[-1], displacement)
         else:
-            hi_i = bisect_right(levels, speed)
-            lo_i = hi_i - 1
-            w = (speed - levels[lo_i]) / (levels[hi_i] - levels[lo_i])
-        f = _table_eval(self._tables[lo_i], displacement)
-        if w > 0.0:
-            f += w * (_table_eval(self._tables[hi_i], displacement) - f)
-        return min(max(f, 0.0), self.max_force)
+            hi = bisect_right(levels, speed)
+            w = (speed - levels[hi - 1]) / gaps[hi - 1]
+            f = _table_eval(tables[hi - 1], displacement)
+            if w > 0.0:
+                f += w * (_table_eval(tables[hi], displacement) - f)
+        # min(max(f, 0.0), max_force), keeping a nan and a -0.0.
+        if f < 0.0:
+            return 0.0
+        if f > max_force:
+            return max_force
+        return f
 
 
 def _table_eval(table, x: float) -> float:
-    breaks, coeffs = table
-    if x <= breaks[0]:
-        x = breaks[0]
-    elif x >= breaks[-1]:
-        x = breaks[-1]
-    i = min(max(bisect_right(breaks, x) - 1, 0), len(coeffs) - 1)
+    starts, coeffs, first, last, inner = table
+    if x <= first:
+        x = first
+    elif x >= last:
+        x = last
+    # x is in [first, last] (or nan): its segment is the count of inner
+    # breaks at or below it, and last belongs to the last segment.
+    i = bisect_right(inner, x)
     c3, c2, c1, c0 = coeffs[i]
-    t = x - breaks[i]
+    t = x - starts[i]
     return ((c3 * t + c2) * t + c1) * t + c0
 
 
-def _segments(table, travel: float) -> tuple[list[float], list[tuple[float, float, float, float]]]:
+def _segments(table, travel: float) -> tuple[list[float], list[list[float]]]:
     """A curve's segment starts and coefficients over [0, travel].
 
     Where the curve's domain starts above 0 or ends below travel, a
@@ -198,14 +213,14 @@ def _segments(table, travel: float) -> tuple[list[float], list[tuple[float, floa
     clamps to.  Its coefficients -0.0, -0.0, -0.0 and that value give the
     value bit for bit under Horner's rule at any t >= 0.
     """
-    breaks, coeffs = table
-    starts, segments = list(breaks[:-1]), list(coeffs)
-    if breaks[0] > 0.0:
+    starts, coeffs, first, last, _ = table
+    starts, segments = list(starts), list(coeffs)
+    if first > 0.0:
         starts.insert(0, 0.0)
-        segments.insert(0, (-0.0, -0.0, -0.0, _table_eval(table, breaks[0])))
-    if breaks[-1] < travel:
-        starts.append(breaks[-1])
-        segments.append((-0.0, -0.0, -0.0, _table_eval(table, breaks[-1])))
+        segments.insert(0, [-0.0, -0.0, -0.0, _table_eval(table, first)])
+    if last < travel:
+        starts.append(last)
+        segments.append([-0.0, -0.0, -0.0, _table_eval(table, last)])
     return starts, segments
 
 

@@ -123,13 +123,16 @@ def compensate_drive(
         (drive, achieved residual RMSE).
 
     Raises:
-        ValueError: empty impulse response, zero leading tap, or
+        ValueError: empty impulse response, zero leading tap, a
+            non-finite value in target or impulse response, or
             max_iters < 1.
     """
     y = np.asarray(target, dtype=float).ravel()
     h = np.asarray(impulse_response, dtype=float).ravel()
     if h.size == 0 or h[0] == 0.0:
         raise ValueError("impulse response must start with a nonzero tap")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(h))):  # isfinite fails nan too
+        raise ValueError("target and impulse response must be finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if y.size == 0:

@@ -226,22 +226,21 @@ def load_artifact(path: str):
 
 def save_trace(path: str, trace: FdTrace) -> None:
     """Write a trace as CSV with the canonical four-column header."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for t, d, f, v in zip(trace.time, trace.displacement, trace.force, trace.vibration):
-        writer.writerow([f"{t:.12g}", f"{d:.12g}", f"{f:.12g}", f"{v:.12g}"])
-    _atomic_write(path, out.getvalue())
+    rows = np.column_stack((trace.time, trace.displacement, trace.force, trace.vibration))
+    body = "%.12g,%.12g,%.12g,%.12g\n" * len(rows) % tuple(rows.ravel().tolist())
+    _atomic_write(path, ",".join(TRACE_HEADER) + "\n" + body)
 
 
 def load_trace(path: str) -> FdTrace:
-    """Read a four-column trace CSV, validating timing row by row.
+    """Read a four-column trace CSV, validating every row.
 
-    Time must be strictly increasing and uniformly sampled within 1% of
-    the median interval; the sample rate is derived from that median.
+    Cells must be finite numbers and displacement nonnegative.  Time
+    must be strictly increasing and uniformly sampled within 1% of the
+    median interval; the sample rate is derived from that median.
 
     Raises:
-        FormatError: wrong header, short file, non-numeric cells,
+        FormatError: wrong header, short file, a wrong column count,
+            non-numeric or non-finite cells, negative displacement,
             non-monotone time, or irregular sampling; the message cites
             the first offending row (1-based, header is row 1).
     """
@@ -253,16 +252,17 @@ def load_trace(path: str) -> FdTrace:
         raise FormatError(f"{path}: expected header {','.join(TRACE_HEADER)}, found {found}")
     if len(rows) < 3:
         raise FormatError(f"{path}: need at least 2 samples, found {len(rows) - 1}")
-    data = np.empty((len(rows) - 1, 4))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise FormatError(f"{path}: row {i}: expected 4 columns, found {len(row)}")
-        try:
-            data[i - 2] = [float(cell) for cell in row]
-        except ValueError:
-            raise FormatError(f"{path}: row {i}: non-numeric value in {row}") from None
-        if not np.all(np.isfinite(data[i - 2])):
-            raise FormatError(f"{path}: row {i}: non-finite value")
+    try:
+        # numpy parses each cell as float() does.
+        data = np.array(rows[1:], dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != 4 or not np.all(np.isfinite(data)):
+        data = _parse_rows(path, rows)
+    negative = np.flatnonzero(data[:, 1] < 0.0)
+    if negative.size:
+        i = negative[0]
+        raise FormatError(f"{path}: row {i + 2}: negative displacement {data[i, 1]:.6g}")
     time = data[:, 0]
     steps = np.diff(time)
     bad = np.flatnonzero(steps <= 0)
@@ -276,6 +276,26 @@ def load_trace(path: str) -> FdTrace:
             f"more than 1% from the median {dt:.6g}"
         )
     return FdTrace(time, data[:, 1], data[:, 2], data[:, 3], sample_rate=1.0 / dt)
+
+
+def _parse_rows(path: str, rows: list[list[str]]) -> np.ndarray:
+    """The body rows as floats, checked one row at a time.
+
+    Raises:
+        FormatError: naming the first row with a wrong column count, a
+            non-numeric cell or a non-finite value.
+    """
+    data = np.empty((len(rows) - 1, 4))
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != 4:
+            raise FormatError(f"{path}: row {i}: expected 4 columns, found {len(row)}")
+        try:
+            data[i - 2] = [float(cell) for cell in row]
+        except ValueError:
+            raise FormatError(f"{path}: row {i}: non-numeric value in {row}") from None
+        if not np.all(np.isfinite(data[i - 2])):
+            raise FormatError(f"{path}: row {i}: non-finite value")
+    return data
 
 
 def export_front(state: RunState, front_path: str, hv_path: str) -> None:

@@ -6,6 +6,7 @@ and an RK4 integrator local to this file.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -254,17 +255,110 @@ def test_force_interpolates_between_velocity_levels():
         )
 
 
-def test_spring_tables_match_scalar_lookup():
-    rng = np.random.default_rng(21)
-    # Curves whose domain sits just inside [0, travel] clamp at both ends;
-    # a quadratic on four levels adds levels and segments to the padding.
+# The scalar spring lookup as it was first written, kept as a fixed
+# reference for FdvvModel._spring_force and SpringTables: each curve's
+# breaks and power-basis coefficients, a bisect per lookup, and builtin
+# min/max clamps.
+
+
+def reference_tables(model):
+    tables = []
+    for curve in model.fd_curves:
+        c = curve.power_coefficients()
+        pad = 4 - c.shape[0]
+        coeffs = np.vstack([np.zeros((pad, c.shape[1])), c]) if pad > 0 else c
+        keep = np.flatnonzero(np.diff(curve.knots) > 0.0)
+        breaks = list(curve.knots[keep]) + [float(curve.knots[-1])]
+        tables.append((breaks, [tuple(coeffs[:, j]) for j in keep]))
+    return tables
+
+
+def reference_table_eval(table, x):
+    breaks, coeffs = table
+    if x <= breaks[0]:
+        x = breaks[0]
+    elif x >= breaks[-1]:
+        x = breaks[-1]
+    i = min(max(bisect_right(breaks, x) - 1, 0), len(coeffs) - 1)
+    c3, c2, c1, c0 = coeffs[i]
+    t = x - breaks[i]
+    return ((c3 * t + c2) * t + c1) * t + c0
+
+
+def reference_spring_force(model, tables, displacement, velocity):
+    speed = abs(velocity)
+    levels = model.velocity_levels
+    if speed <= levels[0]:
+        lo_i, hi_i, w = 0, 0, 0.0
+    elif speed >= levels[-1]:
+        lo_i, hi_i, w = len(levels) - 1, len(levels) - 1, 0.0
+    else:
+        hi_i = bisect_right(levels, speed)
+        lo_i = hi_i - 1
+        w = (speed - levels[lo_i]) / (levels[hi_i] - levels[lo_i])
+    f = reference_table_eval(tables[lo_i], displacement)
+    if w > 0.0:
+        f += w * (reference_table_eval(tables[hi_i], displacement) - f)
+    return min(max(f, 0.0), model.max_force)
+
+
+def reference_forces(models, d, v):
+    tables = {id(m): reference_tables(m) for m in {id(m): m for m in models}.values()}
+    return np.array([reference_spring_force(m, tables[id(m)], float(x), float(y)) for m, x, y in zip(models, d, v)])
+
+
+def odd_models():
+    """Models whose curves leave the design shapes' paths.
+
+    Curves whose domain sits just inside [0, travel] clamp at both ends;
+    a quadratic on four levels adds levels and segments; a line that
+    dips below zero and one above max_force reach both clamps.
+    """
     inner = BSplineCurve(1, np.array([1e-13, 1e-13, TRAVEL - 1e-13, TRAVEL - 1e-13]),
                          np.array([0.1, 3.0]))
     quad = BSplineCurve(2, np.array([0.0, 0.0, 0.0, 1.0, 2.5, TRAVEL, TRAVEL, TRAVEL]),
                         np.array([0.0, 0.5, 2.0, 1.0, 4.0]))
-    odd = FdvvModel((5.0, 50.0, 150.0, 400.0), (inner, quad, inner, quad), TRAVEL, 3.0, 2.1,
-                    VibrationSpec(200.0, 0.0, 200.0), max_force=3.5, damping=DAMPING)
-    models = [design_to_fdvv(random_design(rng)) for _ in range(4)] + [odd, linear_model()]
+    kinked = BSplineCurve(1, np.array([1e-13, 1e-13, 2.0, TRAVEL - 1e-13, TRAVEL - 1e-13]),
+                          np.array([0.1, 3.0, 1.0]))
+    dipping = BSplineCurve(1, np.array([0.0, 0.0, 1.0, TRAVEL, TRAVEL]), np.array([-0.0, -1.0, 5.0]))
+    vib = VibrationSpec(200.0, 0.0, 200.0)
+    return [
+        FdvvModel((5.0, 50.0, 150.0, 400.0), (inner, quad, inner, quad), TRAVEL, 3.0, 2.1, vib,
+                  max_force=3.5, damping=DAMPING),
+        FdvvModel((5.0, 50.0, 150.0), (kinked, kinked, kinked), TRAVEL, 3.0, 2.1, vib,
+                  max_force=3.5, damping=DAMPING),
+        FdvvModel((5.0, 50.0), (dipping, quad), TRAVEL, 3.0, 2.1, vib, max_force=3.5, damping=DAMPING),
+        linear_model(),
+    ]
+
+
+def lookup_speeds(model):
+    """Every level and its neighbours, signed, zeros, and far past the last level."""
+    levels = np.array(model.velocity_levels)
+    between = 0.5 * (levels[1:] + levels[:-1])
+    speeds = np.concatenate([
+        levels, np.nextafter(levels, 0.0), np.nextafter(levels, np.inf), between,
+        [0.0, 0.5 * levels[0], 10.0 * levels[-1], 1e300, np.inf],
+    ])
+    return np.concatenate([speeds, -speeds])
+
+
+def test_scalar_spring_lookup_matches_reference():
+    rng = np.random.default_rng(23)
+    models = odd_models() + [design_to_fdvv(random_design(rng)) for _ in range(6)]
+    for model in models:
+        breaks = sorted({x for table_breaks, _ in reference_tables(model) for x in table_breaks})
+        d = np.concatenate([np.linspace(0.0, model.travel, 401), breaks, [0.0, -0.0, model.travel, np.nan]])
+        d = np.concatenate([d, np.nextafter(d, -np.inf).clip(0.0), np.nextafter(d, np.inf).clip(None, model.travel)])
+        for v in lookup_speeds(model):
+            got = np.array([model._spring_force(float(x), float(v)) for x in d])
+            want = reference_forces([model] * d.size, d, np.full(d.size, v))
+            assert got.tobytes() == want.tobytes(), (model.velocity_levels, v)
+
+
+def test_spring_tables_match_scalar_lookup():
+    rng = np.random.default_rng(21)
+    models = [design_to_fdvv(random_design(rng)) for _ in range(4)] + odd_models()
     for _ in range(20):
         which = rng.integers(0, len(models), 64)
         batch = [models[k] for k in which]
@@ -275,25 +369,20 @@ def test_spring_tables_match_scalar_lookup():
         v = rng.uniform(-500.0, 500.0, 64)
         v[::5] = rng.choice([0.0, 5.0, 10.0, -100.0, 150.0, 300.0, 400.0, 1e4], v[::5].size)
         got = SpringTables(batch).force(d, v)
-        want = np.array([m._spring_force(float(x), float(y)) for m, x, y in zip(batch, d, v)])
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == reference_forces(batch, d, v).tobytes()
 
 
 def test_spring_tables_match_scalar_lookup_on_breaks_and_levels():
     # Lookups exactly on a segment start or a velocity level, where a
     # count that used < for <= would pick the segment or level below.
     rng = np.random.default_rng(22)
-    inner = BSplineCurve(1, np.array([1e-13, 1e-13, 2.0, TRAVEL - 1e-13, TRAVEL - 1e-13]),
-                         np.array([0.1, 3.0, 1.0]))
-    odd = FdvvModel((5.0, 50.0, 150.0), (inner, inner, inner), TRAVEL, 3.0, 2.1,
-                    VibrationSpec(200.0, 0.0, 200.0), max_force=3.5, damping=DAMPING)
-    for model in [design_to_fdvv(random_design(rng)) for _ in range(4)] + [odd]:
-        breaks = sorted({x for table_breaks, _ in model._tables for x in table_breaks})
+    for model in [design_to_fdvv(random_design(rng)) for _ in range(4)] + odd_models():
+        breaks = sorted({x for table_breaks, _ in reference_tables(model) for x in table_breaks})
         d = np.array([x for x in breaks if 0.0 <= x <= model.travel] + [0.0, model.travel])
         for level in model.velocity_levels:
             for v in (level, -level):
                 got = SpringTables([model] * d.size).force(d, np.full(d.size, v))
-                want = np.array([model._spring_force(float(x), v) for x in d])
+                want = reference_forces([model] * d.size, d, np.full(d.size, v))
                 assert got.tobytes() == want.tobytes(), (model.velocity_levels, v)
 
 

@@ -123,6 +123,15 @@ def test_compensation_validation():
         compensate_drive(np.ones(5), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         compensate_drive(np.ones(5), np.array([1.0]), max_iters=0)
+    # Non-finite input would run every pass and return a nan drive.
+    for target, h in [
+        (np.array([1.0, np.nan, 2.0]), np.array([0.7, 0.3])),
+        (np.ones(5), np.array([np.nan, 0.3])),
+        (np.ones(5), np.array([0.7, np.inf])),
+        (np.array([-np.inf]), np.array([1.0])),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            compensate_drive(target, h)
     drive, rmse = compensate_drive(np.array([]), np.array([0.7, 0.3]))
     assert drive.size == 0 and rmse == 0.0
 

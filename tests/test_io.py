@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import buttonlab
 from buttonlab import (
@@ -175,6 +177,56 @@ def test_trace_round_trip(tmp_path):
         assert handle.readline().strip() == "t_s,disp_mm,force_n,vib"
 
 
+def test_trace_file_format_is_pinned(tmp_path):
+    # Signed zeros, subnormals, tiny and huge magnitudes and a sum that
+    # is not its decimal: each cell is "%.12g" of its value.
+    path = str(tmp_path / "trace.csv")
+    trace = FdTrace(
+        np.array([0.0, 0.001, 0.002]),
+        np.array([-0.0, 1e-300, float(2**53 + 1)]),
+        np.array([0.1 + 0.2, -0.0, 5e-324]),
+        np.array([5e-324, float(2**53 + 1), -1e-300]),
+        1000.0,
+    )
+    save_trace(path, trace)
+    with open(path, newline="") as handle:
+        text = handle.read()
+    assert text == (
+        "t_s,disp_mm,force_n,vib\n"
+        "0,-0,0.3,4.94065645841e-324\n"
+        "0.001,1e-300,-0,9.00719925474e+15\n"
+        "0.002,9.00719925474e+15,4.94065645841e-324,-1e-300\n"
+    )
+    back = load_trace(path)
+    cells = [[float(cell) for cell in line.split(",")] for line in text.splitlines()[1:]]
+    got = np.column_stack([back.time, back.displacement, back.force, back.vibration])
+    assert got.tobytes() == np.array(cells).tobytes()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    n=st.integers(2, 40),
+    start=st.floats(0.0, 1e3),
+    dt=st.floats(1e-4, 1.0),
+    data=st.data(),
+)
+def test_trace_round_trip_is_the_printed_value(tmp_path_factory, n, start, dt, data):
+    cells = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+    trace = FdTrace(
+        start + dt * np.arange(n),
+        np.array(data.draw(st.lists(st.floats(0.0, allow_infinity=False), min_size=n, max_size=n))),
+        np.array(data.draw(cells)),
+        np.array(data.draw(cells)),
+        1.0 / dt,
+    )
+    path = str(tmp_path_factory.mktemp("trace") / "trace.csv")
+    save_trace(path, trace)
+    back = load_trace(path)
+    for name in ("time", "displacement", "force", "vibration"):
+        want = np.array([float("%.12g" % x) for x in getattr(trace, name)])
+        assert getattr(back, name).tobytes() == want.tobytes(), name
+
+
 def write_rows(path, rows):
     with open(path, "w") as handle:
         handle.write("\n".join(rows) + "\n")
@@ -204,6 +256,29 @@ def test_load_trace_errors_cite_rows(tmp_path):
     write_rows(path, rows)
     with pytest.raises(FormatError, match="row"):
         load_trace(path)
+
+    # Each body row error names its row; the first bad row wins.
+    head = ["t_s,disp_mm,force_n,vib", "0,0,1,0"]
+    cases = [
+        (["0.001,0,1", "0.002,0,1,0"], "row 3: expected 4 columns, found 3"),
+        (["0.001,0,1,0", "0.002,0,1,0,5"], "row 4: expected 4 columns, found 5"),
+        (["0.001,0,1,0", ""], "row 4: expected 4 columns, found 0"),
+        (["0.001,0,nan,0", "0.002,0,1"], "row 3: non-finite value"),
+        (["0.001,0,1,0", "0.002,inf,1,0"], "row 4: non-finite value"),
+        (["0.001,0,1,-Infinity", "0.002,0,x,0"], "row 3: non-finite value"),
+        (["0.001,0,x,0", "0.002,0,nan,0"], "row 3: non-numeric value in ['0.001', '0', 'x', '0']"),
+        (["0.001,-0.1,1,0", "0.002,0,1,0"], "row 3: negative displacement -0.1"),
+        (["0.001,0,1,0", "0.002,-1e-300,1,0"], "row 4: negative displacement -1e-300"),
+    ]
+    for body, message in cases:
+        write_rows(path, head + body)
+        with pytest.raises(FormatError) as info:
+            load_trace(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    # A signed zero is not a negative displacement.
+    write_rows(path, head + ["0.001,-0,1,0", "0.002,0,1,0"])
+    assert np.signbit(load_trace(path).displacement[1])
 
 
 def test_fdvv_artifact_round_trip(tmp_path):
