@@ -34,7 +34,6 @@ from .gp import (
     KernelSpec,
     gp_fit,
     gp_predict_batch,
-    log_marginal_likelihood,
     optimize_hyperparams,
 )
 from .loop import (
@@ -120,7 +119,6 @@ __all__ = [
     "initial_state",
     "load_artifact",
     "load_trace",
-    "log_marginal_likelihood",
     "low_pass_filter",
     "make_provider",
     "meta_train",

@@ -5,8 +5,8 @@ velocity plus a vibration burst triggered at activation.  One control
 period of a point mass (finger plus cap) against that force field is
 :func:`_tick`: semi-implicit Euler, the stops, and activation/release
 events with hysteresis.  The public stepper :func:`step`, the scripted
-trace and the policy's scalar rollout all run it; the policy's lockstep
-batch holds the one vectorized copy.
+trace and the policy's scalar episode loop all run it; the policy's
+lockstep batch holds the one vectorized copy.
 """
 
 from __future__ import annotations

@@ -96,9 +96,12 @@ def _load_profile(path: str) -> np.ndarray:
     values = []
     for i, row in enumerate(rows[1:], start=2):
         try:
-            values.append(float(row[0]))
-        except (IndexError, ValueError):
-            raise FormatError(f"{path}: row {i}: expected one numeric force value") from None
+            [value] = [float(cell) for cell in row]
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise FormatError(f"{path}: row {i}: expected one finite force value, found {row}")
+        values.append(value)
     if not values:
         raise FormatError(f"{path}: profile has no samples")
     return np.array(values)

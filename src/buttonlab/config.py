@@ -85,24 +85,23 @@ def _validate(cfg: CidConfig):
             _fail(f"design_space.{key}", f"bounds ({lo}, {hi}) outside admissible {bracket}")
     if cfg.init_count < 2:
         _fail("run.init_count", f"must be >= 2 to fit surrogates, got {cfg.init_count}")
-    positives = (
-        ("run.budget", cfg.budget),
-        ("optimizer.scan_count", cfg.scan_count),
-        ("user_model.episodes_per_eval", cfg.episodes_per_eval),
-        ("user_model.horizon", cfg.horizon),
-        ("user_model.dwell_limit", cfg.dwell_limit),
+    minimums = (
+        ("run.budget", cfg.budget, 1),
+        ("optimizer.scan_count", cfg.scan_count, 1),
+        ("user_model.episodes_per_eval", cfg.episodes_per_eval, 1),
+        ("user_model.horizon", cfg.horizon, 1),
+        ("user_model.dwell_limit", cfg.dwell_limit, 1),
+        ("user_model.adapt_episodes", cfg.adapt_episodes, 0),
+        ("user_model.sensory_delay", cfg.sensory_delay, 0),
+        ("run.master_seed", cfg.master_seed, 0),
     )
-    for path, value in positives:
-        if value < 1:
-            _fail(path, f"must be >= 1, got {value}")
+    for path, value, least in minimums:
+        if value < least:
+            _fail(path, f"must be >= {least}, got {value}")
     if cfg.kernel not in KERNELS:
         _fail("optimizer.kernel", f"must be one of {KERNELS}, got {cfg.kernel!r}")
     if not 0 < cfg.inner_lr < math.inf:  # written so that nan fails too
         _fail("user_model.inner_lr", f"must be finite and > 0, got {cfg.inner_lr}")
-    if cfg.adapt_episodes < 0:
-        _fail("user_model.adapt_episodes", f"must be >= 0, got {cfg.adapt_episodes}")
-    if cfg.sensory_delay < 0:
-        _fail("user_model.sensory_delay", f"must be >= 0, got {cfg.sensory_delay}")
 
 
 # Every scalar key as (section, key, type), in the order serialize_config

@@ -71,7 +71,8 @@ class GpModel:
     training inputs, ``inverse_factor`` is L^-1 and ``whitened`` is
     L^-1 y.  A query whose covariances with the inputs are k has
     v = L^-1 k, posterior mean v.whitened and variance k(q, q) - v.v.
-    ``log_likelihood`` is the targets' log marginal likelihood.
+    ``log_likelihood`` is the targets' log marginal likelihood,
+    -1/2 y^T (K+sI)^-1 y - 1/2 log|K+sI| - n/2 log 2pi, which is 0 for n = 0.
     """
 
     inputs: np.ndarray
@@ -188,13 +189,6 @@ def gp_predict_batch(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
     mean = model.whitened @ v
     variance = spec.signal_variance - np.sum(v * v, axis=0)
     return mean, np.clip(variance, 0.0, spec.signal_variance)
-
-
-def log_marginal_likelihood(model: GpModel) -> float:
-    """-1/2 y^T (K+sI)^-1 y - 1/2 log|K+sI| - n/2 log 2pi."""
-    if model.n == 0:
-        raise ValueError("log marginal likelihood needs at least one observation")
-    return model.log_likelihood
 
 
 def optimize_hyperparams(

@@ -192,26 +192,15 @@ class Trajectory:
 
 
 def rollout(params: PolicyParams, task: TaskSpec, model: FdvvModel, seed) -> Trajectory:
-    """One seeded episode against the simulated button at 1 kHz.
-
-    Each tick runs the public stepper's physics, ``button._tick``, on the
-    same spring lookup, so replaying the actions through
-    :func:`~buttonlab.button.step` reproduces the episode bit for bit.
-    Pre-drawing the noise makes the episode a pure function of (params,
-    task, model, seed).
-    """
-    horizon = task.horizon
-    z = np.random.default_rng(seed).standard_normal(horizon)
-    obs = np.empty((horizon, 5))
-    actions, raws, rewards = np.empty(horizon), np.empty(horizon), np.empty(horizon)
-    ending = _press(params, task, model, z, obs, actions, raws, rewards, 0, 0.0, 0.0, None)
-    return _trajectory(params, z, obs, actions, raws, rewards, *ending)
+    """One seeded episode against the simulated button: :func:`rollouts` of one."""
+    return rollouts([params], [task], [model], [seed])[0]
 
 
-def _press(params, task, model, z, obs_buf, actions, raws, rewards, start, d, v, activation_step):
+def _press(params, task, model, z, obs_buf, raws, start, d, v, activation_step):
     """Ticks ``start`` on of one episode, from displacement ``d``, velocity
-    ``v`` and its activation step so far (None before activation), written
-    into its buffers; returns (steps, success, activation_step)."""
+    ``v`` and its activation step so far (None before activation); writes
+    their observations and raw actions into its buffers and returns
+    (steps, success, activation_step)."""
     horizon = task.horizon
     sigma = math.exp(params.log_std)
     layers = params.weights
@@ -235,33 +224,38 @@ def _press(params, task, model, z, obs_buf, actions, raws, rewards, start, d, v,
         mean = float((h @ w_out)[0]) + b_out[0]
         raw = mean + sigma * z[t]
         a = min(max(raw, 0.0), ACTION_MAX_N)
-        actions[t] = a
         raws[t] = raw
 
         d, v, event = _tick(model, d, v, spring, a, activated, DEFAULT_DT_S, DEFAULT_MASS_KG)
-        reward = STEP_PENALTY - EFFORT_COEF * a * a
         if event == ACTIVATION:
             activated = True
             activation_step = t
         elif event == RELEASE:
-            rewards[t] = reward + SUCCESS_REWARD
             return t + 1, True, activation_step
 
         if (activated and t - activation_step >= task.dwell_limit) or t == horizon - 1:
-            rewards[t] = reward + TIMEOUT_PENALTY
             return t + 1, False, activation_step
-        rewards[t] = reward
     raise AssertionError("an episode always ends by its horizon")
 
 
-def _trajectory(params, z, obs, actions, raws, rewards, steps, success, activation_step):
-    """The first ``steps`` ticks of an episode's buffers as a Trajectory."""
+def _trajectory(params, z, obs, raws, steps, success, activation_step):
+    """The first ``steps`` ticks of an episode's buffers as a Trajectory.
+
+    The buffers hold what the engines record; the rest follows from it
+    here: the clamped actions, and the rewards, each tick's step penalty
+    and effort cost plus, on the last tick, the success bonus or the
+    timeout penalty.
+    """
+    raw = raws[:steps]
+    actions = _clamp(raw, np.empty(steps), np.empty(steps, dtype=bool))
+    rewards = STEP_PENALTY - EFFORT_COEF * actions * actions
+    rewards[-1] += SUCCESS_REWARD if success else TIMEOUT_PENALTY
     return Trajectory(
         observations=obs[:steps],
-        actions=actions[:steps],
-        raw_actions=raws[:steps],
+        actions=actions,
+        raw_actions=raw,
         log_probs=-0.5 * z[:steps] * z[:steps] - params.log_std - _HALF_LOG_2PI,
-        rewards=rewards[:steps],
+        rewards=rewards,
         success=success,
         activation_step=activation_step,
     )
@@ -274,15 +268,19 @@ LOCKSTEP_MIN_EPISODES = 4
 
 
 def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
-    """B independent episodes; each equals the :func:`rollout` of the same inputs.
+    """B independent seeded episodes against the simulated button at 1 kHz.
 
     ``params``, ``tasks``, ``models`` and ``seeds`` are sequences of one
-    entry per episode, and every episode's trajectory is byte-identical
-    to ``rollout(params[i], tasks[i], models[i], seeds[i])``.  From
-    LOCKSTEP_MIN_EPISODES episodes on they advance together, one tick for
-    all of them, in the same elementwise arithmetic as :func:`rollout`,
-    until fewer than that are still running; each of those then finishes
-    alone from where it stands.
+    entry per episode.  Each tick runs the public stepper's physics,
+    ``button._tick``, on the same spring lookup, so replaying an
+    episode's actions through :func:`~buttonlab.button.step` reproduces
+    it bit for bit.  Pre-drawing the noise makes every episode a pure
+    function of its own (params, task, model, seed): its trajectory is
+    byte-identical in any batch, alone or not.  While at least
+    LOCKSTEP_MIN_EPISODES episodes are running they advance together, one
+    tick for all of them, in the same elementwise arithmetic as one
+    episode alone; each of the rest then finishes alone from where it
+    stands, so a batch of fewer runs each episode alone from its start.
 
     Lockstep time over one-at-a-time time, each batch run with that rule
     at threshold min(B, 4) (2 cores, numpy 2.4, OpenBLAS; 24 batches
@@ -295,13 +293,13 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
 
     Raises:
         ValueError: sequences of different lengths, or policies of
-            different architectures in one lockstep batch.
+            different architectures in one call, at any batch size.
     """
     params, tasks, models, seeds = list(params), list(tasks), list(models), list(seeds)
     if not len(params) == len(tasks) == len(models) == len(seeds):
         raise ValueError("need one policy, task, model and seed per episode")
-    if len(params) < LOCKSTEP_MIN_EPISODES:
-        return [rollout(p, t, m, s) for p, t, m, s in zip(params, tasks, models, seeds)]
+    if len({p.layer_sizes for p in params}) > 1:
+        raise ValueError("one rollouts call needs one policy architecture")
     return _lockstep(params, tasks, models, seeds)
 
 
@@ -331,33 +329,20 @@ def _clamp(raw: np.ndarray, out: np.ndarray, below: np.ndarray) -> np.ndarray:
 
 
 def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[FdvvModel], seeds):
-    """:func:`rollouts` with every episode advanced one tick at a time."""
-    sizes = params[0].layer_sizes
-    if any(p.layer_sizes != sizes for p in params):
-        raise ValueError("a lockstep batch needs one policy architecture")
+    """:func:`rollouts` once its arguments are checked."""
     n = len(params)
-    span = max(t.horizon for t in tasks)
+    span = max((t.horizon for t in tasks), default=0)
     z = np.zeros((n, span))
     for e, (task, seed) in enumerate(zip(tasks, seeds)):
         z[e, : task.horizon] = np.random.default_rng(seed).standard_normal(task.horizon)
-    sigma = np.array([math.exp(p.log_std) for p in params])
-    noise = np.multiply(z, sigma[:, None]).ravel()
-    # Episode-major buffers: a trajectory's arrays, but for its
-    # log-probabilities, are views of one row of each.  A tick writes the
-    # observations and raw actions; the actions and rewards follow from
-    # the raw actions, all at once, when the ticks are done.
+    # Episode-major buffers of what a tick records, the observations and
+    # raw actions: a trajectory's are views of one row of each.
     obs_buf = np.empty((n, span, 5))
-    raws = np.zeros((n, span))
+    raws = np.empty((n, span))
     steps = np.zeros(n, dtype=int)
     success = np.zeros(n, dtype=bool)
     never = np.iinfo(np.int64).max // 2  # activation step of an unactivated episode
 
-    # The forward pass is a stack of vector-times-matrix products: each
-    # row's matmul gives the bits of rollout's ``h @ w``, where a single
-    # (B, n) @ (n, m) product would not.  Biases are per episode, for
-    # flat elementwise adds.
-    layers = [_layer(params, k) for k in range(len(sizes) - 1)]
-    springs = SpringTables(models)
     # Per episode, by batch index: what only an event or a timeout reads.
     act_step = np.full(n, never)
     cue_at = np.full(n, never)
@@ -392,15 +377,31 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
         "beyond": np.zeros(n, dtype=bool),
     }
     obs_flat, raws_flat = obs_buf.reshape(-1), raws.reshape(-1)
-    next_cue, next_deadline = never, int(deadline.min())
-    t = 0
-    while True:
+    next_cue = never
+    t, keep = 0, None
+    while state["rows"].size >= LOCKSTEP_MIN_EPISODES:
+        # What a tick reads of the policies and models: built on the
+        # first pass, so that a batch too small to share a tick never
+        # builds it, and narrowed on each later one.
+        if keep is None:
+            # The forward pass is a stack of vector-times-matrix products:
+            # each row's matmul gives the bits of _press's ``h @ w``, where
+            # a single (B, n) @ (n, m) product would not.  Biases are per
+            # episode, for flat elementwise adds.
+            layers = [_layer(params, k) for k in range(len(params[0].weights))]
+            springs = SpringTables(models)
+            sigma = np.array([math.exp(p.log_std) for p in params])
+            noise = np.multiply(z, sigma[:, None]).ravel()
+        else:
+            layers = [(w[keep] if w.ndim == 3 else w, bias[keep]) for w, bias in layers]
+            springs.take(keep)
         # The running episodes and their scratch arrays until one ends.
         b = state["rows"].size
         rows, at, obs_at, numer, denom = (state[k] for k in ("rows", "at", "obs_at", "numer", "denom"))
         damping, edges, signs, beyond = (state[k] for k in ("damping", "edges", "signs", "beyond"))
         d, v, spring, cue, left = numer.T
         travel, sign, edge = edges[:, 1], signs[:, 2], edges[:, 2]
+        next_deadline = int(deadline[rows].min())
         obs = np.empty((b, 5))
         rows_in = obs[:, None, :]
         hidden = []
@@ -478,28 +479,18 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
         steps[rows[done]] = t
         keep = ~done
         state = {k: x[keep] for k, x in state.items()}
-        if state["rows"].size < LOCKSTEP_MIN_EPISODES:
-            break
-        layers = [(w[keep] if w.ndim == 3 else w, bias[keep]) for w, bias in layers]
-        springs.take(keep)
-        next_deadline = int(deadline[state["rows"]].min())
 
-    actions = _clamp(raws, np.empty_like(raws), np.empty(raws.shape, dtype=bool))
-    rewards = STEP_PENALTY - EFFORT_COEF * actions * actions
-    ended = np.flatnonzero(steps)
-    rewards[ended, steps[ended] - 1] += np.where(success[ended], SUCCESS_REWARD, TIMEOUT_PENALTY)
-    # Too few left to share a tick: each finishes alone.
-    for e, (d, v) in zip(state["rows"], state["numer"][:, :2].tolist()):
+    # Too few running to share a tick: each finishes alone.
+    for e, (d, v, *_) in zip(state["rows"], state["numer"].tolist()):
         act = int(act_step[e])
         steps[e], success[e], act = _press(
-            params[e], tasks[e], models[e], z[e], obs_buf[e], actions[e], raws[e], rewards[e],
-            t, d, v, None if act == never else act,
+            params[e], tasks[e], models[e], z[e], obs_buf[e], raws[e], t, d, v, None if act == never else act
         )
         act_step[e] = never if act is None else act
 
     return [
         _trajectory(
-            params[e], z[e], obs_buf[e], actions[e], raws[e], rewards[e], k, bool(success[e]),
+            params[e], z[e], obs_buf[e], raws[e], k, bool(success[e]),
             None if act_step[e] == never else int(act_step[e]),
         )
         for e, k in enumerate(steps)
@@ -698,12 +689,15 @@ def meta_train(
     call; the result is the same as one task at a time.
 
     Raises:
-        ValueError: iterations < 0, or adapt_episodes < 1.
+        ValueError: iterations < 0, adapt_episodes < 1, or
+            tasks_per_iteration < 1.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     if adapt_episodes < 1:
         raise ValueError("meta-training needs adapt_episodes >= 1")
+    if tasks_per_iteration < 1:
+        raise ValueError("meta-training needs tasks_per_iteration >= 1")
     inner_episodes = _BATCH * ((adapt_episodes - 1) // _BATCH)
     last_episodes = adapt_episodes - inner_episodes
     init = init_policy(seeds.seed_for(seed, "meta_init"), layer_sizes)

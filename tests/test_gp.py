@@ -20,7 +20,6 @@ from buttonlab import (
     NumericalError,
     gp_fit,
     gp_predict_batch,
-    log_marginal_likelihood,
     optimize_hyperparams,
 )
 from buttonlab.gp import _kernel_matrix
@@ -125,7 +124,7 @@ def test_log_marginal_likelihood_matches_dense_formula():
         assert sign > 0
         expected = -0.5 * float(y @ np.linalg.solve(cov, y)) - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi)
         model = gp_fit(x, y, spec)
-        assert log_marginal_likelihood(model) == pytest.approx(expected, abs=1e-8)
+        assert model.log_likelihood == pytest.approx(expected, abs=1e-8)
 
 
 def test_variance_bounds_and_far_field():
@@ -146,8 +145,7 @@ def test_empty_model_returns_prior():
     mean, variance = predict_one(model, np.array([0.3, -0.4]))
     assert mean == 0.0
     assert variance == spec.signal_variance
-    with pytest.raises(ValueError):
-        log_marginal_likelihood(model)
+    assert model.log_likelihood == 0.0  # no targets, no evidence
 
 
 def test_kernel_eval_symmetry_and_diagonal():
@@ -194,8 +192,8 @@ def test_hyperparameter_search_improves_on_poor_guess():
     y = np.sin(x[:, 0]) * np.cos(0.5 * x[:, 1]) + 0.01 * rng.standard_normal(18)
     poor = KernelSpec(100.0, np.full(2, 50.0), noise_variance=1.0)
     tuned = optimize_hyperparams(x, y, seed=0)
-    lml_poor = log_marginal_likelihood(gp_fit(x, y, poor))
-    lml_tuned = log_marginal_likelihood(gp_fit(x, y, tuned))
+    lml_poor = gp_fit(x, y, poor).log_likelihood
+    lml_tuned = gp_fit(x, y, tuned).log_likelihood
     assert lml_tuned > lml_poor
     again = optimize_hyperparams(x, y, seed=0)
     assert again.signal_variance == tuned.signal_variance
@@ -233,7 +231,7 @@ def test_non_finite_inputs_or_targets_raise_value_error():
 
 def reference_search(inputs, targets, search_budget, seed, family, tally):
     """optimize_hyperparams before scoring was memoized: a KernelSpec and a
-    gp_fit plus log_marginal_likelihood for every trial, repeats included.
+    gp_fit and its log_likelihood for every trial, repeats included.
 
     ``tally`` counts trials, distinct trials, jittered fits and failed fits.
     """
@@ -259,7 +257,7 @@ def reference_search(inputs, targets, search_budget, seed, family, tally):
             tally["failed"] += 1
             return -np.inf
         tally["jittered"] += model.jitter > 0.0
-        return log_marginal_likelihood(model)
+        return model.log_likelihood
 
     candidates = [make(y_scale, 0.3 * span, 1e-4 * y_scale)]
     for _ in range(search_budget):

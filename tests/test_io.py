@@ -88,6 +88,19 @@ def test_config_rejects_zero_budget_by_name():
         parse_config("[run]\nbudget = 0\n")
 
 
+def test_negative_master_seed_is_rejected_by_name(tmp_path, capsys):
+    with pytest.raises(FormatError, match="run.master_seed: must be >= 0, got -3"):
+        parse_config("[run]\nmaster_seed = -3\n")
+    assert parse_config("[run]\nmaster_seed = 0\n").master_seed == 0
+    cfg = config_file(tmp_path, "[run]\nmaster_seed = -1\n")
+    assert main(["optimize", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 2
+    assert main(["bench", "--problem", "zdt1", "--seed", "-3"]) == 2
+    assert main(["meta-train", "--iterations", "0", "--out", str(tmp_path / "p.json"), "--seed", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("run.master_seed: must be >= 0") == 3
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_config_rejects_unknown_names():
     with pytest.raises(FormatError):
         parse_config("[run]\nwarp_speed = 9\n")
@@ -700,6 +713,28 @@ def test_cli_simulate_rejects_a_bad_mass(tmp_path, capsys):
         ]) == 2
         assert "mass_kg" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "sim.csv")
+
+
+def test_cli_simulate_rejects_a_bad_profile_row(tmp_path, capsys):
+    model_path = str(tmp_path / "model.json")
+    save_artifact(model_path, design_to_fdvv(ButtonDesignParams(3.0, 0.5, 2.0, 0.4, 0.3, 0.01)))
+    profile_path = str(tmp_path / "profile.csv")
+    out_path = str(tmp_path / "sim.csv")
+    for row, cells in (
+        ("1.0,junk", "['1.0', 'junk']"),
+        ("1.0,2.0", "['1.0', '2.0']"),
+        ("junk", "['junk']"),
+        ("nan", "['nan']"),
+        ("inf", "['inf']"),
+        ("-inf", "['-inf']"),
+        ("", "[]"),
+    ):
+        with open(profile_path, "w") as handle:
+            handle.write(f"force_n\n3.0\n{row}\n3.0\n")
+        assert main(["simulate", "--model", model_path, "--profile", profile_path, "--out", out_path]) == 2
+        err = capsys.readouterr().err
+        assert f"{profile_path}: row 3: expected one finite force value, found {cells}" in err, row
+    assert not os.path.exists(out_path)
 
 
 def test_cli_report_exports_front(tmp_path, capsys):

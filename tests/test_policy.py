@@ -36,8 +36,12 @@ from buttonlab import (
 from buttonlab import seeds
 from buttonlab.policy import (
     ACTION_MAX_N,
+    EFFORT_COEF,
     GAMMA,
     LOCKSTEP_MIN_EPISODES,
+    STEP_PENALTY,
+    SUCCESS_REWARD,
+    TIMEOUT_PENALTY,
     _adapt_tasks,
     _layer,
     _mean_batch,
@@ -338,6 +342,8 @@ def test_meta_train_zero_iterations_returns_seeded_init():
     assert np.array_equal(meta.init_params.vector, again.init_params.vector)
     with pytest.raises(ValueError):
         meta_train(sampler, iterations=-1)
+    with pytest.raises(ValueError, match="tasks_per_iteration"):
+        meta_train(sampler, iterations=1, tasks_per_iteration=0)
 
 
 def test_meta_train_one_iteration_updates_init():
@@ -495,18 +501,36 @@ def test_rollouts_equal_rollout_bit_for_bit():
             endings.add("dwell")
     assert endings == {"success", "dwell", "horizon", "no activation"}
     assert len(want) > LOCKSTEP_MIN_EPISODES
-    for size in (1, LOCKSTEP_MIN_EPISODES - 1, LOCKSTEP_MIN_EPISODES, len(want)):
+    for size in (*range(1, LOCKSTEP_MIN_EPISODES + 1), len(want)):
         got = rollouts(params[:size], tasks[:size], models[:size], episode_seeds[:size])
         assert len(got) == size
         for g, w in zip(got, want):
             assert_same_trajectory(g, w)
 
 
+def test_actions_and_rewards_follow_the_scalar_rule():
+    """Every tick's action and reward, bit for bit, from Python floats."""
+    batches = [mixed_batch(), *shared_policy_batches()]
+    trajectories = [t for batch in batches for t in rollouts(*batch)]
+    assert {t.success for t in trajectories} == {True, False}
+    for t in trajectories:
+        actions, rewards = [], []
+        for raw in t.raw_actions.tolist():
+            a = min(max(raw, 0.0), ACTION_MAX_N)
+            actions.append(a)
+            rewards.append(STEP_PENALTY - EFFORT_COEF * a * a)
+        rewards[-1] += SUCCESS_REWARD if t.success else TIMEOUT_PENALTY
+        assert t.actions.tobytes() == np.array(actions).tobytes()
+        assert t.rewards.tobytes() == np.array(rewards).tobytes()
+
+
 def test_rollouts_share_buffers_and_weights():
     params, tasks, models, episode_seeds = mixed_batch()
     got = rollouts(params, tasks, models, episode_seeds)
-    # Trajectories are views of one episode-major buffer per field.
-    assert all(t.actions.base is got[0].actions.base for t in got)
+    # What the engine records is a view of one episode-major buffer per field.
+    for name in ("observations", "raw_actions"):
+        buffer = getattr(got[0], name).base
+        assert buffer is not None and all(getattr(t, name).base is buffer for t in got), name
     # Layers that every episode holds are not stacked per episode.
     shared = [params[0], params[0].replaced(params[0].vector.copy())]
     assert _layer(shared, 0)[0].ndim == 2
@@ -518,8 +542,10 @@ def test_rollouts_validation():
     with pytest.raises(ValueError):
         rollouts(params, tasks[:-1], models, episode_seeds)
     small = init_policy(0, layer_sizes=(5, 4, 1))
-    with pytest.raises(ValueError):
-        rollouts([small] + params[1:], tasks, models, episode_seeds)
+    # One architecture per call, at every batch size, lockstep or not.
+    for size in (2, LOCKSTEP_MIN_EPISODES - 1, LOCKSTEP_MIN_EPISODES, len(params)):
+        with pytest.raises(ValueError, match="architecture"):
+            rollouts([small] + params[1:size], tasks[:size], models[:size], episode_seeds[:size])
     assert rollouts([], [], [], []) == []
 
 
