@@ -6,7 +6,7 @@ Gaussian policy presses them; objective values feed back into Gaussian
 process surrogates until the evaluation budget is spent.
 """
 
-from .acquisition import ehvi, propose_next, scan_candidates
+from .acquisition import propose_next, scan_candidates
 from .bspline import BSplineCurve, fit_bspline_bic, fit_lsq_spline, uniform_clamped_knots
 from .button import (
     ACTIVATION,
@@ -64,7 +64,6 @@ from .policy import (
     policy_gradient,
     rollout,
     rollouts,
-    surrogate_objective,
 )
 from .storage import export_front, load_artifact, load_trace, save_artifact, save_trace
 from .synthetic import get_problem
@@ -104,7 +103,6 @@ __all__ = [
     "config_fingerprint",
     "design_to_fdvv",
     "dominates",
-    "ehvi",
     "evaluate_designs",
     "export_front",
     "fit_bspline_bic",
@@ -136,6 +134,5 @@ __all__ = [
     "scripted_press_trace",
     "serialize_config",
     "step",
-    "surrogate_objective",
     "uniform_clamped_knots",
 ]

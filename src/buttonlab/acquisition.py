@@ -9,9 +9,9 @@ Gaussians, so the expected volume a candidate adds is
 
 with psi_k(c) = E[(c - Y_k)+] and r the reference point: the box-
 decomposition EHVI of Yang, Emmerich, Deutz & Baeck (2019).  It draws
-no random numbers, so a single-candidate call reproduces a batched
-scan's value up to the GP posterior's last bits, and proposals can be
-audited by rescanning.
+no random numbers, so one candidate scored alone by ``_ehvi_batch``
+reproduces its value in a batched scan up to the GP posterior's last
+bits.
 
 The candidate scan is a scrambled Sobol' sequence: Joe & Kuo's (2008)
 direction numbers, Owen's (2003) linear matrix scramble plus digital
@@ -130,18 +130,6 @@ def _ehvi_batch(
 ) -> np.ndarray:
     """EHVI of every candidate against ``cells = _cells(archive, ref_values)``."""
     return _gains(cells, ref_values, *_posterior_grid(models, candidates))
-
-
-def ehvi(models, candidate, archive: ParetoArchive, ref: ReferencePoint) -> float:
-    """Expected hypervolume improvement of evaluating ``candidate``.
-
-    E max(0, HV(archive + y) - HV(archive)) in closed form, with the
-    objectives y independent Gaussians, one per surrogate's posterior.
-    """
-    models = _check_models(models)
-    ref_values = _reference_values(ref, len(models))
-    point = np.atleast_2d(np.asarray(candidate, dtype=float))
-    return float(_ehvi_batch(models, point, _cells(archive, ref_values), ref_values)[0])
 
 
 def _direction_numbers(dim: int) -> np.ndarray:

@@ -45,6 +45,8 @@ class BSplineCurve:
                 f"coefficient count {coeffs.size} != knot count {knots.size} "
                 f"- degree {self.degree} - 1"
             )
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(coeffs))):
+            raise ValueError("knots and coefficients must be finite")
         if np.any(np.diff(knots) < 0):
             raise ValueError("knots must be nondecreasing")
         k = self.degree

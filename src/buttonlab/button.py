@@ -128,8 +128,9 @@ class FdvvModel:
             raise ValueError("need at least 2 velocity levels")
         if len(curves) != len(levels):
             raise ValueError(f"{len(curves)} curves for {len(levels)} velocity levels")
-        if any(v <= 0 for v in levels) or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError("velocity levels must be positive and strictly ascending")
+        # Written so that nan fails too.
+        if not all(0 < v < math.inf for v in levels) or not all(a < b for a, b in zip(levels, levels[1:])):
+            raise ValueError(f"velocity levels must be finite, positive and strictly ascending, got {levels}")
         if not 0 < self.release_disp < self.activation_disp < self.travel:
             raise ValueError(
                 "need 0 < release_disp < activation_disp < travel, got "
@@ -148,11 +149,15 @@ class FdvvModel:
 
     @cached_property
     def _tables(self) -> list[tuple[list[float], list[list[float]], float, float, list[float]]]:
-        # Piecewise-polynomial form of each curve for cheap scalar lookups:
-        # the segment starts, each segment's coefficients, the first and
-        # last break and the breaks between them.  Zero-width intervals at
-        # repeated knots are dropped so the edge lookup always lands on a
-        # real segment.
+        # Piecewise-polynomial form of each curve over [0, travel], read by
+        # the scalar lookup and by SpringTables: the segment starts, each
+        # segment's coefficients, the clamp range and the starts after the
+        # first.  Zero-width intervals at repeated knots are dropped so the
+        # edge lookup always lands on a real segment.  Where the curve's
+        # domain starts above 0 or ends below travel, a constant segment
+        # continues it with its edge value: coefficients -0.0, -0.0, -0.0
+        # and that value give the value bit for bit under Horner's rule at
+        # any t >= 0.
         tables = []
         for curve in self.fd_curves:
             c = curve.power_coefficients()
@@ -160,7 +165,15 @@ class FdvvModel:
             coeffs = np.vstack([np.zeros((pad, c.shape[1])), c]) if pad > 0 else c
             keep = np.flatnonzero(np.diff(curve.knots) > 0.0)
             breaks = curve.knots[keep].tolist() + [float(curve.knots[-1])]
-            tables.append((breaks[:-1], coeffs[:, keep].T.tolist(), breaks[0], breaks[-1], breaks[1:-1]))
+            starts, segments, first, last = breaks[:-1], coeffs[:, keep].T.tolist(), breaks[0], breaks[-1]
+            edges = [_table_eval((starts, segments, first, last, breaks[1:-1]), x) for x in (first, last)]
+            if first > 0.0:
+                starts.insert(0, 0.0)
+                segments.insert(0, [-0.0, -0.0, -0.0, edges[0]])
+            if last < self.travel:
+                starts.append(last)
+                segments.append([-0.0, -0.0, -0.0, edges[1]])
+            tables.append((starts, segments, min(first, 0.0), max(last, self.travel), starts[1:]))
         return tables
 
     @cached_property
@@ -205,25 +218,6 @@ def _table_eval(table, x: float) -> float:
     return ((c3 * t + c2) * t + c1) * t + c0
 
 
-def _segments(table, travel: float) -> tuple[list[float], list[list[float]]]:
-    """A curve's segment starts and coefficients over [0, travel].
-
-    Where the curve's domain starts above 0 or ends below travel, a
-    constant segment continues it with the value :func:`_table_eval`
-    clamps to.  Its coefficients -0.0, -0.0, -0.0 and that value give the
-    value bit for bit under Horner's rule at any t >= 0.
-    """
-    starts, coeffs, first, last, _ = table
-    starts, segments = list(starts), list(coeffs)
-    if first > 0.0:
-        starts.insert(0, 0.0)
-        segments.insert(0, [-0.0, -0.0, -0.0, _table_eval(table, first)])
-    if last < travel:
-        starts.append(last)
-        segments.append([-0.0, -0.0, -0.0, _table_eval(table, last)])
-    return starts, segments
-
-
 class SpringTables:
     """The spring lookups of a batch of episodes, one model per episode.
 
@@ -249,9 +243,9 @@ class SpringTables:
         ids: dict[int, int] = {}
         self._which = np.array([ids.setdefault(id(m), len(ids)) for m in models])
         unique = list({id(m): m for m in models}.values())
-        curves = [[_segments(table, m.travel) for table in m._tables] for m in unique]
+        curves = [m._tables for m in unique]
         n_levels = max(len(c) for c in curves) + 1
-        n_segments = max(len(starts) for c in curves for starts, _ in c)
+        n_segments = max(len(table[0]) for c in curves for table in c)
         # Per curve (model, level): its segments' starts and coefficients.
         # A level of zeros has one segment, at 0, of zeros.
         starts = np.full((len(unique), n_levels, n_segments), np.inf)
@@ -271,7 +265,7 @@ class SpringTables:
             level_rows[k, : levels.size - 1] = levels[1:]
             lower[k, : levels.size] = levels
             gap[k, : levels.size - 1] = levels[1:] - levels[:-1]
-            for li, (curve_starts, segment) in enumerate(model_curves):
+            for li, (curve_starts, segment, *_) in enumerate(model_curves):
                 starts[k, li, : len(segment)] = curve_starts
                 coeffs[k, li, : len(segment)] = segment
         segment_rows[..., : n_segments - 1] = starts[..., 1:]

@@ -60,7 +60,6 @@ DEFAULT_INNER_LR = 0.3
 LOG_STD_STEP_SCALE = 10.0
 
 DEFAULT_LAYER_SIZES = (5, 32, 32, 1)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def param_count(layer_sizes: tuple[int, ...]) -> int:
@@ -167,7 +166,6 @@ class Trajectory:
     observations: np.ndarray
     actions: np.ndarray
     raw_actions: np.ndarray
-    log_probs: np.ndarray
     rewards: np.ndarray
     success: bool
     activation_step: int | None
@@ -196,49 +194,55 @@ def rollout(params: PolicyParams, task: TaskSpec, model: FdvvModel, seed) -> Tra
     return rollouts([params], [task], [model], [seed])[0]
 
 
-def _press(params, task, model, z, obs_buf, raws, start, d, v, activation_step):
+# The activation step of an episode not yet activated, in both engines.
+_NEVER = np.iinfo(np.int64).max // 2
+
+
+def _press(params, task, model, noise, obs_buf, raws, start, d, v, act):
     """Ticks ``start`` on of one episode, from displacement ``d``, velocity
-    ``v`` and its activation step so far (None before activation); writes
-    their observations and raw actions into its buffers and returns
-    (steps, success, activation_step)."""
+    ``v`` and its activation step so far (_NEVER before activation), with
+    its scaled noise; writes their observations and raw actions into its
+    buffers and returns (steps, success, activation step)."""
     horizon = task.horizon
-    sigma = math.exp(params.log_std)
     layers = params.weights
     hidden_wb = layers[:-1]
     w_out, b_out = layers[-1]
 
-    activated = activation_step is not None
+    # As the lockstep keeps them: the tick the release cue starts, and the
+    # tick that times the episode out.
+    activated = act != _NEVER
+    cue_at = act + task.sensory_delay
+    deadline = min(horizon - 1, act + task.dwell_limit)
     for t in range(start, horizon):
         spring = model._spring_force(d, v)
-        cue = 1.0 if activation_step is not None and t >= activation_step + task.sensory_delay else 0.0
         obs = obs_buf[t]
         obs[0] = d / model.travel
         obs[1] = v / VELOCITY_SCALE
         obs[2] = spring / FORCE_CEILING_N
-        obs[3] = cue
+        obs[3] = 1.0 if t >= cue_at else 0.0
         obs[4] = (horizon - t) / horizon
 
         h = obs
         for w, b in hidden_wb:
             h = np.tanh(h @ w + b)
         mean = float((h @ w_out)[0]) + b_out[0]
-        raw = mean + sigma * z[t]
+        raw = mean + noise[t]
         a = min(max(raw, 0.0), ACTION_MAX_N)
         raws[t] = raw
 
         d, v, event = _tick(model, d, v, spring, a, activated, DEFAULT_DT_S, DEFAULT_MASS_KG)
         if event == ACTIVATION:
-            activated = True
-            activation_step = t
+            activated, act = True, t
+            cue_at = t + task.sensory_delay
+            deadline = min(deadline, t + task.dwell_limit)
         elif event == RELEASE:
-            return t + 1, True, activation_step
-
-        if (activated and t - activation_step >= task.dwell_limit) or t == horizon - 1:
-            return t + 1, False, activation_step
+            return t + 1, True, act
+        if t == deadline:
+            return t + 1, False, act
     raise AssertionError("an episode always ends by its horizon")
 
 
-def _trajectory(params, z, obs, raws, steps, success, activation_step):
+def _trajectory(obs, raws, steps, success, act):
     """The first ``steps`` ticks of an episode's buffers as a Trajectory.
 
     The buffers hold what the engines record; the rest follows from it
@@ -254,10 +258,9 @@ def _trajectory(params, z, obs, raws, steps, success, activation_step):
         observations=obs[:steps],
         actions=actions,
         raw_actions=raw,
-        log_probs=-0.5 * z[:steps] * z[:steps] - params.log_std - _HALF_LOG_2PI,
         rewards=rewards,
         success=success,
-        activation_step=activation_step,
+        activation_step=None if act == _NEVER else int(act),
     )
 
 
@@ -332,20 +335,23 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
     """:func:`rollouts` once its arguments are checked."""
     n = len(params)
     span = max((t.horizon for t in tasks), default=0)
-    z = np.zeros((n, span))
-    for e, (task, seed) in enumerate(zip(tasks, seeds)):
-        z[e, : task.horizon] = np.random.default_rng(seed).standard_normal(task.horizon)
+    # Each episode's exploration noise, its standard normals times its
+    # policy's sigma, as both engines add it to the mean.
+    noise = np.zeros((n, span))
+    for e, (p, task, seed) in enumerate(zip(params, tasks, seeds)):
+        row = noise[e, : task.horizon]
+        np.random.default_rng(seed).standard_normal(out=row)
+        row *= math.exp(p.log_std)
     # Episode-major buffers of what a tick records, the observations and
     # raw actions: a trajectory's are views of one row of each.
     obs_buf = np.empty((n, span, 5))
     raws = np.empty((n, span))
     steps = np.zeros(n, dtype=int)
     success = np.zeros(n, dtype=bool)
-    never = np.iinfo(np.int64).max // 2  # activation step of an unactivated episode
 
     # Per episode, by batch index: what only an event or a timeout reads.
-    act_step = np.full(n, never)
-    cue_at = np.full(n, never)
+    act_step = np.full(n, _NEVER)
+    cue_at = np.full(n, _NEVER)
     # The tick that times the episode out: its horizon's last, or the
     # dwell limit's after activation if that comes first.
     deadline = np.array([t.horizon - 1 for t in tasks])
@@ -376,8 +382,8 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
         "signs": np.tile([-1.0, 1.0, 1.0], (n, 1)),
         "beyond": np.zeros(n, dtype=bool),
     }
-    obs_flat, raws_flat = obs_buf.reshape(-1), raws.reshape(-1)
-    next_cue = never
+    obs_flat, raws_flat, noise_flat = obs_buf.reshape(-1), raws.reshape(-1), noise.reshape(-1)
+    next_cue = _NEVER
     t, keep = 0, None
     while state["rows"].size >= LOCKSTEP_MIN_EPISODES:
         # What a tick reads of the policies and models: built on the
@@ -390,8 +396,6 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
             # episode, for flat elementwise adds.
             layers = [_layer(params, k) for k in range(len(params[0].weights))]
             springs = SpringTables(models)
-            sigma = np.array([math.exp(p.log_std) for p in params])
-            noise = np.multiply(z, sigma[:, None]).ravel()
         else:
             layers = [(w[keep] if w.ndim == 3 else w, bias[keep]) for w, bias in layers]
             springs.take(keep)
@@ -421,7 +425,7 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
                 running_cues = cue_at[rows]
                 np.greater_equal(t, running_cues, out=cue)
                 later = running_cues[running_cues > t]
-                next_cue = int(later.min()) if later.size else never
+                next_cue = int(later.min()) if later.size else _NEVER
             springs.force(d, v, out=spring)
             np.divide(numer, denom, out=obs)
             np.subtract(left, _ONE, out=left)
@@ -435,7 +439,7 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
                 h = out
             np.matmul(h, w_out, out=mean)
             np.add(mean_flat, b_out, out=raw)
-            np.add(raw, noise[at], out=raw)
+            np.add(raw, noise_flat[at], out=raw)
             raws_flat[at] = raw
             _clamp(raw, a, below)
 
@@ -482,19 +486,11 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
 
     # Too few running to share a tick: each finishes alone.
     for e, (d, v, *_) in zip(state["rows"], state["numer"].tolist()):
-        act = int(act_step[e])
-        steps[e], success[e], act = _press(
-            params[e], tasks[e], models[e], z[e], obs_buf[e], raws[e], t, d, v, None if act == never else act
+        steps[e], success[e], act_step[e] = _press(
+            params[e], tasks[e], models[e], noise[e], obs_buf[e], raws[e], t, d, v, int(act_step[e])
         )
-        act_step[e] = never if act is None else act
 
-    return [
-        _trajectory(
-            params[e], z[e], obs_buf[e], raws[e], k, bool(success[e]),
-            None if act_step[e] == never else int(act_step[e]),
-        )
-        for e, k in enumerate(steps)
-    ]
+    return [_trajectory(obs_buf[e], raws[e], k, bool(success[e]), act_step[e]) for e, k in enumerate(steps)]
 
 
 def _pooled(trajectories: list[Trajectory], baseline: float | None):
@@ -511,25 +507,6 @@ def _pooled(trajectories: list[Trajectory], baseline: float | None):
         per_step = total / running
         baseline = np.concatenate([per_step[: len(t)] for t in trajectories])
     return obs, raws, gains - baseline
-
-
-def surrogate_objective(
-    trajectories: list[Trajectory], params: PolicyParams, baseline: float | None = None
-) -> float:
-    """Mean over pooled steps of log-probability times advantage.
-
-    Its gradient at the sampling parameters is exactly what
-    :func:`policy_gradient` returns, which makes it the finite-difference
-    reference for gradient checks.
-    """
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    obs, raws, adv = _pooled(trajectories, baseline)
-    means, _ = _mean_batch(params, obs)
-    sigma = math.exp(params.log_std)
-    zs = (raws - means) / sigma
-    lps = -0.5 * zs * zs - params.log_std - _HALF_LOG_2PI
-    return float(np.mean(lps * adv))
 
 
 def policy_gradient(

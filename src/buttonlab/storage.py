@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -35,8 +34,11 @@ _RUNSTATE_TAG = "runstate/1"
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # A new temporary file in the same directory, created with mode 0o666
+    # (mkstemp's is 0o600), so that the umask sets the artifact's mode as
+    # it would for a plain open().
+    tmp = f"{os.path.abspath(path)}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -176,6 +178,13 @@ def _decode_runstate(doc: dict) -> RunState:
         raise FormatError(f"run state reference has {reference.values.size} values for {m} objectives")
     if len(records) < config.init_count:
         raise FormatError(f"run state has {len(records)} records, fewer than init_count {config.init_count}")
+    d = len(design_box(config)[0])
+    for i, r in enumerate(records):
+        if r.design.shape != (d,) or r.objectives.shape != (m,):
+            raise FormatError(
+                f"run state record {i} has {r.design.size} design values and {r.objectives.size} "
+                f"objectives; its config has {d} design parameters and {m} objectives"
+            )
     return restore_state(config, records, kernels, reference)
 
 

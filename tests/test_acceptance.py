@@ -47,7 +47,6 @@ from buttonlab import (
     scripted_press_trace,
     seeds,
     step,
-    surrogate_objective,
 )
 from buttonlab.policy import default_task_sampler
 
@@ -64,7 +63,7 @@ from test_button import (
 )
 from test_capture import constant_velocity_trace
 from test_gp import oracle_predict, predict_one, random_problem
-from test_policy import EASY, linear_params
+from test_policy import EASY, linear_params, surrogate_objective
 
 
 def _verdict(label: str, ok: bool, detail: str, t0: float) -> None:

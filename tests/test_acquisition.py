@@ -1,10 +1,10 @@
 """EHVI and proposal selection.
 
-EHVI is exact, so a single-candidate ehvi call reproduces what
-propose_next computed inside its batched scan, up to the last bits of
-the GP posterior, and proposals can be audited from the outside.  Its
-oracles are quadrature of the normal CDF, Monte Carlo of the
-hypervolume difference, and a strip sum free of cancellation.
+EHVI is exact, so one candidate's EHVI, the ``ehvi`` helper below,
+reproduces what propose_next computed inside its batched scan, up to the
+last bits of the GP posterior.  Its oracles are quadrature of the normal
+CDF, Monte Carlo of the hypervolume difference, and a strip sum free of
+cancellation.
 """
 
 import hashlib
@@ -20,16 +20,24 @@ from buttonlab import (
     KernelSpec,
     ParetoArchive,
     ReferencePoint,
-    ehvi,
     gp_fit,
     gp_predict_batch,
     hypervolume,
     propose_next,
     scan_candidates,
 )
-from buttonlab.acquisition import _cells, _ehvi_batch, _gains, _posterior_grid, _psi
-from buttonlab.pareto import _boxes
+from buttonlab.acquisition import _cells, _check_models, _ehvi_batch, _gains, _posterior_grid, _psi
+from buttonlab.pareto import _boxes, _reference_values
 from test_pareto import slicing_hypervolume3, sweep_hypervolume2
+
+
+def ehvi(models, candidate, archive, ref):
+    """Expected hypervolume improvement of evaluating ``candidate``: one
+    row of the library's batched EHVI, with its checks."""
+    models = _check_models(models)
+    ref_values = _reference_values(ref, len(models))
+    point = np.atleast_2d(np.asarray(candidate, dtype=float))
+    return float(_ehvi_batch(models, point, _cells(archive, ref_values), ref_values)[0])
 
 
 def two_models(rng, n=6, d=2, noise=1e-6):

@@ -6,6 +6,8 @@ second oracle, scipy.interpolate, pins the bits of evaluation, the design
 matrix and the piecewise-polynomial form.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline, PPoly
@@ -139,6 +141,16 @@ def test_curve_validation():
             BSplineCurve(3, bad, np.zeros(6))
     with pytest.raises(ValueError):
         BSplineCurve(3, np.linspace(0, 1, 10), np.zeros(6))
+    # A non-finite knot or coefficient used to pass: nan fails no comparison.
+    for bad in (math.nan, math.inf):
+        odd = knots.copy()
+        odd[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BSplineCurve(3, odd, np.zeros(6))
+        coefficients = np.zeros(6)
+        coefficients[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BSplineCurve(3, knots, coefficients)
 
 
 def test_lsq_fit_recovers_spline_data_exactly():

@@ -559,3 +559,7 @@ def test_fdvv_model_validation():
     for damping in (math.nan, math.inf):
         with pytest.raises(ValueError, match="damping"):
             FdvvModel((10.0, 100.0), (line, line), 4.0, 3.0, 2.0, vib, damping=damping)
+    # A nan level fails every comparison the check used to make.
+    for levels in ((10.0, math.nan, 300.0), (math.nan, 100.0), (10.0, math.inf), (0.0, 100.0), (10.0, 10.0)):
+        with pytest.raises(ValueError, match="velocity levels"):
+            FdvvModel(levels, (line,) * len(levels), 4.0, 3.0, 2.0, vib)

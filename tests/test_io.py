@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -24,6 +25,7 @@ from buttonlab import (
     cid_step,
     config_fingerprint,
     design_to_fdvv,
+    export_front,
     init_policy,
     initial_state,
     load_artifact,
@@ -36,6 +38,7 @@ from buttonlab import (
 )
 from buttonlab.cli import main
 from buttonlab.loop import Provider
+from buttonlab.storage import export_evaluations
 
 SMALL_SCHAFFER = """
 [run]
@@ -336,22 +339,28 @@ def test_policy_artifact_with_nan_inner_lr_is_rejected(tmp_path):
         load_artifact(path)
 
 
-@pytest.mark.parametrize("field", ["damping", "vibration.decay"])
+@pytest.mark.parametrize(
+    "field",
+    ["damping", "vibration.decay", "velocity_levels.1", "curves.0.knots.5", "curves.1.coefficients.2"],
+)
 def test_model_artifact_with_nan_parameter_is_rejected(tmp_path, field):
-    # A NaN damping used to load, and the first press then failed with an
-    # IndexError deep in the spring-force lookup.
+    # A NaN damping, velocity level, knot or coefficient used to load; the
+    # first press then failed with an IndexError deep in the spring-force
+    # lookup, or, for a level, ran on.
     path = str(tmp_path / "model.json")
     save_artifact(path, design_to_fdvv(ButtonDesignParams(2.0, 0.5, 1.0, 0.2, 0.1, 0.01)))
     with open(path) as handle:
         doc = json.load(handle)
-    *parents, key = field.split(".")
+    keys = [int(k) if k.isdigit() else k for k in field.split(".")]
+    *parents, key = keys
     target = doc
     for name in parents:
         target = target[name]
     target[key] = math.nan
     with open(path, "w") as handle:
         json.dump(doc, handle)
-    with pytest.raises(FormatError, match=key):
+    named = [k for k in keys if isinstance(k, str)][-1].replace("_", " ")
+    with pytest.raises(FormatError, match=named):
         load_artifact(path)
 
 
@@ -477,7 +486,25 @@ def _drop_record(doc):
     doc["records"].pop()
 
 
-@pytest.mark.parametrize("tamper", [_add_kernel, _drop_last_kernel, _shorten_reference, _drop_record])
+def _drop_objective(doc):
+    for record in doc["records"]:
+        record["objectives"].pop()
+
+
+def _add_objective(doc):
+    for record in doc["records"]:
+        record["objectives"].append(record["objectives"][0])
+
+
+def _shorten_design(doc):
+    doc["records"][1]["design"].pop()
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_add_kernel, _drop_last_kernel, _shorten_reference, _drop_record, _drop_objective, _add_objective,
+     _shorten_design],
+)
 def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
     path = str(tmp_path / "state.json")
     save_artifact(path, initial_state(parse_config(SMALL_SCHAFFER)))
@@ -492,6 +519,24 @@ def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
     assert main(["report", "--state", path, "--out-dir", str(tmp_path / "report")]) == 2
     err = capsys.readouterr().err
     assert "run state" in err and path in err
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    state = initial_state(parse_config(SMALL_SCHAFFER))
+    trace = FdTrace(np.arange(3) * 1e-3, np.zeros(3), np.zeros(3), np.zeros(3), sample_rate=1e3)
+    names = ["state.json", "trace.csv", "front.csv", "hv_curve.csv", "evaluations.jsonl"]
+    previous = os.umask(umask)
+    try:
+        save_artifact(str(tmp_path / names[0]), state)
+        save_trace(str(tmp_path / names[1]), trace)
+        export_front(state, str(tmp_path / names[2]), str(tmp_path / names[3]))
+        export_evaluations(state, str(tmp_path / names[4]))
+    finally:
+        os.umask(previous)
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    for name in names:
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
 
 
 def test_save_artifact_rejects_unknown_types(tmp_path):

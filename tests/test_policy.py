@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from buttonlab import (
     ACTIVATION,
@@ -31,7 +30,6 @@ from buttonlab import (
     rollout,
     rollouts,
     step,
-    surrogate_objective,
 )
 from buttonlab import seeds
 from buttonlab.policy import (
@@ -45,6 +43,7 @@ from buttonlab.policy import (
     _adapt_tasks,
     _layer,
     _mean_batch,
+    _pooled,
     default_task_sampler,
     param_count,
 )
@@ -57,6 +56,21 @@ EASY = ButtonDesignParams(
     velocity_stiffening=0.1,
     damping=0.01,
 )
+
+
+def surrogate_objective(trajectories, params, baseline=None):
+    """Mean over pooled steps of log-probability times advantage.
+
+    Its gradient at the sampling parameters is exactly what
+    policy_gradient returns, which makes it the finite-difference
+    reference for gradient checks.
+    """
+    obs, raws, adv = _pooled(trajectories, baseline)
+    means, _ = _mean_batch(params, obs)
+    sigma = math.exp(params.log_std)
+    zs = (raws - means) / sigma
+    lps = -0.5 * zs * zs - params.log_std - 0.5 * math.log(2.0 * math.pi)
+    return float(np.mean(lps * adv))
 
 
 def linear_params(weights=None, bias=2.0, log_std=-0.5):
@@ -94,14 +108,15 @@ def test_init_policy_is_seeded_with_pressing_bias():
     assert np.allclose(bias, 2.0)
 
 
-def test_log_prob_matches_normal_density():
+def test_raw_actions_are_mean_plus_scaled_seed_normals():
     params = linear_params(weights=[0.5, -0.2, 0.1, 0.0, 0.3], bias=1.0, log_std=-0.3)
     model = design_to_fdvv(EASY)
     sigma = math.exp(-0.3)
     for seed in range(5):
         traj = rollout(params, TaskSpec(EASY, horizon=200), model, seed=seed)
         means, _ = _mean_batch(params, traj.observations)
-        assert traj.log_probs == pytest.approx(norm.logpdf(traj.raw_actions, loc=means, scale=sigma), abs=1e-12)
+        z = np.random.default_rng(seed).standard_normal(200)[: len(traj)]
+        assert traj.raw_actions == pytest.approx(means + sigma * z, abs=1e-12)
         assert np.all((0.0 <= traj.actions) & (traj.actions <= ACTION_MAX_N))
 
 
@@ -157,7 +172,6 @@ def zeroed_trajectory(params, n=20):
         observations=obs,
         actions=np.clip(raws, 0.0, ACTION_MAX_N),
         raw_actions=raws,
-        log_probs=np.zeros(n),
         rewards=np.zeros(n),
         success=False,
         activation_step=None,
@@ -180,7 +194,6 @@ def test_gradient_is_linear_in_advantage():
         observations=traj.observations,
         actions=traj.actions,
         raw_actions=traj.raw_actions,
-        log_probs=traj.log_probs,
         rewards=2.0 * traj.rewards,
         success=traj.success,
         activation_step=traj.activation_step,
@@ -366,8 +379,6 @@ def test_policy_gradient_rejects_empty_batch():
     params = linear_params()
     with pytest.raises(ValueError):
         policy_gradient([], params)
-    with pytest.raises(ValueError):
-        surrogate_objective([], params)
 
 
 _THREAD_PROBE = """
@@ -430,7 +441,7 @@ def head_params(base, out_weights, bias, log_std):
 
 
 def assert_same_trajectory(got, want):
-    for name in ("observations", "actions", "raw_actions", "log_probs", "rewards"):
+    for name in ("observations", "actions", "raw_actions", "rewards"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -476,6 +487,7 @@ def mixed_batch():
         ("hold", 4, 150, 3, 20),
         ("init", 3, 1000, 50, 300),
         ("release", 2, 800, 15, 250),
+        ("hold", 0, 1000, 200, 300),  # activates early, and its cue comes late
     ]
     params, tasks, batch_models, episode_seeds = [], [], [], []
     for k, (policy, m, horizon, delay, dwell) in enumerate(plan):
@@ -501,6 +513,18 @@ def test_rollouts_equal_rollout_bit_for_bit():
             endings.add("dwell")
     assert endings == {"success", "dwell", "horizon", "no activation"}
     assert len(want) > LOCKSTEP_MIN_EPISODES
+    # The full batch hands its last few episodes to the scalar tail at the
+    # end tick after which fewer than LOCKSTEP_MIN_EPISODES still run.  The
+    # tail rebuilds each one's cue and deadline from its activation step:
+    # one is handed over between its activation and its cue, one after.
+    lengths = [len(t) for t in want]
+    handoff = min(k for k in lengths if sum(n > k for n in lengths) < LOCKSTEP_MIN_EPISODES)
+    phases = {
+        "before cue" if handoff <= t.activation_step + task.sensory_delay else "after cue"
+        for t, task in zip(want, tasks)
+        if len(t) > handoff and t.activation_step is not None and t.activation_step < handoff
+    }
+    assert phases == {"before cue", "after cue"}
     for size in (*range(1, LOCKSTEP_MIN_EPISODES + 1), len(want)):
         got = rollouts(params[:size], tasks[:size], models[:size], episode_seeds[:size])
         assert len(got) == size
