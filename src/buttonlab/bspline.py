@@ -9,6 +9,9 @@ Basis functions come from the Cox-de Boor recursion (de Boor 1978,
 Ch. X) and derivatives from de Boor's coefficient recurrence as in
 Dierckx's FITPACK ``splder``, each in the order of operations scipy's
 ``BSpline`` and ``PPoly.from_spline`` use, so values are the same bits.
+The recursion gathers each point's nearby knots once and keeps the bases
+basis-major, one contiguous row per nonzero B-spline, so every step of
+it works on whole rows of points.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ class BSplineCurve:
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
         coeffs = np.asarray(self.coefficients, dtype=float)
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        _check_degree(self.degree)
         if coeffs.size != knots.size - self.degree - 1:
             raise ValueError(
                 f"coefficient count {coeffs.size} != knot count {knots.size} "
@@ -94,33 +96,35 @@ def _bases(knots: np.ndarray, degree: int, x: np.ndarray) -> tuple[np.ndarray, l
     """Knot interval of each x and the B-splines nonzero there, for degrees 0 to ``degree``.
 
     ``span`` is the l with t_l <= x < t_l+1 in the base interval, whose
-    last piece also takes its right end.  Entry j of the list has shape
-    (n, j + 1); its column a is B_{span - j + a} of degree j.  Cox-de
-    Boor's recursion raises the degree one step at a time; a zero-width
-    knot interval adds nothing.
+    last piece also takes its right end.  Each point's 2k nearby knots are
+    gathered once, row m holding t_{span - k + 1 + m}, and the bases are
+    basis-major: entry j of the list has shape (j + 1, n), and its row a
+    is B_{span - j + a} of degree j.  Cox-de Boor's recursion raises the
+    degree one step at a time; a zero-width knot interval adds nothing.
     """
-    span = np.clip(np.searchsorted(knots, x, side="right") - 1, degree, knots.size - degree - 2)
-    h = np.ones((x.size, 1))
+    k = degree
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1, k, knots.size - k - 2)
+    near = knots[span + np.arange(1 - k, k + 1)[:, None]]
+    h = np.ones((1, x.size))
     out = [h]
-    for j in range(1, degree + 1):
-        index = span[:, None] + np.arange(1, j + 1)
-        right = knots[index]
-        left = knots[index - j]
+    for j in range(1, k + 1):
+        right = near[k : k + j]
+        left = near[k - j : k]
         width = right - left
         w = h / np.where(width > 0.0, width, np.inf)
-        h = np.zeros((x.size, j + 1))
-        h[:, :j] += w * (right - x[:, None])
-        h[:, 1:] += w * (x[:, None] - left)
+        # Zeros then add: 0.0 + (-0.0) keeps a -0.0 product from reaching the result.
+        h = np.zeros((j + 1, x.size))
+        h[:j] += w * (right - x)
+        h[1:] += w * (x - left)
         out.append(h)
     return span, out
 
 
 def _combine(coef: np.ndarray, first: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Sum of coef[first + a] * basis[:, a], accumulated from a = 0 up."""
-    terms = coef[first[:, None] + np.arange(basis.shape[1])] * basis
-    value = np.zeros(basis.shape[0])
-    for a in range(basis.shape[1]):
-        value += terms[:, a]
+    """Sum of coef[first + a] * basis[a], accumulated from a = 0 up."""
+    value = np.zeros(basis.shape[1])
+    for a in range(basis.shape[0]):
+        value += coef[first + a] * basis[a]
     return value
 
 
@@ -131,16 +135,34 @@ def design_matrix(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
     """
     span, bases = _bases(knots, degree, x)
     out = np.zeros((x.size, knots.size - degree - 1))
-    out[np.arange(x.size)[:, None], span[:, None] - degree + np.arange(degree + 1)] = bases[-1]
+    flat, first = out.ravel(), np.arange(x.size) * out.shape[1] + span - degree
+    for a, row in enumerate(bases[-1]):
+        flat[first + a] = row
     return out
+
+
+def _check_degree(degree: int) -> None:
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
 
 
 def uniform_clamped_knots(lo: float, hi: float, degree: int, interior: int) -> np.ndarray:
     """Knot vector with `interior` uniformly spaced interior knots on (lo, hi)."""
+    _check_degree(degree)
+    if interior < 0:
+        raise ValueError(f"interior knot count must be >= 0, got {interior}")
     if hi <= lo:
         raise ValueError(f"empty knot interval [{lo}, {hi}]")
     inner = np.linspace(lo, hi, interior + 2)[1:-1]
     return np.concatenate([np.full(degree + 1, lo), inner, np.full(degree + 1, hi)])
+
+
+def _lstsq(xq: np.ndarray, y: np.ndarray, knots: np.ndarray, degree: int) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients on ``knots`` for x already in the base interval, and the RSS."""
+    basis = design_matrix(xq, knots, degree)
+    coeffs, _, _, _ = np.linalg.lstsq(basis, y, rcond=None)
+    resid = y - basis @ coeffs
+    return coeffs, float(resid @ resid)
 
 
 def fit_lsq_spline(
@@ -150,14 +172,12 @@ def fit_lsq_spline(
 
     Returns the fitted curve and the residual sum of squares.
     """
+    _check_degree(degree)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     # The clip only absorbs floating-point spill at the ends of the base interval.
-    xq = np.clip(x, knots[degree], knots[-degree - 1])
-    basis = design_matrix(xq, knots, degree)
-    coeffs, _, _, _ = np.linalg.lstsq(basis, y, rcond=None)
-    resid = y - basis @ coeffs
-    return BSplineCurve(degree, knots, coeffs), float(resid @ resid)
+    coeffs, rss = _lstsq(np.clip(x, knots[degree], knots[-degree - 1]), y, knots, degree)
+    return BSplineCurve(degree, knots, coeffs), rss
 
 
 def fit_bspline_bic(
@@ -170,19 +190,22 @@ def fit_bspline_bic(
     Args:
         points: (n, 2) array of (x, y) samples; x must span a finite
             nondegenerate interval.
-        degree: spline degree.
-        knot_counts: candidate interior-knot counts.
+        degree: spline degree, at least 1.
+        knot_counts: candidate interior-knot counts; negative ones are
+            skipped.
 
     Returns:
         (curve, chosen_interior_knots, bic_value) for the candidate with
         the lowest ``n*ln(RSS/n) + k*ln(n)`` where k is the coefficient
         count.  Candidates with as many coefficients as data points are
-        skipped; equal BIC keeps the smaller knot count.
+        skipped; equal BIC keeps the smaller knot count.  Only the winner
+        becomes a curve.
 
     Raises:
-        ValueError: on empty/degenerate input or if every candidate is
-            underdetermined.
+        ValueError: on a degree below 1, empty/degenerate input or if
+            every candidate is underdetermined.
     """
+    _check_degree(degree)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError(f"expected (n, 2) points with n >= 2, got shape {pts.shape}")
@@ -194,7 +217,9 @@ def fit_bspline_bic(
         raise ValueError("x values must span a nondegenerate interval")
 
     n = x.size
-    best: tuple[float, int, BSplineCurve] | None = None
+    # Every candidate's base interval is [lo, hi], so one clip serves them all.
+    xq = np.clip(x, lo, hi)
+    best: tuple[float, int, np.ndarray, np.ndarray] | None = None
     for interior in sorted(set(int(c) for c in knot_counts)):
         if interior < 0:
             continue
@@ -202,13 +227,13 @@ def fit_bspline_bic(
         if n_coeff >= n:
             continue  # underdetermined, skip
         knots = uniform_clamped_knots(lo, hi, degree, interior)
-        curve, rss = fit_lsq_spline(x, y, knots, degree)
+        coeffs, rss = _lstsq(xq, y, knots, degree)
         # Guard against log(0) on an exact fit; the k*ln(n) term still
         # separates candidates, so ties resolve to fewer knots below.
         bic = n * np.log(max(rss, 1e-300) / n) + n_coeff * np.log(n)
         if best is None or bic < best[0]:
-            best = (bic, interior, curve)
+            best = (bic, interior, knots, coeffs)
     if best is None:
         raise ValueError("every candidate knot count is underdetermined for this data")
-    bic, interior, curve = best
-    return curve, interior, float(bic)
+    bic, interior, knots, coeffs = best
+    return BSplineCurve(degree, knots, coeffs), interior, float(bic)

@@ -22,7 +22,16 @@ from .button import FdTrace, FdvvModel, VibrationSpec
 from .config import config_fingerprint, parse_config, serialize_config
 from .errors import FormatError
 from .gp import KernelFamily, KernelSpec
-from .loop import EpisodeSummary, EvaluationRecord, RunState, archive_replay, design_box, objective_names, restore_state
+from .loop import (
+    EpisodeSummary,
+    EvaluationRecord,
+    RunState,
+    archive_replay,
+    design_box,
+    objective_names,
+    restore_state,
+    unit_designs,
+)
 from .pareto import ReferencePoint, hypervolume
 from .policy import MetaPolicy, PolicyParams
 
@@ -185,6 +194,12 @@ def _decode_runstate(doc: dict) -> RunState:
                 f"run state record {i} has {r.design.size} design values and {r.objectives.size} "
                 f"objectives; its config has {d} design parameters and {m} objectives"
             )
+    # The slack admits a design that lower + unit * (upper - lower) rounded one ulp past a bound;
+    # the comparisons also refuse a non-finite design.
+    unit = unit_designs(config, records)
+    outside = np.flatnonzero(~np.all((unit >= -1e-9) & (unit <= 1.0 + 1e-9), axis=1))
+    if outside.size:
+        raise FormatError(f"run state record {outside[0]} has a design outside its config's design box")
     return restore_state(config, records, kernels, reference)
 
 

@@ -92,6 +92,8 @@ def scipy_cases(rng):
         degree = 3 if t % 2 else int(rng.integers(1, 6))
         interior = int(rng.integers(0, 20))
         lo = float(rng.uniform(-2.0, 2.0))
+        if t % 5 == 0:
+            lo = 0.0  # so the queries below include -0.0 and +0.0 at the left end
         hi = lo + float(rng.uniform(1e-3, 5.0))
         inner = np.sort(rng.uniform(lo, hi, interior))
         if t % 3 == 0:
@@ -102,7 +104,7 @@ def scipy_cases(rng):
         coeffs = rng.normal(scale=10.0, size=knots.size - degree - 1)
         # Queries between knots, on every knot and one ulp to either side.
         xs = np.concatenate([rng.uniform(lo, hi, 50), knots, np.nextafter(knots, -np.inf)])
-        xs = np.concatenate([xs, np.nextafter(knots, np.inf)])
+        xs = np.concatenate([xs, np.nextafter(knots, np.inf), [-0.0, 0.0]])
         yield BSplineCurve(degree, knots, coeffs), np.clip(xs, lo, hi)
 
 
@@ -126,6 +128,12 @@ def test_uniform_clamped_knot_structure():
     assert np.allclose(np.diff(knots[3:-3]), 0.8)
     with pytest.raises(ValueError):
         uniform_clamped_knots(1.0, 1.0, 3, 2)
+    # Both used to return a knot vector: the zero-interior one, and [1/3, 2/3].
+    with pytest.raises(ValueError, match="interior"):
+        uniform_clamped_knots(0.0, 1.0, 3, -1)
+    for degree in (-1, 0):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            uniform_clamped_knots(0.0, 1.0, degree, 2)
 
 
 def test_curve_validation():
@@ -202,6 +210,16 @@ def test_bic_validation():
     few = np.column_stack([np.linspace(0, 1, 5), np.zeros(5)])
     with pytest.raises(ValueError):
         fit_bspline_bic(few, knot_counts=(10, 20))
+    # A negative degree used to raise IndexError from inside the fit.
+    line = np.column_stack([np.linspace(0, 1, 30), np.linspace(0, 1, 30)])
+    for degree in (-1, 0):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            fit_bspline_bic(line, degree=degree)
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            fit_lsq_spline(line[:, 0], line[:, 1], uniform_clamped_knots(0.0, 1.0, 3, 2), degree)
+    # Negative candidates are skipped, not refused.
+    _, interior, _ = fit_bspline_bic(line, knot_counts=(-3, 2))
+    assert interior == 2
 
 
 def test_bic_value_formula():
@@ -213,3 +231,52 @@ def test_bic_value_formula():
     n = x.size
     k = interior + curve.degree + 1
     assert bic == pytest.approx(n * np.log(rss / n) + k * np.log(n), rel=1e-12)
+
+
+def bic_oracle(points, degree, knot_counts):
+    """The per-candidate BIC search: a design matrix, lstsq and a validated curve for each."""
+    x, y = points[:, 0], points[:, 1]
+    lo, hi = float(np.min(x)), float(np.max(x))
+    n = x.size
+    best = None
+    for interior in sorted(set(int(c) for c in knot_counts)):
+        n_coeff = interior + degree + 1
+        if interior < 0 or n_coeff >= n:
+            continue
+        knots = uniform_clamped_knots(lo, hi, degree, interior)
+        basis = design_matrix(np.clip(x, knots[degree], knots[-degree - 1]), knots, degree)
+        coeffs, _, _, _ = np.linalg.lstsq(basis, y, rcond=None)
+        resid = y - basis @ coeffs
+        curve = BSplineCurve(degree, knots, coeffs)
+        bic = n * np.log(max(float(resid @ resid), 1e-300) / n) + n_coeff * np.log(n)
+        if best is None or bic < best[0]:
+            best = (bic, interior, curve)
+    bic, interior, curve = best
+    return curve, interior, float(bic)
+
+
+def test_bic_fit_is_the_per_candidate_search_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for t in range(60):
+        degree = int(rng.integers(1, 6))
+        counts = [int(c) for c in rng.integers(-3, 14, size=int(rng.integers(1, 8)))]
+        counts = [*counts, counts[0], -1, 0]  # unsorted, with a duplicate and negatives
+        shape = t % 4
+        if shape == 0:  # just more points than the largest candidate has coefficients
+            n = max(counts) + degree + 2
+        else:
+            n = int(rng.integers(max(counts) + degree + 2, 300))
+        x = rng.uniform(-3.0, 3.0, n)
+        if shape == 1:  # duplicate x
+            x = np.round(x, 1)
+        elif shape == 2:  # two clusters, so some candidates' knot spans hold no point
+            x = np.where(rng.random(n) < 0.5, -3.0, 3.0) + rng.uniform(0.0, 0.01, n)
+            x[:2] = [-3.0, 3.01]
+        y = np.sin(x) + rng.normal(0.0, 0.1, n)
+        points = np.column_stack([x, y])
+        want_curve, want_interior, want_bic = bic_oracle(points, degree, counts)
+        curve, interior, bic = fit_bspline_bic(points, degree=degree, knot_counts=tuple(counts))
+        assert curve.degree == degree
+        assert curve.knots.tobytes() == want_curve.knots.tobytes(), t
+        assert curve.coefficients.tobytes() == want_curve.coefficients.tobytes(), t
+        assert (interior, bic) == (want_interior, want_bic), t

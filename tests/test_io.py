@@ -37,7 +37,7 @@ from buttonlab import (
     serialize_config,
 )
 from buttonlab.cli import main
-from buttonlab.loop import Provider
+from buttonlab.loop import Provider, design_box
 from buttonlab.storage import export_evaluations
 
 SMALL_SCHAFFER = """
@@ -500,10 +500,18 @@ def _shorten_design(doc):
     doc["records"][1]["design"].pop()
 
 
+def _design_above_box(doc):
+    doc["records"][1]["design"][0] = 1e6
+
+
+def _design_below_box(doc):
+    doc["records"][1]["design"][-1] = -1e6
+
+
 @pytest.mark.parametrize(
     "tamper",
     [_add_kernel, _drop_last_kernel, _shorten_reference, _drop_record, _drop_objective, _add_objective,
-     _shorten_design],
+     _shorten_design, _design_above_box, _design_below_box],
 )
 def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
     path = str(tmp_path / "state.json")
@@ -519,6 +527,22 @@ def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
     assert main(["report", "--state", path, "--out-dir", str(tmp_path / "report")]) == 2
     err = capsys.readouterr().err
     assert "run state" in err and path in err
+
+
+def test_runstate_record_on_the_design_box_bounds_loads(tmp_path):
+    config = parse_config(SMALL_SCHAFFER)
+    _, lower, upper = design_box(config)
+    path = str(tmp_path / "state.json")
+    save_artifact(path, initial_state(config))
+    with open(path) as handle:
+        payload = json.load(handle)
+    payload["records"][1]["design"] = lower.tolist()
+    payload["records"][2]["design"] = upper.tolist()
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+    back = load_artifact(path)
+    assert back.records[1].design.tolist() == lower.tolist()
+    assert back.records[2].design.tolist() == upper.tolist()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
