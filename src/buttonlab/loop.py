@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,10 +19,10 @@ import numpy as np
 from . import seeds
 from .acquisition import propose_next, scan_candidates
 from .button import DEFAULT_DT_S, DESIGN_FIELDS, ButtonDesignParams, design_to_fdvv
-from .config import OBJECTIVE_NAMES, CidConfig
+from .config import OBJECTIVE_NAMES, CidConfig, config_fingerprint
 from .errors import StateError
 from .gp import GpModel, KernelFamily, KernelSpec, gp_fit, optimize_hyperparams
-from .pareto import ParetoArchive, ReferencePoint
+from .pareto import ArchiveEntry, ParetoArchive, ReferencePoint, _dominates, hypervolume
 from .policy import MetaPolicy, TaskSpec, _adapt_tasks, init_policy, rollouts
 from .synthetic import get_problem
 
@@ -53,27 +54,67 @@ class EvaluationRecord:
     def __post_init__(self):
         object.__setattr__(self, "design", np.asarray(self.design, dtype=float))
         object.__setattr__(self, "objectives", np.asarray(self.objectives, dtype=float))
+        if not np.all(np.isfinite(self.objectives)):
+            raise ValueError("objective values must be finite")
 
 
 @dataclass(frozen=True)
 class RunState:
-    """Everything the loop carries between iterations.
+    """Everything the loop carries between iterations: what ``run_state.json`` holds.
 
-    The config, records, kernels and reference are the whole state: the
-    archive and the surrogates are what ``restore_state`` rebuilds from
-    them, and a state saved and loaded again holds the same bits.
+    The archive, the surrogates and the hypervolume curve are derived
+    from the config, records, kernels and reference on first use, the
+    same way live and after a reload, so a state saved and loaded again
+    holds the same bits.
     """
 
     config: CidConfig
     records: tuple[EvaluationRecord, ...]
-    archive: ParetoArchive
-    models: tuple[GpModel, ...]
+    kernels: tuple[KernelSpec, ...]
     reference: ReferencePoint
 
     @property
     def iteration(self) -> int:
         """Completed model-guided steps; the initial design set is iteration 0."""
         return len(self.records) - self.config.init_count
+
+    @cached_property
+    def _dominance(self) -> np.ndarray:
+        """The (n, n) table whose [i, j] entry says record i strictly dominates record j."""
+        objs = np.array([rec.objectives for rec in self.records])
+        return _dominates(objs[:, None, :], objs[None, :, :])
+
+    @cached_property
+    def archive(self) -> ParetoArchive:
+        """The records no other record strictly dominates, in record order.
+
+        Strict dominance is transitive, so a record is rejected or later
+        displaced exactly when another record dominates it: these are the
+        entries, in their order, that inserting the records one at a time
+        leaves.
+        """
+        unit = unit_designs(self.config, self.records)
+        front = np.flatnonzero(~self._dominance.any(axis=0))
+        return ParetoArchive(tuple(ArchiveEntry(unit[i], self.records[i].objectives, int(i)) for i in front))
+
+    @cached_property
+    def models(self) -> tuple[GpModel, ...]:
+        """One GP per objective on the records' unit designs, with the state's kernels."""
+        targets = np.array([rec.objectives for rec in self.records])
+        inputs = unit_designs(self.config, self.records)
+        return tuple(gp_fit(inputs, targets[:, j], spec) for j, spec in enumerate(self.kernels))
+
+    def hypervolume_curve(self) -> list[float]:
+        """The archive's hypervolume after each record from the initial set's last on.
+
+        The front after record n is ``~dominance[:n, :n].any(axis=0)``;
+        its rows in record order are the archive's objective matrix then.
+        """
+        objs = np.array([rec.objectives for rec in self.records])
+        return [
+            hypervolume(objs[:n][~self._dominance[:n, :n].any(axis=0)], self.reference).value
+            for n in range(self.config.init_count, len(self.records) + 1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -262,40 +303,17 @@ def unit_designs(config: CidConfig, records) -> np.ndarray:
     return (np.array([rec.design for rec in records]) - lower) / (upper - lower)
 
 
-def _surrogates(inputs: np.ndarray, records, kernels) -> tuple[GpModel, ...]:
-    """One GP per objective on the unit inputs, with the given kernels."""
-    targets = np.array([rec.objectives for rec in records])
-    return tuple(gp_fit(inputs, targets[:, j], spec) for j, spec in enumerate(kernels))
-
-
-def _searched_kernels(config: CidConfig, inputs: np.ndarray, records, fit_event: int) -> list[KernelSpec]:
+def _searched_kernels(config: CidConfig, records, fit_event: int) -> tuple[KernelSpec, ...]:
     """One kernel per objective by hyperparameter search, seeded by ``fit_event``."""
+    inputs = unit_designs(config, records)
     targets = np.array([rec.objectives for rec in records])
     family = KernelFamily(config.kernel)
-    return [
+    return tuple(
         optimize_hyperparams(
             inputs, y, seed=seeds.seed_int(config.master_seed, "hyperopt", fit_event, j), family=family
         )
         for j, y in enumerate(targets.T)
-    ]
-
-
-def archive_replay(config: CidConfig, records):
-    """The archive after each record of a sequence, inserted in order."""
-    archive = ParetoArchive(())
-    for i, (unit, rec) in enumerate(zip(unit_designs(config, records), records)):
-        archive = archive.inserted(unit, rec.objectives, i)
-        yield archive
-
-
-def restore_state(config: CidConfig, records, kernels, reference: ReferencePoint) -> RunState:
-    """The run state that records, kernels and reference imply under ``config``."""
-    records = tuple(records)
-    models = _surrogates(unit_designs(config, records), records, kernels)
-    archive = ParetoArchive(())
-    for archive in archive_replay(config, records):
-        pass
-    return RunState(config, records, archive, models, reference)
+    )
 
 
 def initial_state(config: CidConfig, provider: Provider | None = None) -> RunState:
@@ -328,16 +346,20 @@ def initial_state(config: CidConfig, provider: Provider | None = None) -> RunSta
         reference = ReferencePoint(provider.fixed_reference)
     else:
         reference = ReferencePoint.from_observations(np.array([r.objectives for r in records]))
-    kernels = _searched_kernels(config, unit_designs(config, records), records, 0)
-    return restore_state(config, records, kernels, reference)
+    return RunState(config, records, _searched_kernels(config, records, 0), reference)
 
 
 def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
-    """One loop iteration: propose, evaluate, record, refit, archive.
+    """One loop iteration: propose, evaluate, record, refit.
+
+    The state it returns derives its archive and surrogates on first use;
+    the kernels are searched again every HYPEROPT_PERIOD steps and reused
+    in between.
 
     Raises:
         StateError: the evaluation budget is already spent.
-        ValueError: a provider whose box is not the config's design box.
+        ValueError: a provider whose box is not the config's design box,
+            or a non-finite objective from the provider.
     """
     config = state.config
     if state.iteration >= config.budget:
@@ -359,23 +381,15 @@ def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
     objectives, summaries, used = provider.evaluate(
         raw, seeds.seed_int(config.master_seed, "evaluate", record_index)
     )
-    record = EvaluationRecord(raw, objectives, used, summaries)
-    records = state.records + (record,)
-
-    inputs = unit_designs(config, records)
-    archive = state.archive.inserted(inputs[-1], objectives, record_index)
+    records = state.records + (EvaluationRecord(raw, objectives, used, summaries),)
     fit_event = state.iteration + 1
-    if fit_event % HYPEROPT_PERIOD:
-        kernels = [m.kernel for m in state.models]
-    else:
-        kernels = _searched_kernels(config, inputs, records, fit_event)
-    return RunState(config, records, archive, _surrogates(inputs, records, kernels), state.reference)
+    kernels = _searched_kernels(config, records, fit_event) if fit_event % HYPEROPT_PERIOD == 0 else state.kernels
+    return RunState(config, records, kernels, state.reference)
 
 
 def run(
     config: CidConfig,
     resume_from: RunState | None = None,
-    meta: MetaPolicy | None = None,
     persist: Callable[[RunState], None] | None = None,
 ) -> tuple[RunState, ParetoArchive]:
     """Drive the loop from scratch or from a persisted state to budget.
@@ -387,9 +401,7 @@ def run(
     Raises:
         ValueError: resume state was produced under a different config.
     """
-    from .config import config_fingerprint
-
-    provider = make_provider(config, meta)
+    provider = make_provider(config)
     if resume_from is not None:
         if config_fingerprint(resume_from.config) != config_fingerprint(config):
             raise ValueError("resume state config fingerprint does not match the given config")

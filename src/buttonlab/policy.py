@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,6 +63,14 @@ LOG_STD_STEP_SCALE = 10.0
 DEFAULT_LAYER_SIZES = (5, 32, 32, 1)
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int; a float, even 2.0, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def param_count(layer_sizes: tuple[int, ...]) -> int:
     n = sum(a * b + b for a, b in zip(layer_sizes, layer_sizes[1:]))
     return n + 1  # global log-std
@@ -79,7 +88,7 @@ class PolicyParams:
     vector: np.ndarray
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = tuple(_whole(s, "layer sizes") for s in self.layer_sizes)
         vec = np.asarray(self.vector, dtype=float).ravel()
         if len(sizes) < 2 or sizes[0] != 5 or sizes[-1] != 1:
             raise ValueError(f"layer sizes must run 5 -> ... -> 1, got {sizes}")
@@ -576,7 +585,7 @@ class MetaPolicy:
     def __post_init__(self):
         if not 0 < self.inner_lr < math.inf:  # written so that nan fails too
             raise ValueError(f"inner_lr must be finite and > 0, got {self.inner_lr}")
-        if self.adapt_episodes < 0:
+        if _whole(self.adapt_episodes, "adapt_episodes") < 0:
             raise ValueError("adapt_episodes must be >= 0")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -26,13 +25,11 @@ from .loop import (
     EpisodeSummary,
     EvaluationRecord,
     RunState,
-    archive_replay,
     design_box,
     objective_names,
-    restore_state,
     unit_designs,
 )
-from .pareto import ReferencePoint, hypervolume
+from .pareto import ReferencePoint
 from .policy import MetaPolicy, PolicyParams
 
 TRACE_HEADER = ("t_s", "disp_mm", "force_n", "vib")
@@ -126,12 +123,12 @@ def _encode_runstate(state: RunState) -> dict:
         "reference": _floats(state.reference.values),
         "kernels": [
             {
-                "signal_variance": float(m.kernel.signal_variance),
-                "lengthscales": _floats(m.kernel.lengthscales),
-                "noise_variance": float(m.kernel.noise_variance),
-                "family": m.kernel.family.value,
+                "signal_variance": float(k.signal_variance),
+                "lengthscales": _floats(k.lengthscales),
+                "noise_variance": float(k.noise_variance),
+                "family": k.family.value,
             }
-            for m in state.models
+            for k in state.kernels
         ],
         "records": [
             {
@@ -158,49 +155,47 @@ def _decode_runstate(doc: dict) -> RunState:
     config = parse_config(doc["config"])
     if config_fingerprint(config) != doc["fingerprint"]:
         raise FormatError("run state fingerprint does not match its embedded config")
-    records = tuple(
-        EvaluationRecord(
-            design=np.array(r["design"], dtype=float),
-            objectives=np.array(r["objectives"], dtype=float),
-            seeds=tuple(int(s) for s in r["seeds"]),
-            episodes=tuple(
-                EpisodeSummary(
-                    e["return"],
-                    bool(e["success"]),
-                    math.nan if e["time_to_activation_s"] is None else e["time_to_activation_s"],
-                )
-                for e in r["episodes"]
-            ),
-        )
-        for r in doc["records"]
-    )
-    kernels = [
+    kernels = tuple(
         KernelSpec(k["signal_variance"], np.array(k["lengthscales"], dtype=float), k["noise_variance"],
                    KernelFamily(k["family"]))
         for k in doc["kernels"]
-    ]
+    )
     reference = ReferencePoint(np.array(doc["reference"], dtype=float))
     m = len(objective_names(config))
+    d = len(design_box(config)[0])
     if len(kernels) != m:
         raise FormatError(f"run state has {len(kernels)} kernels for {m} objectives")
+    for j, k in enumerate(kernels):
+        if k.dim != d:
+            raise FormatError(f"run state kernel {j} has {k.dim} lengthscales for {d} design parameters")
     if reference.values.size != m:
         raise FormatError(f"run state reference has {reference.values.size} values for {m} objectives")
-    if len(records) < config.init_count:
-        raise FormatError(f"run state has {len(records)} records, fewer than init_count {config.init_count}")
-    d = len(design_box(config)[0])
-    for i, r in enumerate(records):
-        if r.design.shape != (d,) or r.objectives.shape != (m,):
+    rows = doc["records"]
+    if len(rows) < config.init_count:
+        raise FormatError(f"run state has {len(rows)} records, fewer than init_count {config.init_count}")
+    records = []
+    for i, r in enumerate(rows):
+        design, objectives = np.array(r["design"], dtype=float), np.array(r["objectives"], dtype=float)
+        if design.shape != (d,) or objectives.shape != (m,):
             raise FormatError(
-                f"run state record {i} has {r.design.size} design values and {r.objectives.size} "
+                f"run state record {i} has {design.size} design values and {objectives.size} "
                 f"objectives; its config has {d} design parameters and {m} objectives"
             )
+        if not np.all(np.isfinite(objectives)):
+            raise FormatError(f"run state record {i} has a non-finite objective")
+        episodes = tuple(
+            EpisodeSummary(e["return"], bool(e["success"]),
+                           math.nan if e["time_to_activation_s"] is None else e["time_to_activation_s"])
+            for e in r["episodes"]
+        )
+        records.append(EvaluationRecord(design, objectives, tuple(int(s) for s in r["seeds"]), episodes))
     # The slack admits a design that lower + unit * (upper - lower) rounded one ulp past a bound;
     # the comparisons also refuse a non-finite design.
     unit = unit_designs(config, records)
     outside = np.flatnonzero(~np.all((unit >= -1e-9) & (unit <= 1.0 + 1e-9), axis=1))
     if outside.size:
         raise FormatError(f"run state record {outside[0]} has a design outside its config's design box")
-    return restore_state(config, records, kernels, reference)
+    return RunState(config, tuple(records), kernels, reference)
 
 
 def save_artifact(path: str, artifact) -> None:
@@ -325,9 +320,10 @@ def _parse_rows(path: str, rows: list[list[str]]) -> np.ndarray:
 def export_front(state: RunState, front_path: str, hv_path: str) -> None:
     """Write the archive front and the hypervolume convergence curve.
 
-    The front CSV has one row per archive entry (raw design columns,
-    objective columns, source record id), ordered by record id.  The
-    companion CSV replays the archive after each iteration against the
+    Formatting only: the state derives both.  The front CSV has one row
+    per archive entry (raw design columns, objective columns, source
+    record id), in record order.  The companion CSV holds
+    ``state.hypervolume_curve()``, one row per iteration, against the
     frozen reference.  Numbers carry 9 significant digits.
     """
     names, _, _ = design_box(state.config)
@@ -336,7 +332,7 @@ def export_front(state: RunState, front_path: str, hv_path: str) -> None:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(names) + list(obj_names) + ["record_id"])
-    for entry in sorted(state.archive.entries, key=lambda e: e.record_id):
+    for entry in state.archive.entries:
         record = state.records[entry.record_id]
         row = [f"{v:.9g}" for v in record.design] + [f"{v:.9g}" for v in record.objectives]
         writer.writerow(row + [str(entry.record_id)])
@@ -345,9 +341,7 @@ def export_front(state: RunState, front_path: str, hv_path: str) -> None:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["iteration", "hypervolume"])
-    replay = archive_replay(state.config, state.records)
-    for k, archive in enumerate(itertools.islice(replay, state.config.init_count - 1, None)):
-        value = hypervolume(archive.objective_matrix, state.reference).value
+    for k, value in enumerate(state.hypervolume_curve()):
         writer.writerow([str(k), f"{value:.9g}"])
     _atomic_write(hv_path, out.getvalue())
 

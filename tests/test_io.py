@@ -1,5 +1,6 @@
 """Config parsing, artifact and trace serialization, CLI round trips."""
 
+import dataclasses
 import json
 import math
 import os
@@ -340,6 +341,24 @@ def test_policy_artifact_with_nan_inner_lr_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [("adapt_episodes", 8.5), ("adapt_episodes", 2.0), ("layer_sizes", [5, 4.7, 1.2])],
+)
+def test_policy_artifact_with_non_integral_count_is_rejected(tmp_path, key, value):
+    # Loaded, a float adapt_episodes would fail only in adapt, and int()
+    # would truncate the layer sizes to (5, 4, 1).
+    path = str(tmp_path / "policy.json")
+    save_artifact(path, MetaPolicy(init_policy(3, layer_sizes=(5, 4, 1))))
+    with open(path) as handle:
+        doc = json.load(handle)
+    doc[key] = value
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    with pytest.raises(FormatError, match="must be an integer"):
+        load_artifact(path)
+
+
+@pytest.mark.parametrize(
     "field",
     ["damping", "vibration.decay", "velocity_levels.1", "curves.0.knots.5", "curves.1.coefficients.2"],
 )
@@ -508,10 +527,18 @@ def _design_below_box(doc):
     doc["records"][1]["design"][-1] = -1e6
 
 
+def _nan_objective(doc):
+    doc["records"][2]["objectives"][1] = math.nan
+
+
+def _kernel_dimension(doc):
+    doc["kernels"][1]["lengthscales"].append(1.0)
+
+
 @pytest.mark.parametrize(
     "tamper",
     [_add_kernel, _drop_last_kernel, _shorten_reference, _drop_record, _drop_objective, _add_objective,
-     _shorten_design, _design_above_box, _design_below_box],
+     _shorten_design, _design_above_box, _design_below_box, _nan_objective, _kernel_dimension],
 )
 def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
     path = str(tmp_path / "state.json")
@@ -527,6 +554,56 @@ def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
     assert main(["report", "--state", path, "--out-dir", str(tmp_path / "report")]) == 2
     err = capsys.readouterr().err
     assert "run state" in err and path in err
+
+
+def test_runstate_loads_and_exports_without_fitting_a_surrogate(tmp_path, monkeypatch):
+    config = parse_config(SMALL_SCHAFFER)
+    state, _ = run(config)
+    path = str(tmp_path / "state.json")
+    save_artifact(path, state)
+    live = [str(tmp_path / name) for name in ("live_front.csv", "live_hv.csv")]
+    export_front(state, *live)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a run state was loaded or exported through a GP fit")
+
+    monkeypatch.setattr("buttonlab.loop.gp_fit", no_fit)
+    back = load_artifact(path)
+    reloaded = [str(tmp_path / name) for name in ("front.csv", "hv.csv")]
+    export_front(back, *reloaded)
+    for a, b in zip(live, reloaded):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+def test_nan_objective_fails_the_step_before_the_state_is_saved(tmp_path, monkeypatch):
+    config = parse_config(SMALL_SCHAFFER)
+    provider = buttonlab.loop.make_provider(config)
+    calls = []
+
+    def evaluate(design, seed):
+        calls.append(seed)
+        objectives, summaries, used = provider.evaluate(design, seed)
+        if len(calls) > config.init_count:
+            objectives = np.array([objectives[0], math.nan])
+        return objectives, summaries, used
+
+    nan_provider = dataclasses.replace(provider, evaluate=evaluate)
+    monkeypatch.setattr("buttonlab.loop.make_provider", lambda config: nan_provider)
+    path = str(tmp_path / "state.json")
+    saved = []
+
+    def persist(state):
+        save_artifact(path, state)
+        with open(path, "rb") as handle:
+            saved.append(handle.read())
+
+    with pytest.raises(ValueError, match="objective values must be finite"):
+        run(config, persist=persist)
+    assert len(saved) == 1
+    with open(path, "rb") as handle:
+        assert handle.read() == saved[0]
+    assert len(load_artifact(path).records) == config.init_count
 
 
 def test_runstate_record_on_the_design_box_bounds_loads(tmp_path):

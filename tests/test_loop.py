@@ -24,7 +24,8 @@ from buttonlab import (
 )
 from buttonlab import seeds
 from buttonlab.acquisition import scan_candidates
-from buttonlab.loop import design_box, objective_names, restore_state
+from buttonlab.loop import EvaluationRecord, RunState, design_box, objective_names, unit_designs
+from buttonlab.pareto import ParetoArchive, ReferencePoint
 
 SCHAFFER = CidConfig(
     provider="schaffer",
@@ -281,13 +282,36 @@ def test_persist_callback_sees_every_state():
     ]
 
 
-def test_rebuild_archive_matches_live_archive():
-    state, _ = run(SCHAFFER)
-    kernels = [m.kernel for m in state.models]
-    rebuilt = restore_state(SCHAFFER, state.records, kernels, state.reference).archive
-    assert [e.record_id for e in rebuilt.entries] == [e.record_id for e in state.archive.entries]
-    assert rebuilt.design_matrix.tobytes() == state.archive.design_matrix.tobytes()
-    assert rebuilt.objective_matrix.tobytes() == state.archive.objective_matrix.tobytes()
+@pytest.mark.parametrize("provider, m", [("zdt1", 2), ("simulated_button", 3)])
+def test_archive_and_curve_are_sequential_insertion_bit_for_bit(provider, m):
+    # Five random levels per objective give exact duplicates, ties in one
+    # coordinate and dominated rows; some rows are copied outright.
+    rng = np.random.default_rng(20 + m)
+    config = CidConfig(provider=provider, init_count=3)
+    _, lower, upper = design_box(config)
+    for trial in range(40):
+        n = int(rng.integers(3, 30))
+        levels = rng.random((5, m))
+        objs = levels[rng.integers(0, 5, size=(n, m)), np.arange(m)]
+        copies = rng.integers(0, n, size=n // 4)
+        objs[rng.integers(0, n, size=copies.size)] = objs[copies]
+        records = tuple(
+            EvaluationRecord(lower + rng.random(lower.size) * (upper - lower), row, (), ()) for row in objs
+        )
+        reference = ReferencePoint(np.full(m, 1.1) if trial % 2 else np.full(m, 0.8))
+        state = RunState(config, records, (), reference)
+
+        archive, expected_curve = ParetoArchive(()), []
+        for i, (unit, rec) in enumerate(zip(unit_designs(config, records), records)):
+            archive = archive.inserted(unit, rec.objectives, i)
+            if i + 1 >= config.init_count:
+                expected_curve.append(hypervolume(archive.objective_matrix, reference).value)
+        got = state.archive
+        assert [e.record_id for e in got.entries] == [e.record_id for e in archive.entries], trial
+        assert got.design_matrix.tobytes() == archive.design_matrix.tobytes(), trial
+        assert got.objective_matrix.tobytes() == archive.objective_matrix.tobytes(), trial
+        curve = state.hypervolume_curve()
+        assert np.array(curve).tobytes() == np.array(expected_curve).tobytes(), trial
 
 
 def test_button_loop_with_objective_subset():

@@ -94,6 +94,9 @@ def test_policy_params_validation():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         PolicyParams((5, 1), bad)
+    # int() would truncate these to (5, 4, 1).
+    with pytest.raises(ValueError, match="layer sizes must be an integer"):
+        PolicyParams((5, 4.7, 1.2), np.zeros(param_count((5, 4, 1))))
 
 
 def test_init_policy_is_seeded_with_pressing_bias():
@@ -344,6 +347,11 @@ def test_meta_policy_validation():
             MetaPolicy(init_policy(0), inner_lr=inner_lr)
     with pytest.raises(ValueError):
         MetaPolicy(init_policy(0), adapt_episodes=-1)
+    # A float count passed here would fail only in adapt, with a TypeError.
+    for episodes in (8.5, 2.0):
+        with pytest.raises(ValueError, match="adapt_episodes must be an integer"):
+            MetaPolicy(init_policy(0), adapt_episodes=episodes)
+    assert MetaPolicy(init_policy(0), adapt_episodes=np.int64(4)).adapt_episodes == 4
 
 
 def test_meta_train_zero_iterations_returns_seeded_init():
