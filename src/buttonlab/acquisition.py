@@ -1,5 +1,8 @@
 """Candidate selection: closed-form expected hypervolume improvement.
 
+Candidates, surrogate inputs and proposals all live in the loop's unit
+cube [0, 1]^d; the loop maps a proposal to raw design parameters.
+
 EHVI for 2 and 3 objectives is exact.  The region the archive already
 dominates is the union of the disjoint boxes that hypervolume sums
 (``pareto._boxes``), and the surrogates' posteriors are independent
@@ -13,10 +16,10 @@ no random numbers, so one candidate scored alone by ``_ehvi_batch``
 reproduces its value in a batched scan up to the GP posterior's last
 bits.
 
-The candidate scan is a scrambled Sobol' sequence: Joe & Kuo's (2008)
-direction numbers, Owen's (2003) linear matrix scramble plus digital
-shift, and Antonov & Saleev's (1979) Gray-code order, with the same
-random bits and points as scipy's ``qmc.Sobol``.
+The candidate scan is a scrambled Sobol' sequence in [0, 1)^d: Joe &
+Kuo's (2008) direction numbers, Owen's (2003) linear matrix scramble
+plus digital shift, and Antonov & Saleev's (1979) Gray-code order, with
+the same random bits and points as scipy's ``qmc.Sobol``.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from .pareto import ParetoArchive, ReferencePoint, _boxes, _reference_values
 
 # Proposals closer than this (max-abs) to an evaluated design get bumped.
 DUPLICATE_TOL = 1e-9
-# Archive perturbation scale, as a fraction of each dimension's range.
+# Archive perturbation scale, as a fraction of the unit cube's side.
 PERTURB_FRACTION = 0.05
 # Pattern-search refinement of the scan argmax: starting step as a
-# fraction of each dimension's range, the step below which search
-# stops, and a cap on accepted moves.
+# fraction of the unit cube's side, the step below which search stops,
+# and a cap on accepted moves.
 REFINE_STEP_INIT = 0.2
 REFINE_STEP_MIN = 0.01
 REFINE_MOVE_LIMIT = 40
@@ -153,15 +156,17 @@ def _direction_numbers(dim: int) -> np.ndarray:
     return v
 
 
-def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
+def scan_candidates(dim: int, count: int, seed: int) -> np.ndarray:
     """First ``count`` points of a scrambled Sobol' sequence in [0, 1)^dim.
 
     The random bits, their order and every point equal scipy's
     ``qmc.Sobol(dim, scramble=True, seed=np.random.default_rng(seed))``,
     which draws from a child of the seed's generator.
     """
-    if dim > len(_SOBOL_POLY):
-        raise ValueError(f"Sobol' scan supports at most {len(_SOBOL_POLY)} dimensions, got {dim}")
+    if count < 1:
+        raise ValueError(f"scan count must be >= 1, got {count}")
+    if not 1 <= dim <= len(_SOBOL_POLY):
+        raise ValueError(f"Sobol' scan supports 1 to {len(_SOBOL_POLY)} dimensions, got {dim}")
     bits = _SOBOL_BITS
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     powers = 2 ** np.arange(bits, dtype=np.uint32)
@@ -182,52 +187,31 @@ def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
     return points * (1.0 / 2**bits)
 
 
-def scan_candidates(bounds, scan_count: int, seed: int) -> np.ndarray:
-    """Seeded scrambled-Sobol scan of the design box, shape (n, d)."""
-    if scan_count < 1:
-        raise ValueError(f"scan_count must be >= 1, got {scan_count}")
-    lo, hi = _check_bounds(bounds)
-    return _sobol(lo.size, scan_count, seed) * (hi - lo) + lo
-
-
-def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.atleast_1d(np.asarray(bounds[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(bounds[1], dtype=float))
-    if lo.shape != hi.shape:
-        raise ValueError("bounds halves differ in shape")
-    if lo.ndim != 1 or lo.size == 0:
-        raise ValueError(f"bounds must be nonempty vectors, got shape {lo.shape}")
-    if np.any(lo >= hi):
-        raise ValueError(f"empty bounds: {lo} >= {hi} somewhere")
-    return lo, hi
-
-
 def propose_next(
     models,
-    bounds,
     archive: ParetoArchive,
     ref: ReferencePoint,
     scan_count: int = 1024,
     seed: int = 0,
 ) -> np.ndarray:
-    """Next design to evaluate: EHVI argmax over a candidate pool.
+    """Next unit-cube design to evaluate: EHVI argmax over a candidate pool.
 
-    The pool is a Sobol scan of the box plus one Gaussian perturbation
-    (5% of range per dimension) of each archived design.  The argmax is
-    then refined by a pattern search, so the returned point's EHVI never
-    falls below the scanned maximum.  Proposals within 1e-9 of an
-    already-evaluated design are perturbed once.
+    The pool is a Sobol' scan of [0, 1)^d, d the surrogates' input
+    dimension, plus one Gaussian perturbation (5% of the cube's side) of
+    each archived design, clipped to [0, 1].  The argmax is then refined
+    by a pattern search, so the returned point's EHVI never falls below
+    the scanned maximum.  Proposals within 1e-9 of an already-evaluated
+    design are perturbed once.
     """
     models = _check_models(models)
-    lo, hi = _check_bounds(bounds)
+    d = models[0].kernel.dim
     ref_values = _reference_values(ref, len(models))
 
-    pool = scan_candidates(bounds, scan_count, seed)
+    pool = scan_candidates(d, scan_count, seed)
     if len(archive):
         prng = np.random.default_rng(seeds.seed_for(seed, "perturb"))
-        sigma = PERTURB_FRACTION * (hi - lo)
-        jumps = prng.standard_normal((len(archive), lo.size)) * sigma
-        local = np.clip(archive.design_matrix + jumps, lo, hi)
+        jumps = prng.standard_normal((len(archive), d)) * PERTURB_FRACTION
+        local = np.clip(archive.design_matrix + jumps, 0.0, 1.0)
         pool = np.vstack([pool, local])
 
     cells = _cells(archive, ref_values)
@@ -235,13 +219,12 @@ def propose_next(
     best = int(np.argmax(values))
     choice = pool[best]
     if len(archive):
-        choice = _refine(models, choice, float(values[best]), lo, hi, cells, ref_values)
+        choice = _refine(models, choice, float(values[best]), cells, ref_values)
 
     evaluated = models[0].inputs
     if evaluated.shape[0] and np.min(np.max(np.abs(evaluated - choice[None, :]), axis=1)) < DUPLICATE_TOL:
         bump = np.random.default_rng(seeds.seed_for(seed, "perturb", 1))
-        sigma = PERTURB_FRACTION * (hi - lo)
-        choice = np.clip(choice + bump.standard_normal(lo.size) * sigma, lo, hi)
+        choice = np.clip(choice + bump.standard_normal(d) * PERTURB_FRACTION, 0.0, 1.0)
     return choice
 
 
@@ -249,8 +232,6 @@ def _refine(
     models: list[GpModel],
     start: np.ndarray,
     start_value: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
     cells,
     ref_values: np.ndarray,
 ) -> np.ndarray:
@@ -260,16 +241,15 @@ def _refine(
     only on a genuine gain and the result never falls below the scanned
     maximum.
     """
-    span = hi - lo
     best = np.array(start, dtype=float)
     best_value = start_value
     step = REFINE_STEP_INIT
     moves = 0
     while step >= REFINE_STEP_MIN and moves < REFINE_MOVE_LIMIT:
-        cands = np.repeat(best[None, :], 2 * lo.size, axis=0)
-        for j in range(lo.size):
-            cands[2 * j, j] = max(best[j] - step * span[j], lo[j])
-            cands[2 * j + 1, j] = min(best[j] + step * span[j], hi[j])
+        cands = np.repeat(best[None, :], 2 * best.size, axis=0)
+        for j in range(best.size):
+            cands[2 * j, j] = max(best[j] - step, 0.0)
+            cands[2 * j + 1, j] = min(best[j] + step, 1.0)
         vals = _ehvi_batch(models, cands, cells, ref_values)
         k = int(np.argmax(vals))
         if vals[k] > best_value:

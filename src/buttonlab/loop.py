@@ -122,11 +122,13 @@ class Provider:
     """Where objective values come from: the button pipeline or a test function.
 
     ``evaluate(design, seed)`` returns ``(objectives, summaries, seeds)``
-    for one raw design.  ``evaluate_batch(designs, seeds)``, when set,
-    takes a (k, d) array of raw designs and k seeds and returns k such
-    tuples, row by row the bits that mapping ``evaluate`` over the rows
-    would give; :func:`initial_state` evaluates the initial set with it
-    in one call.
+    for one raw design, where ``objectives`` holds one finite value per
+    name in ``objective_names(config)``, in that order; the loop refuses
+    any other vector before it returns a state.
+    ``evaluate_batch(designs, seeds)``, when set, takes a (k, d) array of
+    raw designs and k seeds and returns k such tuples, row by row the
+    bits that mapping ``evaluate`` over the rows would give;
+    :func:`initial_state` evaluates the initial set with it in one call.
     """
 
     parameter_names: tuple[str, ...]
@@ -316,6 +318,24 @@ def _searched_kernels(config: CidConfig, records, fit_event: int) -> tuple[Kerne
     )
 
 
+def _records(config: CidConfig, designs, results) -> tuple[EvaluationRecord, ...]:
+    """One record per raw design and its provider result.
+
+    Raises:
+        ValueError: an objective vector without one value per configured
+            objective, or with a non-finite value.
+    """
+    count = len(objective_names(config))
+    records = tuple(
+        EvaluationRecord(x, objectives, used, summaries)
+        for x, (objectives, summaries, used) in zip(designs, results, strict=True)
+    )
+    for rec in records:
+        if rec.objectives.shape != (count,):
+            raise ValueError(f"provider returned {rec.objectives.size} objective values for {count} objectives")
+    return records
+
+
 def initial_state(config: CidConfig, provider: Provider | None = None) -> RunState:
     """Evaluate the low-discrepancy initial set and freeze the reference.
 
@@ -323,24 +343,18 @@ def initial_state(config: CidConfig, provider: Provider | None = None) -> RunSta
     otherwise from the initial observations with a 10% margin.
 
     Raises:
-        ValueError: a provider whose box is not the config's design box.
+        ValueError: a provider whose box is not the config's design box,
+            or an objective vector ``_records`` refuses.
     """
     provider = _provider_for(config, provider)
-    d = provider.lower.size
-    unit = scan_candidates(
-        (np.zeros(d), np.ones(d)), config.init_count,
-        seeds.seed_int(config.master_seed, "doe"),
-    )
+    unit = scan_candidates(provider.lower.size, config.init_count, seeds.seed_int(config.master_seed, "doe"))
     raw = _from_unit(provider, unit)
     eval_seeds = [seeds.seed_int(config.master_seed, "evaluate", i) for i in range(config.init_count)]
     if provider.evaluate_batch is not None:
         results = provider.evaluate_batch(raw, eval_seeds)
     else:
         results = [provider.evaluate(x, s) for x, s in zip(raw, eval_seeds)]
-    records = tuple(
-        EvaluationRecord(x, objectives, used, summaries)
-        for x, (objectives, summaries, used) in zip(raw, results, strict=True)
-    )
+    records = _records(config, raw, results)
 
     if provider.fixed_reference is not None:
         reference = ReferencePoint(provider.fixed_reference)
@@ -359,29 +373,23 @@ def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
     Raises:
         StateError: the evaluation budget is already spent.
         ValueError: a provider whose box is not the config's design box,
-            or a non-finite objective from the provider.
+            or an objective vector ``_records`` refuses.
     """
     config = state.config
     if state.iteration >= config.budget:
         raise StateError(f"budget exhausted: {state.iteration} of {config.budget} steps done")
     provider = _provider_for(config, provider)
-    d = provider.lower.size
-    bounds = (np.zeros(d), np.ones(d))
 
     unit_choice = propose_next(
         state.models,
-        bounds,
         state.archive,
         state.reference,
         scan_count=config.scan_count,
         seed=seeds.seed_int(config.master_seed, "acquisition", state.iteration),
     )
-    record_index = len(state.records)
     raw = _from_unit(provider, unit_choice)
-    objectives, summaries, used = provider.evaluate(
-        raw, seeds.seed_int(config.master_seed, "evaluate", record_index)
-    )
-    records = state.records + (EvaluationRecord(raw, objectives, used, summaries),)
+    result = provider.evaluate(raw, seeds.seed_int(config.master_seed, "evaluate", len(state.records)))
+    records = state.records + _records(config, [raw], [result])
     fit_event = state.iteration + 1
     kernels = _searched_kernels(config, records, fit_event) if fit_event % HYPEROPT_PERIOD == 0 else state.kernels
     return RunState(config, records, kernels, state.reference)

@@ -282,12 +282,11 @@ def test_proposal_has_highest_ehvi_over_the_scan():
     models, x, objs = two_models(rng, n=8)
     archive = archive_of(x, objs)
     ref = ReferencePoint.from_observations(objs)
-    bounds = (np.zeros(2), np.ones(2))
     seed = 13
-    choice = propose_next(models, bounds, archive, ref, scan_count=128, seed=seed)
+    choice = propose_next(models, archive, ref, scan_count=128, seed=seed)
     assert np.all(choice >= 0.0) and np.all(choice <= 1.0)
     value = ehvi(models, choice, archive, ref)
-    scan = scan_candidates(bounds, 128, seed)
+    scan = scan_candidates(2, 128, seed)
     rescanned = [ehvi(models, c, archive, ref) for c in scan]
     assert value >= max(rescanned) - 1e-12
 
@@ -297,11 +296,10 @@ def test_proposal_has_highest_ehvi_over_the_scan_three_objectives():
     models, x, objs = three_models(rng)
     archive = archive_of(x, objs)
     ref = ReferencePoint.from_observations(objs)
-    bounds = (np.zeros(2), np.ones(2))
     seed = 17
-    choice = propose_next(models, bounds, archive, ref, scan_count=128, seed=seed)
+    choice = propose_next(models, archive, ref, scan_count=128, seed=seed)
     value = ehvi(models, choice, archive, ref)
-    scan = scan_candidates(bounds, 128, seed)
+    scan = scan_candidates(2, 128, seed)
     cells = _cells(archive, ref.values)
     batched = _ehvi_batch(models, scan, cells, ref.values)
     rescanned = np.array([ehvi(models, c, archive, ref) for c in scan])
@@ -317,10 +315,9 @@ def test_proposal_with_empty_archive_is_scan_argmax():
     models, x, objs = two_models(rng, n=5)
     archive = ParetoArchive(())
     ref = ReferencePoint.from_observations(objs)
-    bounds = (np.zeros(2), np.ones(2))
     seed = 21
-    choice = propose_next(models, bounds, archive, ref, scan_count=64, seed=seed)
-    scan = scan_candidates(bounds, 64, seed)
+    choice = propose_next(models, archive, ref, scan_count=64, seed=seed)
+    scan = scan_candidates(2, 64, seed)
     values = [ehvi(models, c, archive, ref) for c in scan]
     assert np.array_equal(choice, scan[int(np.argmax(values))])
 
@@ -333,22 +330,21 @@ def test_proposals_avoid_exact_duplicates_of_evaluated_designs():
     models = [gp_fit(x, objs[:, j], spec) for j in range(2)]
     archive = archive_of(x, objs)
     ref = ReferencePoint(np.array([0.0, 0.0]))
-    bounds = (np.zeros(2), np.ones(2))
     for seed in range(5):
-        choice = propose_next(models, bounds, archive, ref, scan_count=32, seed=seed)
+        choice = propose_next(models, archive, ref, scan_count=32, seed=seed)
         gaps = np.max(np.abs(x - choice[None, :]), axis=1)
         assert np.min(gaps) > 1e-9
         assert np.all(choice >= 0.0) and np.all(choice <= 1.0)
 
 
-def test_scan_is_seeded_and_respects_bounds():
-    bounds = (np.array([-1.0, 2.0]), np.array([1.0, 5.0]))
-    a = scan_candidates(bounds, 100, seed=0)
-    b = scan_candidates(bounds, 100, seed=0)
-    c = scan_candidates(bounds, 100, seed=1)
+def test_scan_is_seeded_and_in_the_unit_cube():
+    a = scan_candidates(2, 100, seed=0)
+    b = scan_candidates(2, 100, seed=0)
+    c = scan_candidates(2, 100, seed=1)
+    assert a.shape == (100, 2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert np.all(a >= bounds[0]) and np.all(a <= bounds[1])
+    assert np.all(a >= 0.0) and np.all(a < 1.0)
 
 
 @pytest.mark.parametrize("dim", range(1, 22))
@@ -361,31 +357,31 @@ def test_scan_is_scipys_scrambled_sobol_bit_for_bit(dim):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # n not a power of 2
                 want = qmc.scale(engine.random(n), lo, hi)
-            assert scan_candidates((lo, hi), n, seed).tobytes() == want.tobytes(), (n, seed)
+            got = scan_candidates(dim, n, seed) * (hi - lo) + lo
+            assert got.tobytes() == want.tobytes(), (n, seed)
 
 
 def test_scan_bits_are_frozen():
     # Pins the scan independently of the installed scipy.
-    scan = scan_candidates((np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 7.0])), 100, seed=2024)
+    lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 7.0])
+    scan = scan_candidates(3, 100, seed=2024) * (hi - lo) + lo
     digest = hashlib.sha256(scan.tobytes()).hexdigest()
     assert digest == "c49bf2bc5299dd53b7a63fd64be6207b28e10d028b7945ba53c75d9a8064b77c"
 
 
 @pytest.mark.parametrize(
-    "bounds, scan_count, match",
+    "dim, count, match",
     [
-        ((np.zeros(2), np.ones(2)), 0, "scan_count"),
-        ((np.zeros(2), np.ones(2)), -3, "scan_count"),
-        ((np.zeros(0), np.zeros(0)), 8, "bounds"),
-        ((np.zeros(2), np.ones(3)), 8, "bounds"),
-        ((np.array([0.0, 1.0]), np.array([1.0, 1.0])), 8, "bounds"),
-        ((np.ones(2), np.zeros(2)), 8, "bounds"),
-        ((np.zeros(22), np.ones(22)), 8, "at most 21 dimensions"),
+        (2, 0, "scan count"),
+        (2, -3, "scan count"),
+        (0, 8, "1 to 21 dimensions"),
+        (-1, 8, "1 to 21 dimensions"),
+        (22, 8, "1 to 21 dimensions"),
     ],
 )
-def test_scan_validates_its_inputs(bounds, scan_count, match):
+def test_scan_validates_its_inputs(dim, count, match):
     with pytest.raises(ValueError, match=match):
-        scan_candidates(bounds, scan_count, seed=0)
+        scan_candidates(dim, count, seed=0)
 
 
 def test_input_validation():
@@ -397,11 +393,7 @@ def test_input_validation():
         ehvi(models[:1], np.array([0.5, 0.5]), archive, ref)
     with pytest.raises(ValueError):
         ehvi(models, np.array([0.5, 0.5]), archive, ReferencePoint(np.ones(3)))
-    with pytest.raises(ValueError):
-        propose_next(models, (np.zeros(2), np.ones(2)), archive, ref, scan_count=0)
-    with pytest.raises(ValueError):
-        propose_next(models, (np.ones(2), np.zeros(2)), archive, ref)
-    with pytest.raises(ValueError, match="bounds"):
-        propose_next(models, (np.array([0.0, 1.0]), np.ones(2)), archive, ref)
+    with pytest.raises(ValueError, match="scan count"):
+        propose_next(models, archive, ref, scan_count=0)
     with pytest.raises(ValueError, match="2 or 3 objectives"):
         ehvi(models * 2, np.array([0.5, 0.5]), archive, ReferencePoint(np.ones(4)))

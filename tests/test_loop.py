@@ -90,10 +90,7 @@ def test_evaluate_design_rejects_bad_input():
 def initial_designs(config):
     """The raw initial design set ``initial_state`` evaluates under ``config``."""
     _, lower, upper = design_box(config)
-    unit = scan_candidates(
-        (np.zeros(lower.size), np.ones(lower.size)), config.init_count,
-        seeds.seed_int(config.master_seed, "doe"),
-    )
+    unit = scan_candidates(lower.size, config.init_count, seeds.seed_int(config.master_seed, "doe"))
     return lower + unit * (upper - lower)
 
 
@@ -178,24 +175,23 @@ def brute_nondominated(objs):
 
 
 def test_initial_state_invariants():
-    provider = make_provider(SCHAFFER)
-    state = initial_state(SCHAFFER, provider)
-    assert len(state.records) == SCHAFFER.init_count
-    assert state.iteration == 0
-    assert len(state.models) == 2
-    assert np.array_equal(state.reference.values, np.array([4.0, 4.0]))
-    for rec in state.records:
-        assert np.all(rec.design >= provider.lower - 1e-12)
-        assert np.all(rec.design <= provider.upper + 1e-12)
+    schaffer = make_provider(SCHAFFER)
+    # Rows 0 and 2 are exact copies; the archive keeps every copy.
+    rows = iter(np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [3.0, 3.0]]))
+    copies = dataclasses.replace(schaffer, evaluate=lambda design, seed: (next(rows), (), ()))
+    for provider in (schaffer, copies):
+        state = initial_state(SCHAFFER, provider)
+        assert len(state.records) == SCHAFFER.init_count
+        assert state.iteration == 0
+        assert len(state.models) == 2
+        assert np.array_equal(state.reference.values, np.array([4.0, 4.0]))
+        for rec in state.records:
+            assert np.all(rec.design >= provider.lower - 1e-12)
+            assert np.all(rec.design <= provider.upper + 1e-12)
 
-    objs = np.array([r.objectives for r in state.records])
-    expected_ids = set()
-    for i in brute_nondominated(objs):
-        # Duplicated objective rows keep only the first insertion.
-        if not any(np.array_equal(objs[i], objs[j]) for j in expected_ids):
-            expected_ids.add(i)
-    got_ids = {e.record_id for e in state.archive.entries}
-    assert got_ids == expected_ids
+        objs = np.array([r.objectives for r in state.records])
+        assert [e.record_id for e in state.archive.entries] == brute_nondominated(objs)
+    assert [e.record_id for e in state.archive.entries] == [0, 1, 2]
 
 
 def test_initial_state_seeds_are_reproducible():
@@ -366,3 +362,23 @@ def test_provider_box_must_be_the_config_design_box():
     with pytest.raises(ValueError, match="design box"):
         cid_step(state, cut)
     assert cid_step(state, provider).iteration == 1
+
+
+def test_initial_state_refuses_an_objective_vector_of_the_wrong_length():
+    # A two-objective button config whose provider returns the full triple.
+    config = dataclasses.replace(TINY_BUTTON, objectives=("completion_time_s", "error_rate"))
+    provider = make_provider(config, small_meta(config))
+    triple = dataclasses.replace(
+        provider, evaluate=lambda design, seed: (np.ones(3), (), (seed,)), evaluate_batch=None
+    )
+    with pytest.raises(ValueError, match="3 objective values for 2 objectives"):
+        initial_state(config, triple)
+
+
+def test_cid_step_refuses_an_objective_vector_of_the_wrong_length():
+    config = dataclasses.replace(SCHAFFER, provider="zdt1")
+    provider = make_provider(config)
+    state = initial_state(config, provider)
+    triple = dataclasses.replace(provider, evaluate=lambda design, seed: (np.ones(3), (), ()))
+    with pytest.raises(ValueError, match="3 objective values for 2 objectives"):
+        cid_step(state, triple)
