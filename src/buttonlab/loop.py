@@ -23,7 +23,8 @@ from .config import OBJECTIVE_NAMES, CidConfig, config_fingerprint
 from .errors import StateError
 from .gp import GpModel, KernelFamily, KernelSpec, gp_fit, optimize_hyperparams
 from .pareto import ArchiveEntry, ParetoArchive, ReferencePoint, _dominates, hypervolume
-from .policy import MetaPolicy, TaskSpec, _adapt_tasks, init_policy, rollouts
+from .policy import MetaPolicy, TaskSpec, _adapt_tasks, _repeat, init_policy, rollouts
+from .seeds import seed_for
 from .synthetic import get_problem
 
 _log = logging.getLogger(__name__)
@@ -156,10 +157,10 @@ def evaluate_designs(
 
     Renders every design and adapts the meta-policy to all of them at
     once (K episodes each per its recipe; every adaptation batch of every
-    design runs in one lockstep), then runs each design's ``episodes``
-    evaluation rollouts in a lockstep of their own.  Design k's result
-    depends only on ``designs[k]`` and ``seeds[k]``, bit for bit, so a
-    one-design call gives the same result as that design in any batch.
+    design runs in one lockstep), then runs every design's ``episodes``
+    evaluation rollouts in one lockstep.  Design k's result depends only
+    on ``designs[k]`` and ``seeds[k]``, bit for bit, so a one-design call
+    gives the same result as that design in any batch.
 
     Returns one ``(objectives, summaries)`` per design: the canonical
     objective vector (completion_time_s, error_rate, effort), all
@@ -180,22 +181,27 @@ def evaluate_designs(
     models = [design_to_fdvv(p) for p in params]
     tasks = [TaskSpec(p, horizon, sensory_delay, dwell_limit) for p in params]
     adapted = _adapt_tasks(meta, tasks, models, seeds)
-    return [_evaluated(*args, episodes) for args in zip(adapted, tasks, models, seeds)]
+    trajectories = rollouts(
+        _repeat(adapted, episodes),
+        _repeat(tasks, episodes),
+        _repeat(models, episodes),
+        [seed_for(seed, "rollout", i) for seed in seeds for i in range(episodes)],
+    )
+    results = []
+    for task in tasks:
+        results.append(_evaluated(trajectories[:episodes], task))
+        del trajectories[:episodes]  # each design's episodes go once it is evaluated
+    return results
 
 
-def _evaluated(adapted, task: TaskSpec, model, seed, episodes: int):
-    """One design's objective vector and episode summaries under its adapted policy."""
+def _evaluated(trajectories, task: TaskSpec):
+    """One design's objective vector and episode summaries from its evaluation episodes."""
     dt = DEFAULT_DT_S
+    episodes = len(trajectories)
     durations = np.empty(episodes)
     successes = np.empty(episodes, dtype=bool)
     efforts = np.empty(episodes)
     summaries = []
-    trajectories = rollouts(
-        [adapted] * episodes,
-        [task] * episodes,
-        [model] * episodes,
-        [seeds.seed_for(seed, "rollout", i) for i in range(episodes)],
-    )
     for i, traj in enumerate(trajectories):
         successes[i] = traj.success
         durations[i] = len(traj) * dt if traj.success else task.horizon * dt

@@ -207,11 +207,12 @@ def rollout(params: PolicyParams, task: TaskSpec, model: FdvvModel, seed) -> Tra
 _NEVER = np.iinfo(np.int64).max // 2
 
 
-def _press(params, task, model, noise, obs_buf, raws, start, d, v, act):
+def _press(params, task, model, noise, records, start, d, v, act):
     """Ticks ``start`` on of one episode, from displacement ``d``, velocity
     ``v`` and its activation step so far (_NEVER before activation), with
-    its scaled noise; writes their observations and raw actions into its
-    buffers and returns (steps, success, activation step)."""
+    its scaled noise from tick ``start`` on; appends their observations and
+    raw actions to ``records``, one (observations, raw actions) piece per
+    _CHUNK ticks, and returns (success, activation step)."""
     horizon = task.horizon
     layers = params.weights
     hidden_wb = layers[:-1]
@@ -222,9 +223,13 @@ def _press(params, task, model, noise, obs_buf, raws, start, d, v, act):
     activated = act != _NEVER
     cue_at = act + task.sensory_delay
     deadline = min(horizon - 1, act + task.dwell_limit)
-    for t in range(start, horizon):
+    for k, t in enumerate(range(start, horizon)):
+        at = k % _CHUNK
+        if at == 0:
+            obs_buf, raws = np.empty((_CHUNK, 5)), np.empty(_CHUNK)
+            records.append((obs_buf, raws))
         spring = model._spring_force(d, v)
-        obs = obs_buf[t]
+        obs = obs_buf[at]
         obs[0] = d / model.travel
         obs[1] = v / VELOCITY_SCALE
         obs[2] = spring / FORCE_CEILING_N
@@ -235,36 +240,37 @@ def _press(params, task, model, noise, obs_buf, raws, start, d, v, act):
         for w, b in hidden_wb:
             h = np.tanh(h @ w + b)
         mean = float((h @ w_out)[0]) + b_out[0]
-        raw = mean + noise[t]
+        raw = mean + noise[k]
         a = min(max(raw, 0.0), ACTION_MAX_N)
-        raws[t] = raw
+        raws[at] = raw
 
         d, v, event = _tick(model, d, v, spring, a, activated, DEFAULT_DT_S, DEFAULT_MASS_KG)
         if event == ACTIVATION:
             activated, act = True, t
             cue_at = t + task.sensory_delay
             deadline = min(deadline, t + task.dwell_limit)
-        elif event == RELEASE:
-            return t + 1, True, act
-        if t == deadline:
-            return t + 1, False, act
+        if event == RELEASE or t == deadline:
+            records[-1] = (obs_buf[: at + 1], raws[: at + 1])
+            return event == RELEASE, act
     raise AssertionError("an episode always ends by its horizon")
 
 
-def _trajectory(obs, raws, steps, success, act):
-    """The first ``steps`` ticks of an episode's buffers as a Trajectory.
+def _trajectory(records, success, act):
+    """An episode's records, its (observations, raw actions) pieces in tick
+    order, as a Trajectory.
 
-    The buffers hold what the engines record; the rest follows from it
+    The records hold what the engines record; the rest follows from it
     here: the clamped actions, and the rewards, each tick's step penalty
     and effort cost plus, on the last tick, the success bonus or the
     timeout penalty.
     """
-    raw = raws[:steps]
+    raw = np.concatenate([r for _, r in records])
+    steps = raw.size
     actions = _clamp(raw, np.empty(steps), np.empty(steps, dtype=bool))
     rewards = STEP_PENALTY - EFFORT_COEF * actions * actions
     rewards[-1] += SUCCESS_REWARD if success else TIMEOUT_PENALTY
     return Trajectory(
-        observations=obs[:steps],
+        observations=np.concatenate([o for o, _ in records]),
         actions=actions,
         raw_actions=raw,
         rewards=rewards,
@@ -286,13 +292,16 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
     entry per episode.  Each tick runs the public stepper's physics,
     ``button._tick``, on the same spring lookup, so replaying an
     episode's actions through :func:`~buttonlab.button.step` reproduces
-    it bit for bit.  Pre-drawing the noise makes every episode a pure
-    function of its own (params, task, model, seed): its trajectory is
-    byte-identical in any batch, alone or not.  While at least
-    LOCKSTEP_MIN_EPISODES episodes are running they advance together, one
-    tick for all of them, in the same elementwise arithmetic as one
-    episode alone; each of the rest then finishes alone from where it
-    stands, so a batch of fewer runs each episode alone from its start.
+    it bit for bit.  Each episode draws its noise from its own seed's
+    stream, so every episode is a pure function of its own (params, task,
+    model, seed): its trajectory is byte-identical in any batch, alone or
+    not.  The engines draw that noise and record each tick in buffers of
+    _CHUNK ticks, so a batch holds memory by the ticks its episodes run,
+    not by their horizons.  While at least LOCKSTEP_MIN_EPISODES episodes
+    are running they advance together, one tick for all of them, in the
+    same elementwise arithmetic as one episode alone; each of the rest
+    then finishes alone from where it stands, so a batch of fewer runs
+    each episode alone from its start.
 
     Lockstep time over one-at-a-time time, each batch run with that rule
     at threshold min(B, 4) (2 cores, numpy 2.4, OpenBLAS; 24 batches
@@ -326,6 +335,12 @@ def _layer(params: list[PolicyParams], k: int):
     return np.stack([p.weights[k][0] for p in params]), biases
 
 
+# Ticks per chunk of the engines' record buffers.  A lockstep chunk holds
+# 56 bytes per running episode and tick (observation, raw action and
+# noise), and each chunk costs every running episode a copy and a draw.
+# At 128 ticks, evaluating 8 designs' episodes together peaked at 2.4
+# times one design's, against 2.0 at 64.
+_CHUNK = 64
 # Operands of the lockstep tick, as 0-d arrays (see button._ZERO).
 _ONE, _MAX_N = np.array(1.0), np.array(ACTION_MAX_N)
 _KG_MM, _MASS, _DT = np.array(1000.0), np.array(DEFAULT_MASS_KG), np.array(DEFAULT_DT_S)
@@ -340,22 +355,36 @@ def _clamp(raw: np.ndarray, out: np.ndarray, below: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chunk(streams, sigmas, rows, size):
+    """Episode-major buffers for the next ``size`` ticks of the episodes
+    ``rows``: observations and raw actions to fill, and the exploration
+    noise, each episode's next standard normals times its sigma, drawn.
+    A stream drawn past its episode's horizon is never read again."""
+    noise = np.empty((rows.size, size))
+    for row, e in zip(noise, rows.tolist()):
+        streams[e].standard_normal(out=row)
+    noise *= sigmas[rows, None]
+    return np.empty((rows.size, size, 5)), np.empty((rows.size, size)), noise
+
+
 def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[FdvvModel], seeds):
     """:func:`rollouts` once its arguments are checked."""
     n = len(params)
-    span = max((t.horizon for t in tasks), default=0)
-    # Each episode's exploration noise, its standard normals times its
-    # policy's sigma, as both engines add it to the mean.
-    noise = np.zeros((n, span))
-    for e, (p, task, seed) in enumerate(zip(params, tasks, seeds)):
-        row = noise[e, : task.horizon]
-        np.random.default_rng(seed).standard_normal(out=row)
-        row *= math.exp(p.log_std)
-    # Episode-major buffers of what a tick records, the observations and
-    # raw actions: a trajectory's are views of one row of each.
-    obs_buf = np.empty((n, span, 5))
-    raws = np.empty((n, span))
-    steps = np.zeros(n, dtype=int)
+    horizons = [t.horizon for t in tasks]
+    span = max(horizons, default=0)
+    # Each episode's noise stream: it is drawn a chunk at a time, and a
+    # stream drawn in pieces gives the bits of one draw.
+    streams = [np.random.default_rng(seed) for seed in seeds]
+    sigmas = np.array([math.exp(p.log_std) for p in params])
+    # What a tick records, the observations and raw actions, goes into
+    # episode-major buffers of _CHUNK ticks of the running episodes.  When
+    # a chunk is full, each episode's ticks there are copied into its
+    # records; when an episode ends, its trajectory is built from them and
+    # they go.  So what a batch holds follows the ticks its episodes ran.
+    records = [[] for _ in range(n)]
+    trajectories = [None] * n
+    t0 = chunk_end = 0
+    noise_rec = np.zeros((n, 0))
     success = np.zeros(n, dtype=bool)
 
     # Per episode, by batch index: what only an event or a timeout reads.
@@ -363,7 +392,7 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
     cue_at = np.full(n, _NEVER)
     # The tick that times the episode out: its horizon's last, or the
     # dwell limit's after activation if that comes first.
-    deadline = np.array([t.horizon - 1 for t in tasks])
+    deadline = np.array(horizons) - 1
     delay = np.array([t.sensory_delay for t in tasks])
     dwell = np.array([t.dwell_limit for t in tasks])
     rel_disp = np.array([m.release_disp for m in models])
@@ -374,8 +403,9 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
     # column views of ``numer`` are the episodes' state.
     state = {
         "rows": np.arange(n),
-        "at": np.arange(n) * span,  # flat index of the tick in (n, span)
-        "obs_at": np.arange(n)[:, None] * span * 5 + np.arange(5),
+        "pos": np.zeros(n, dtype=int),  # row in the chunk
+        "at": np.zeros(n, dtype=int),  # flat index of the tick in the chunk's (rows, size)
+        "obs_at": np.zeros((n, 5), dtype=int),
         "numer": np.array([[0.0, 0.0, 0.0, 0.0, t.horizon] for t in tasks]),
         "denom": np.array(
             [[m.travel, VELOCITY_SCALE, FORCE_CEILING_N, 1.0, t.horizon] for t, m in zip(tasks, models)]
@@ -391,7 +421,6 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
         "signs": np.tile([-1.0, 1.0, 1.0], (n, 1)),
         "beyond": np.zeros(n, dtype=bool),
     }
-    obs_flat, raws_flat, noise_flat = obs_buf.reshape(-1), raws.reshape(-1), noise.reshape(-1)
     next_cue = _NEVER
     t, keep = 0, None
     while state["rows"].size >= LOCKSTEP_MIN_EPISODES:
@@ -410,7 +439,8 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
             springs.take(keep)
         # The running episodes and their scratch arrays until one ends.
         b = state["rows"].size
-        rows, at, obs_at, numer, denom = (state[k] for k in ("rows", "at", "obs_at", "numer", "denom"))
+        rows, pos, at, obs_at = (state[k] for k in ("rows", "pos", "at", "obs_at"))
+        numer, denom = state["numer"], state["denom"]
         damping, edges, signs, beyond = (state[k] for k in ("damping", "edges", "signs", "beyond"))
         d, v, spring, cue, left = numer.T
         travel, sign, edge = edges[:, 1], signs[:, 2], edges[:, 2]
@@ -430,6 +460,20 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
         below_zero, past_travel, now = tests.T
         done = None
         while done is None:
+            if t == chunk_end:
+                # The chunk is full, or there is none yet: its ticks are
+                # copied into the records, and the running episodes start
+                # the next.
+                if t > t0:
+                    for e, p in zip(rows.tolist(), pos.tolist()):
+                        records[e].append((obs_rec[p].copy(), raw_rec[p].copy()))
+                t0, size = t, min(_CHUNK, span - t)
+                chunk_end = t + size
+                obs_rec, raw_rec, noise_rec = _chunk(streams, sigmas, rows, size)
+                obs_flat, raws_flat, noise_flat = obs_rec.reshape(-1), raw_rec.reshape(-1), noise_rec.reshape(-1)
+                np.copyto(pos, np.arange(b))
+                np.multiply(pos, size, out=at)
+                np.add(at[:, None] * 5, np.arange(5), out=obs_at)
             if t >= next_cue:
                 running_cues = cue_at[rows]
                 np.greater_equal(t, running_cues, out=cue)
@@ -489,17 +533,25 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
                     success[rows[released]] = True
             t += 1
 
-        steps[rows[done]] = t
+        for e, p in zip(rows[done].tolist(), pos[done].tolist()):
+            records[e].append((obs_rec[p, : t - t0], raw_rec[p, : t - t0]))
+            trajectories[e] = _trajectory(records[e], bool(success[e]), act_step[e])
+            records[e] = None
         keep = ~done
         state = {k: x[keep] for k, x in state.items()}
 
-    # Too few running to share a tick: each finishes alone.
-    for e, (d, v, *_) in zip(state["rows"], state["numer"].tolist()):
-        steps[e], success[e], act_step[e] = _press(
-            params[e], tasks[e], models[e], noise[e], obs_buf[e], raws[e], t, d, v, int(act_step[e])
-        )
-
-    return [_trajectory(obs_buf[e], raws[e], k, bool(success[e]), act_step[e]) for e, k in enumerate(steps)]
+    # Too few running to share a tick: each finishes alone, from the noise
+    # its chunk holds for the ticks not yet run and the rest of its stream.
+    for e, p, (d, v, *_) in zip(state["rows"].tolist(), state["pos"].tolist(), state["numer"].tolist()):
+        if t > t0:
+            records[e].append((obs_rec[p, : t - t0], raw_rec[p, : t - t0]))
+        held = min(chunk_end, horizons[e]) - t0  # the chunk's ticks within its horizon
+        rest = streams[e].standard_normal(horizons[e] - t0 - held) * sigmas[e]
+        noise = np.concatenate([noise_rec[p, t - t0 : held], rest])
+        ok, act = _press(params[e], tasks[e], models[e], noise, records[e], t, d, v, int(act_step[e]))
+        trajectories[e] = _trajectory(records[e], ok, act)
+        records[e] = None
+    return trajectories
 
 
 def _pooled(trajectories: list[Trajectory], baseline: float | None):
@@ -631,8 +683,7 @@ def _adapt_tasks(meta: MetaPolicy, tasks, models, task_seeds) -> list[PolicyPara
             vector = p.vector.copy()
             vector[-head:] += rates * _gradient(episodes[k * size : (k + 1) * size], p, None, 1)
             stepped.append(p.replaced(vector))
-        # The trajectories are views of the lockstep's span-sized buffers:
-        # free them before the next batch allocates its own.
+        # Free this batch's trajectories before the next batch records its own.
         del episodes
         params = stepped
         remaining -= size

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from buttonlab.policy import (
     STEP_PENALTY,
     SUCCESS_REWARD,
     TIMEOUT_PENALTY,
+    _CHUNK,
     _adapt_tasks,
     _layer,
     _mean_batch,
@@ -559,14 +561,76 @@ def test_actions_and_rewards_follow_the_scalar_rule():
 def test_rollouts_share_buffers_and_weights():
     params, tasks, models, episode_seeds = mixed_batch()
     got = rollouts(params, tasks, models, episode_seeds)
-    # What the engine records is a view of one episode-major buffer per field.
-    for name in ("observations", "raw_actions"):
-        buffer = getattr(got[0], name).base
-        assert buffer is not None and all(getattr(t, name).base is buffer for t in got), name
+    # What the engines record is each episode's own: one array per field
+    # of exactly the ticks it ran, a view of no chunk or other buffer.
+    for t in got:
+        for name in ("observations", "raw_actions"):
+            array = getattr(t, name)
+            assert array.base is None and array.shape[0] == len(t), name
     # Layers that every episode holds are not stacked per episode.
     shared = [params[0], params[0].replaced(params[0].vector.copy())]
     assert _layer(shared, 0)[0].ndim == 2
     assert _layer(params, len(params[0].layer_sizes) - 2)[0].ndim == 3
+
+
+@pytest.mark.parametrize("short", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
+def test_rollouts_hand_over_at_chunk_boundaries(short):
+    # One episode times out at tick ``short - 1`` and leaves three to the
+    # scalar loop: at a chunk's last tick, on its boundary and past it,
+    # with and without noise drawn ahead in the chunk.
+    idle = head_params(init_policy(2), np.zeros(32), -50.0, -0.5)
+    model = design_to_fdvv(EASY)
+    horizons = [short, 3 * _CHUNK, 2 * _CHUNK + 1, 300]
+    args = (
+        [idle] * 4,
+        [TaskSpec(EASY, h, 5, 300) for h in horizons],
+        [model] * 4,
+        [seeds.seed_for(31, "rollout", short, k) for k in range(4)],
+    )
+    got = rollouts(*args)
+    assert [len(t) for t in got] == horizons
+    for g, one in zip(got, zip(*args), strict=True):
+        assert_same_trajectory(g, rollout(*one))
+
+
+def test_lockstep_memory_follows_the_ticks_run():
+    # 32 episodes at horizon 1000 that all release within a few ticks.
+    # Buffers sized by the horizon would hold 56 bytes per episode and
+    # tick of it (observations, raw action and noise); records by chunk
+    # hold a few kilobytes per episode, far below that.
+    scattered = next(shared_policy_batches())
+    policy, task, model = (part[5] for part in scattered[:3])  # design 3, released two ticks in
+    count = 32
+    episode_seeds = [seeds.seed_for(29, "rollout", i) for i in range(count)]
+    tracemalloc.start()
+    try:
+        got = rollouts([policy] * count, [task] * count, [model] * count, episode_seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert task.horizon == 1000
+    assert all(t.success for t in got) and max(len(t) for t in got) <= 5
+    assert peak < count * task.horizon * 56 / 4
+
+
+def test_noise_drawn_in_pieces_is_one_draw_bit_for_bit():
+    # The engines draw each episode's standard normals a chunk at a time,
+    # into chunk rows and as whole arrays.
+    rng = np.random.default_rng(43)
+    for case in range(40):
+        seed = seeds.seed_for(int(rng.integers(1 << 62)), "rollout", case)
+        count = int(rng.integers(1, 3000))
+        cuts = sorted(rng.integers(0, count + 1, size=int(rng.integers(1, 9))).tolist())
+        stream = np.random.default_rng(seed)
+        pieces = []
+        for k, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, count])):
+            if k % 2:
+                pieces.append(stream.standard_normal(hi - lo))
+            else:
+                pieces.append(np.empty(hi - lo))
+                stream.standard_normal(out=pieces[-1])
+        want = np.random.default_rng(seed).standard_normal(count)
+        assert np.concatenate(pieces).tobytes() == want.tobytes(), (case, count, cuts)
 
 
 def test_rollouts_validation():
