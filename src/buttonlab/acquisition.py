@@ -16,10 +16,10 @@ no random numbers, so one candidate scored alone by ``_ehvi_batch``
 reproduces its value in a batched scan up to the GP posterior's last
 bits.
 
-The candidate scan is a scrambled Sobol' sequence in [0, 1)^d: Joe &
-Kuo's (2008) direction numbers, Owen's (2003) linear matrix scramble
-plus digital shift, and Antonov & Saleev's (1979) Gray-code order, with
-the same random bits and points as scipy's ``qmc.Sobol``.
+The candidate scan is a seeded Latin hypercube in [0, 1)^d: every
+coordinate of a scan of n points puts one point in each of n equal
+strata, so even a scan as small as the loop's initial design covers
+every axis.
 """
 
 from __future__ import annotations
@@ -46,20 +46,6 @@ REFINE_MOVE_LIMIT = 40
 # Elementwise math.erfc for the normal CDF; scipy.special's would add its
 # import to every start-up.
 _erfc = np.frompyfunc(math.erfc, 1, 1)
-
-# Sobol' direction numbers of Joe & Kuo (2008), file new-joe-kuo-6.21201,
-# for the first 21 dimensions: each dimension's primitive polynomial
-# (as bits, leading and trailing 1 included) and initial numbers m_1..m_s.
-# The first dimension is van der Corput's and has neither.
-_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97, 103, 109, 115, 131, 137)
-_SOBOL_INIT = (
-    (), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
-    (1, 1, 5, 5, 17), (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1),
-    (1, 1, 1, 3, 11), (1, 3, 5, 5, 31), (1, 3, 3, 9, 7, 49), (1, 1, 1, 15, 21, 21),
-    (1, 3, 1, 13, 27, 49), (1, 1, 1, 15, 7, 5), (1, 3, 1, 15, 13, 25),
-    (1, 1, 5, 5, 19, 61), (1, 3, 7, 11, 23, 15, 103), (1, 3, 7, 13, 13, 15, 69),
-)
-_SOBOL_BITS = 30
 
 
 def _posterior_grid(models: list[GpModel], candidates: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -135,56 +121,22 @@ def _ehvi_batch(
     return _gains(cells, ref_values, *_posterior_grid(models, candidates))
 
 
-def _direction_numbers(dim: int) -> np.ndarray:
-    """Sobol' direction numbers v[d, j] as 30-bit integers, shape (dim, 30).
-
-    Bratley & Fox's recurrence (Algorithm 659) on Joe & Kuo's initial
-    numbers; v[d, j] holds m_{j+1} in its top j + 1 bits.
-    """
-    bits = _SOBOL_BITS
-    v = np.empty((dim, bits), dtype=np.uint32)
-    for d in range(dim):
-        poly, m = _SOBOL_POLY[d], len(_SOBOL_INIT[d])
-        row = list(_SOBOL_INIT[d]) if d else [1] * bits
-        for j in range(len(row), bits):
-            new = row[j - m]
-            for k in range(m):
-                if (poly >> (m - 1 - k)) & 1:
-                    new ^= row[j - k - 1] << (k + 1)
-            row.append(new)
-        v[d] = [r << (bits - 1 - j) for j, r in enumerate(row)]
-    return v
-
-
 def scan_candidates(dim: int, count: int, seed: int) -> np.ndarray:
-    """First ``count`` points of a scrambled Sobol' sequence in [0, 1)^dim.
+    """A Latin hypercube of ``count`` points in [0, 1)^dim (McKay, Beckman
+    & Conover 1979), a pure function of ``seed``.
 
-    The random bits, their order and every point equal scipy's
-    ``qmc.Sobol(dim, scramble=True, seed=np.random.default_rng(seed))``,
-    which draws from a child of the seed's generator.
+    Each column puts exactly one point in each stratum [k/count,
+    (k+1)/count): a random permutation of the strata plus a uniform offset
+    within each, kept below the stratum's upper edge where the sum rounds.
     """
     if count < 1:
         raise ValueError(f"scan count must be >= 1, got {count}")
-    if not 1 <= dim <= len(_SOBOL_POLY):
-        raise ValueError(f"Sobol' scan supports 1 to {len(_SOBOL_POLY)} dimensions, got {dim}")
-    bits = _SOBOL_BITS
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    powers = 2 ** np.arange(bits, dtype=np.uint32)
-    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ powers
-    lower = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
-    lower[:, np.arange(bits), np.arange(bits)] = 1
-    # The scramble multiplies each direction number's bits, most significant
-    # first, by its dimension's unit lower-triangular matrix over GF(2).
-    msb_first = powers[::-1]
-    v = _direction_numbers(dim)
-    v_bits = (v[:, :, None] // msb_first) & 1
-    v = ((v_bits @ lower.transpose(0, 2, 1)) & 1) @ msb_first
-    index = np.arange(count)
-    gray = index ^ (index >> 1)
-    points = np.tile(shift, (count, 1))
-    for j in range((count - 1).bit_length()):
-        points ^= np.where((gray[:, None] >> j) & 1, v[:, j], np.uint32(0))
-    return points * (1.0 / 2**bits)
+    if dim < 1:
+        raise ValueError(f"scan dimension must be >= 1, got {dim}")
+    rng = np.random.default_rng(seed)
+    strata = rng.permuted(np.tile(np.arange(count), (dim, 1)), axis=1).T
+    points = (strata + rng.random((count, dim))) / count
+    return np.minimum(points, np.nextafter((strata + 1) / count, 0.0))
 
 
 def propose_next(
@@ -196,7 +148,7 @@ def propose_next(
 ) -> np.ndarray:
     """Next unit-cube design to evaluate: EHVI argmax over a candidate pool.
 
-    The pool is a Sobol' scan of [0, 1)^d, d the surrogates' input
+    The pool is a Latin hypercube scan of [0, 1)^d, d the surrogates' input
     dimension, plus one Gaussian perturbation (5% of the cube's side) of
     each archived design, clipped to [0, 1].  The argmax is then refined
     by a pattern search, so the returned point's EHVI never falls below

@@ -23,7 +23,7 @@ from .loop import RunState, run
 from .pareto import hypervolume
 from .policy import default_task_sampler, meta_train
 from .storage import export_evaluations, export_front, load_artifact, load_trace, save_artifact, save_trace
-from .synthetic import get_problem
+from .synthetic import PROBLEMS, get_problem
 
 _log = logging.getLogger(__name__)
 
@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, help="override the master seed")
 
     p = sub.add_parser("bench", help="benchmark the optimizer on a synthetic problem")
-    p.add_argument("--problem", required=True, choices=("schaffer", "zdt1"))
+    p.add_argument("--problem", required=True, choices=tuple(PROBLEMS))
     p.add_argument("--budget", type=int, default=40)
     p.add_argument("--init-count", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)

@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 
 from .button import DESIGN_BOUNDS, DESIGN_FIELDS, DESIGN_LIMITS, within_limits
 from .errors import FormatError
+from .gp import KernelFamily
 from .policy import DEFAULT_INNER_LR
+from .synthetic import PROBLEMS
 
 OBJECTIVE_NAMES = ("completion_time_s", "error_rate", "effort")
-PROVIDERS = ("simulated_button", "schaffer", "zdt1")
-KERNELS = ("matern52", "squared_exponential")
+PROVIDERS = ("simulated_button", *PROBLEMS)
+KERNELS = tuple(family.value for family in KernelFamily)
 
 
 @dataclass(frozen=True)

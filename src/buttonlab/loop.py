@@ -343,7 +343,7 @@ def _records(config: CidConfig, designs, results) -> tuple[EvaluationRecord, ...
 
 
 def initial_state(config: CidConfig, provider: Provider | None = None) -> RunState:
-    """Evaluate the low-discrepancy initial set and freeze the reference.
+    """Evaluate the Latin hypercube initial set and freeze the reference.
 
     The reference point comes from the provider when it defines one,
     otherwise from the initial observations with a 10% margin.

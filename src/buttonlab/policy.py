@@ -741,7 +741,7 @@ def meta_train(
     for it in range(iterations):
         tasks, models = [], []
         for j in range(tasks_per_iteration):
-            design = task_sampler(seeds.rng_for(seed, "meta_task", it, j))
+            design = task_sampler(np.random.default_rng(seeds.seed_for(seed, "meta_task", it, j)))
             models.append(design_to_fdvv(design))
             tasks.append(TaskSpec(design))
         reached = _adapt_tasks(

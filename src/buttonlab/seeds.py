@@ -35,11 +35,6 @@ def seed_for(master: int, purpose: str, *indices: int) -> np.random.SeedSequence
     return np.random.SeedSequence([int(master), PURPOSES[purpose], *map(int, indices)])
 
 
-def rng_for(master: int, purpose: str, *indices: int) -> np.random.Generator:
-    """Generator seeded by :func:`seed_for`."""
-    return np.random.default_rng(seed_for(master, purpose, *indices))
-
-
 def seed_int(master: int, purpose: str, *indices: int) -> int:
     """Plain-integer form of the derived seed, for APIs that expand it further."""
     return int(seed_for(master, purpose, *indices).generate_state(1, np.uint64)[0])

@@ -57,7 +57,7 @@ for path in sorted(paths):
             fn = getattr(ctypes.CDLL(path), name)
         except (OSError, AttributeError):
             continue
-        fn.restype = ctypes.c_char_p
+        fn.argtypes, fn.restype = [], ctypes.c_char_p
         core = fn().decode()
         break
     if core:

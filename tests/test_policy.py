@@ -652,7 +652,7 @@ def reference_meta_train(task_sampler, iterations, seed, tasks_per_iteration, me
     for it in range(iterations):
         grads = []
         for j in range(tasks_per_iteration):
-            design = task_sampler(seeds.rng_for(seed, "meta_task", it, j))
+            design = task_sampler(np.random.default_rng(seeds.seed_for(seed, "meta_task", it, j)))
             model = design_to_fdvv(design)
             task = TaskSpec(design)
             inner = MetaPolicy(init, meta.inner_lr, 4)
