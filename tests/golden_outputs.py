@@ -42,8 +42,7 @@ try:
 except ImportError:
     from numpy.core import _multiarray_umath as umath
 features = umath.__cpu_features__
-blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-np.ones((4, 4)) @ np.ones((4, 4))
+blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
 core = None
 try:
     with open("/proc/self/maps") as maps:
