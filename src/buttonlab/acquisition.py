@@ -43,9 +43,12 @@ REFINE_STEP_INIT = 0.2
 REFINE_STEP_MIN = 0.01
 REFINE_MOVE_LIMIT = 40
 
-# Elementwise math.erfc for the normal CDF; scipy.special's would add its
-# import to every start-up.
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+# erfc(x) rounds to exactly 2.0 for x <= -6 (2 - erfc(6) is about 2.2e-17,
+# under half an ulp of 2.0) and to exactly 0.0 for x >= 28 (erfc(28) is
+# under half the smallest subnormal), so _normal_cdf calls math.erfc only
+# between.
+_ERFC_TWO_BELOW = -6.0
+_ERFC_ZERO_ABOVE = 28.0
 
 
 def _posterior_grid(models: list[GpModel], candidates: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -73,6 +76,24 @@ def _cells(archive: ParetoArchive, ref: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _boxes(front, ref)
 
 
+def _normal_cdf(u: np.ndarray) -> np.ndarray:
+    """Phi(u) = erfc(-u / sqrt 2) / 2, elementwise, with math.erfc
+    (scipy.special's would add its import to every start-up) called only
+    off the tails where it is exactly 2 or 0.  u = +-inf lands in a tail,
+    and nan goes through math.erfc.
+
+    A memoryview hands math.erfc one Python float at a time; a list of
+    them all would hold 32 bytes per element at once.
+    """
+    x = u * -math.sqrt(0.5)
+    low = x <= _ERFC_TWO_BELOW
+    erfc = np.where(low, 2.0, 0.0)
+    rest = ~(low | (x >= _ERFC_ZERO_ABOVE))
+    erfc[rest] = np.fromiter(map(math.erfc, memoryview(x[rest])), float)
+    erfc *= 0.5
+    return erfc
+
+
 def _psi(edges: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     """psi(c) = E[(c - Y)+] for Y ~ N(mean, std^2), shape (e, n) from
     (e,) edges and (n,) posteriors.
@@ -83,7 +104,7 @@ def _psi(edges: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     gap = edges[:, None] - mean
     with np.errstate(divide="ignore", invalid="ignore"):
         u = gap / std
-        cdf = 0.5 * _erfc(u * -math.sqrt(0.5)).astype(float)
+        cdf = _normal_cdf(u)
         psi = gap * cdf + std * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
     return np.where(std > 0.0, psi, np.maximum(gap, 0.0))
 

@@ -87,15 +87,33 @@ class GpModel:
         return self.inputs.shape[0]
 
 
-def _kernel_matrix(sv: float, ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Covariance between the rows of ``a`` and ``b`` (signal variance, ARD lengthscales)."""
+# A kernel's shape between two point sets: the Matern-5/2 polynomial (None
+# for the squared exponential) and the exponential factor.
+_KernelShape = tuple[np.ndarray | None, np.ndarray]
+
+
+def _kernel_shape(ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.ndarray) -> _KernelShape:
+    """The factors of the covariance between the rows of ``a`` and ``b``
+    that depend on the ARD lengthscales alone."""
     sa = a / ls
     sb = b / ls
     r2 = np.maximum(np.sum(sa**2, axis=1)[:, None] + np.sum(sb**2, axis=1)[None, :] - 2.0 * sa @ sb.T, 0.0)
     if family is KernelFamily.SQUARED_EXPONENTIAL:
-        return sv * np.exp(-0.5 * r2)
+        return None, np.exp(-0.5 * r2)
     r = np.sqrt(r2)
-    return sv * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-_SQRT5 * r)
+    return 1.0 + _SQRT5 * r + (5.0 / 3.0) * r2, np.exp(-_SQRT5 * r)
+
+
+def _scaled(sv: float, shape: _KernelShape) -> np.ndarray:
+    """The covariance matrix of signal variance ``sv`` and kernel ``shape``,
+    multiplied in the order ``sv * poly * exp`` always has: (sv * poly) * exp."""
+    poly, e = shape
+    return sv * e if poly is None else sv * poly * e
+
+
+def _kernel_matrix(sv: float, ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Covariance between the rows of ``a`` and ``b`` (signal variance, ARD lengthscales)."""
+    return _scaled(sv, _kernel_shape(ls, family, a, b))
 
 
 def _as_points(x, dim: int, what: str) -> np.ndarray:
@@ -233,16 +251,21 @@ def optimize_hyperparams(
     # Clipping to the box makes many trials repeats of a scored candidate.
     scores: dict[bytes, float] = {}
 
-    def score(candidate: tuple[float, np.ndarray, float]) -> float:
+    def score(candidate: tuple[float, np.ndarray, float], shape: _KernelShape | None = None):
+        """(LML, kernel shape) of a candidate; the shape is None for a repeat,
+        and is built unless ``shape``, its lengthscales' shape, is given."""
         sv, ls, nv = candidate
         key = np.append(ls, (sv, nv)).tobytes()
-        if key not in scores:
-            try:
-                factor, whitened, _ = _factor(_kernel_matrix(sv, ls, family, x, x), nv, y)
-                scores[key] = _lml(factor, whitened)
-            except NumericalError:
-                scores[key] = -np.inf
-        return scores[key]
+        if key in scores:
+            return scores[key], None
+        if shape is None:
+            shape = _kernel_shape(ls, family, x, x)
+        try:
+            factor, whitened, _ = _factor(_scaled(sv, shape), nv, y)
+            scores[key] = _lml(factor, whitened)
+        except NumericalError:
+            scores[key] = -np.inf
+        return scores[key], shape
 
     # A sensible anchor plus log-uniform random restarts.
     candidates = [make(y_scale, 0.3 * span, 1e-4 * y_scale)]
@@ -252,11 +275,14 @@ def optimize_hyperparams(
         nv = y_scale * 10.0 ** rng.uniform(-8.0, -0.5)
         candidates.append(make(sv, ls, nv))
 
-    scored = [(score(c), i, c) for i, c in enumerate(candidates)]
-    best_lml, _, best = max(scored, key=lambda t: (t[0], -t[1]))
+    scored = [(*score(c), i, c) for i, c in enumerate(candidates)]
+    best_lml, best_shape, _, best = max(scored, key=lambda t: (t[0], -t[2]))
+    del scored  # the search keeps one kernel shape, the best's
 
     # Coordinate-wise refinement: scale one log-coordinate at a time,
-    # shrinking the step when a full sweep makes no progress.
+    # shrinking the step when a full sweep makes no progress.  Signal- and
+    # noise-variance trials keep the best's lengthscales (clipping them
+    # again changes no bit), so they reuse its kernel shape.
     for step in (4.0, 2.0, 1.4, 1.15):
         improved = True
         while improved:
@@ -271,8 +297,8 @@ def optimize_hyperparams(
                     else:
                         nv *= factor
                     trial = make(sv, ls, nv)
-                    lml = score(trial)
+                    lml, shape = score(trial, None if coord < d else best_shape)
                     if lml > best_lml:
-                        best_lml, best = lml, trial
+                        best_lml, best, best_shape = lml, trial, shape
                         improved = True
     return KernelSpec(*best, family)

@@ -159,6 +159,48 @@ def test_psi_matches_quadrature_of_the_normal_cdf():
     assert np.array_equal(flat, np.maximum(edges[:, None] - mean, 0.0))
 
 
+def test_erfc_is_exactly_two_and_zero_on_the_tails_psi_skips():
+    # _normal_cdf writes these values without calling math.erfc; a libm
+    # that rounds differently there would change _psi's bits.
+    below = np.concatenate([np.linspace(-40.0, -6.0, 200_001), [-np.inf]])
+    above = np.concatenate([np.linspace(28.0, 40.0, 200_001), [np.inf]])
+    assert all(math.erfc(x) == 2.0 for x in below.tolist())
+    assert all(math.erfc(x) == 0.0 for x in above.tolist())
+
+
+_oracle_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def oracle_psi(edges, mean, std):
+    """_psi as it was before its tails were skipped: math.erfc on every
+    element, through an object array."""
+    gap = edges[:, None] - mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = gap / std
+        cdf = 0.5 * _oracle_erfc(u * -math.sqrt(0.5)).astype(float)
+        psi = gap * cdf + std * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    return np.where(std > 0.0, psi, np.maximum(gap, 0.0))
+
+
+def test_psi_matches_the_all_erfc_oracle_bit_for_bit():
+    rng = np.random.default_rng(27)
+    n = 400
+    mean = rng.normal(0.0, 2.0, n)
+    std = 10.0 ** rng.uniform(-6.0, 1.0, n)
+    std[::17] = 0.0
+    edges = np.concatenate([rng.normal(0.0, 3.0, 60), mean[:20]])  # the last 20 give zero gaps
+    assert np.array_equal(_psi(edges, mean, std), oracle_psi(edges, mean, std))
+    # x = -u / sqrt 2 a few ulps either side of each tail threshold.
+    for threshold in (-6.0, 28.0):
+        u0 = -threshold * math.sqrt(2.0)
+        u = u0 + np.arange(-40, 41) * np.spacing(u0)
+        x = u * -math.sqrt(0.5)
+        assert (x < threshold).any() and (x > threshold).any()
+        mean, std = np.array([0.0, 1.5]), np.array([1.0, 3.0])
+        for edges in (u, 1.5 + 3.0 * u):
+            assert np.array_equal(_psi(edges, mean, std), oracle_psi(edges, mean, std))
+
+
 @pytest.mark.parametrize(
     "m, size", [(2, 0), (2, 12), (3, 0), (3, 14)], ids=["2d-empty", "2d-front", "3d-empty", "3d-front"]
 )

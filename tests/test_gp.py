@@ -18,6 +18,7 @@ from buttonlab import (
     KernelFamily,
     KernelSpec,
     NumericalError,
+    gp,
     gp_fit,
     gp_predict_batch,
     optimize_hyperparams,
@@ -325,6 +326,26 @@ def test_hyperparameter_search_matches_frozen_reference_bit_for_bit():
     assert tally["trials"] > len(tally["distinct"])
     assert tally["jittered"] > 0
     assert tally["failed"] > 0
+
+
+@pytest.mark.parametrize("family", list(KernelFamily))
+def test_search_builds_fewer_kernel_shapes_than_it_scores_candidates(family, monkeypatch):
+    # Signal- and noise-variance trials reuse the best candidate's shape.
+    k, x, y = next((k, x, y) for k, (f, x, y) in enumerate(search_problems()) if f is family and x.shape[0] == 24)
+    tally = {"trials": 0, "distinct": set(), "jittered": 0, "failed": 0}
+    want = reference_search(x, y, 8, k, family, tally)
+    build = gp._kernel_shape
+    builds = 0
+
+    def counted(*args):
+        nonlocal builds
+        builds += 1
+        return build(*args)
+
+    monkeypatch.setattr(gp, "_kernel_shape", counted)
+    got = optimize_hyperparams(x, y, 8, k, family)
+    assert spec_bytes(got) == spec_bytes(want)
+    assert 0 < builds < len(tally["distinct"])
 
 
 _THREAD_PROBE = """
