@@ -97,7 +97,7 @@ def _kernel_shape(ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.nda
     that depend on the ARD lengthscales alone."""
     sa = a / ls
     sb = b / ls
-    r2 = np.maximum(np.sum(sa**2, axis=1)[:, None] + np.sum(sb**2, axis=1)[None, :] - 2.0 * sa @ sb.T, 0.0)
+    r2 = np.maximum(np.square(sa).sum(axis=1)[:, None] + np.square(sb).sum(axis=1)[None, :] - 2.0 * sa @ sb.T, 0.0)
     if family is KernelFamily.SQUARED_EXPONENTIAL:
         return None, np.exp(-0.5 * r2)
     r = np.sqrt(r2)
@@ -166,7 +166,7 @@ def _factor(gram: np.ndarray, noise: float, y: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _lml(factor: np.ndarray, whitened: np.ndarray) -> float:
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    logdet = 2.0 * float(np.log(factor.diagonal()).sum())
     quad = float(whitened @ whitened)
     return -0.5 * quad - 0.5 * logdet - 0.5 * whitened.size * math.log(2.0 * math.pi)
 
@@ -237,6 +237,7 @@ def optimize_hyperparams(
 
     y_scale = max(float(np.var(y)), 1e-12)
     span = np.maximum(np.max(x, axis=0) - np.min(x, axis=0), 1e-3)
+    ls_lo, ls_hi = 1e-3 * span, 1e2 * span
 
     def make(sv: float, ls: np.ndarray, nv: float) -> tuple[float, np.ndarray, float]:
         # Box constraints keep the search away from degenerate optima
@@ -244,18 +245,18 @@ def optimize_hyperparams(
         # matrix numerically singular); the noise floor is relative to
         # the signal variance because that sets the matrix scale.
         sv = min(max(sv, 1e-8 * y_scale), 1e8 * y_scale)
-        ls = np.clip(ls, 1e-3 * span, 1e2 * span)
+        ls = np.minimum(np.maximum(ls, ls_lo), ls_hi)
         nv = min(max(nv, 1e-8 * sv), 1e2 * y_scale)
         return sv, ls, nv
 
     # Clipping to the box makes many trials repeats of a scored candidate.
-    scores: dict[bytes, float] = {}
+    scores: dict[tuple[bytes, float, float], float] = {}
 
     def score(candidate: tuple[float, np.ndarray, float], shape: _KernelShape | None = None):
         """(LML, kernel shape) of a candidate; the shape is None for a repeat,
         and is built unless ``shape``, its lengthscales' shape, is given."""
         sv, ls, nv = candidate
-        key = np.append(ls, (sv, nv)).tobytes()
+        key = (ls.tobytes(), sv, nv)
         if key in scores:
             return scores[key], None
         if shape is None:
