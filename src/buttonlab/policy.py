@@ -373,7 +373,8 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
     horizons = [t.horizon for t in tasks]
     span = max(horizons, default=0)
     # Each episode's noise stream: it is drawn a chunk at a time, and a
-    # stream drawn in pieces gives the bits of one draw.
+    # stream drawn in pieces gives the bits of one draw.  It goes when
+    # its episode ends.
     streams = [np.random.default_rng(seed) for seed in seeds]
     sigmas = np.array([math.exp(p.log_std) for p in params])
     # What a tick records, the observations and raw actions, goes into
@@ -536,7 +537,7 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
         for e, p in zip(rows[done].tolist(), pos[done].tolist()):
             records[e].append((obs_rec[p, : t - t0], raw_rec[p, : t - t0]))
             trajectories[e] = _trajectory(records[e], bool(success[e]), act_step[e])
-            records[e] = None
+            records[e] = streams[e] = None
         keep = ~done
         state = {k: x[keep] for k, x in state.items()}
 
@@ -550,7 +551,7 @@ def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[Fd
         noise = np.concatenate([noise_rec[p, t - t0 : held], rest])
         ok, act = _press(params[e], tasks[e], models[e], noise, records[e], t, d, v, int(act_step[e]))
         trajectories[e] = _trajectory(records[e], ok, act)
-        records[e] = None
+        records[e] = streams[e] = None
     return trajectories
 
 
