@@ -311,16 +311,24 @@ def unit_designs(config: CidConfig, records) -> np.ndarray:
     return (np.array([rec.design for rec in records]) - lower) / (upper - lower)
 
 
-def _searched_kernels(config: CidConfig, records, fit_event: int) -> tuple[KernelSpec, ...]:
-    """One kernel per objective by hyperparameter search, seeded by ``fit_event``."""
+def _searched_kernels(
+    config: CidConfig, records, fit_event: int, starts: tuple[KernelSpec, ...] | None = None
+) -> tuple[KernelSpec, ...]:
+    """One kernel per objective by hyperparameter search, seeded by ``fit_event``
+    and warm-started from ``starts``, one kernel per objective, when given."""
     inputs = unit_designs(config, records)
     targets = np.array([rec.objectives for rec in records])
     family = KernelFamily(config.kernel)
+    starts = starts if starts is not None else (None,) * targets.shape[1]
     return tuple(
         optimize_hyperparams(
-            inputs, y, seed=seeds.seed_int(config.master_seed, "hyperopt", fit_event, j), family=family
+            inputs,
+            y,
+            seed=seeds.seed_int(config.master_seed, "hyperopt", fit_event, j),
+            family=family,
+            start=start,
         )
-        for j, y in enumerate(targets.T)
+        for j, (y, start) in enumerate(zip(targets.T, starts, strict=True))
     )
 
 
@@ -373,8 +381,8 @@ def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
     """One loop iteration: propose, evaluate, record, refit.
 
     The state it returns derives its archive and surrogates on first use;
-    the kernels are searched again every HYPEROPT_PERIOD steps and reused
-    in between.
+    the kernels are searched again every HYPEROPT_PERIOD steps, each
+    search warm-started from the state's kernel, and reused in between.
 
     Raises:
         StateError: the evaluation budget is already spent.
@@ -397,7 +405,10 @@ def cid_step(state: RunState, provider: Provider | None = None) -> RunState:
     result = provider.evaluate(raw, seeds.seed_int(config.master_seed, "evaluate", len(state.records)))
     records = state.records + _records(config, [raw], [result])
     fit_event = state.iteration + 1
-    kernels = _searched_kernels(config, records, fit_event) if fit_event % HYPEROPT_PERIOD == 0 else state.kernels
+    if fit_event % HYPEROPT_PERIOD == 0:
+        kernels = _searched_kernels(config, records, fit_event, state.kernels)
+    else:
+        kernels = state.kernels
     return RunState(config, records, kernels, state.reference)
 
 

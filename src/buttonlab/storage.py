@@ -168,6 +168,9 @@ def _decode_runstate(doc: dict) -> RunState:
     for j, k in enumerate(kernels):
         if k.dim != d:
             raise FormatError(f"run state kernel {j} has {k.dim} lengthscales for {d} design parameters")
+        # The next hyperparameter search starts from this kernel, in the config's family.
+        if k.family.value != config.kernel:
+            raise FormatError(f"run state kernel {j} is {k.family.value}; its config's kernel is {config.kernel}")
     if reference.values.size != m:
         raise FormatError(f"run state reference has {reference.values.size} values for {m} objectives")
     rows = doc["records"]

@@ -348,6 +348,75 @@ def test_search_builds_fewer_kernel_shapes_than_it_scores_candidates(family, mon
     assert 0 < builds < len(tally["distinct"])
 
 
+def clipped_to_search_box(spec, x, y):
+    """``spec`` clipped to the box ``optimize_hyperparams`` searches on (x, y)."""
+    y_scale = max(float(np.var(y)), 1e-12)
+    span = np.maximum(np.max(x, axis=0) - np.min(x, axis=0), 1e-3)
+    sv = min(max(spec.signal_variance, 1e-8 * y_scale), 1e8 * y_scale)
+    ls = np.clip(spec.lengthscales, 1e-3 * span, 1e2 * span)
+    nv = min(max(spec.noise_variance, 1e-8 * sv), 1e2 * y_scale)
+    return KernelSpec(sv, ls, nv, spec.family)
+
+
+@pytest.mark.parametrize("family", list(KernelFamily))
+def test_warm_search_on_growing_data_factorizes_less_and_keeps_its_start(family, monkeypatch):
+    # The loop's refits: each search sees a few more observations than the
+    # last, and the warm one starts from the kernel the last one chose.
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.0, 1.0, size=(40, 3))
+    y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(40)
+    factor = gp._factor
+    factorizations = 0
+
+    def counted(*args):
+        nonlocal factorizations
+        factorizations += 1
+        return factor(*args)
+
+    def searched(n, seed, start=None):
+        nonlocal factorizations
+        factorizations = 0
+        monkeypatch.setattr(gp, "_factor", counted)
+        spec = optimize_hyperparams(x[:n], y[:n], seed=seed, family=family, start=start)
+        monkeypatch.setattr(gp, "_factor", factor)
+        return spec, factorizations
+
+    kernel, _ = searched(10, 0)
+    cold_total = warm_total = 0
+    for k, n in enumerate(range(15, 41, 5), start=1):
+        _, cold = searched(n, k)
+        warm_kernel, warm = searched(n, k, kernel)
+        cold_total, warm_total = cold_total + cold, warm_total + warm
+        start_lml = gp_fit(x[:n], y[:n], clipped_to_search_box(kernel, x[:n], y[:n])).log_likelihood
+        assert gp_fit(x[:n], y[:n], warm_kernel).log_likelihood >= start_lml
+        kernel = warm_kernel
+    assert warm_total < cold_total
+
+
+def test_warm_search_keeps_a_start_clipped_to_the_box():
+    # A start far outside the box is clipped, not refused, and still bounds
+    # the result from below.
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, size=(12, 2))
+    y = np.cos(2.0 * x).sum(axis=1)
+    start = KernelSpec(1e12, np.array([1e-9, 1e9]), 1e6)
+    spec = optimize_hyperparams(x, y, seed=3, start=start)
+    clipped = clipped_to_search_box(start, x, y)
+    assert clipped.signal_variance < start.signal_variance
+    assert gp_fit(x, y, spec).log_likelihood >= gp_fit(x, y, clipped).log_likelihood
+
+
+def test_warm_start_of_another_dimension_or_family_is_refused():
+    x = np.linspace(0.0, 1.0, 8).reshape(4, 2)
+    y = np.array([0.1, -0.3, 0.2, 0.5])
+    with pytest.raises(ValueError, match="3-dimensional"):
+        optimize_hyperparams(x, y, start=KernelSpec(1.0, np.ones(3)))
+    with pytest.raises(ValueError, match="squared_exponential"):
+        optimize_hyperparams(x, y, start=KernelSpec(1.0, np.ones(2), family=KernelFamily.SQUARED_EXPONENTIAL))
+    with pytest.raises(ValueError, match="matern52"):
+        optimize_hyperparams(x, y, family=KernelFamily.SQUARED_EXPONENTIAL, start=KernelSpec(1.0, np.ones(2)))
+
+
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
@@ -362,6 +431,12 @@ for family, n, d in [("matern52", 70, 6), ("squared_exponential", 48, 2), ("mate
     y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(n)
     spec = optimize_hyperparams(x, y, seed=n, family=family)
     print(np.array([spec.signal_variance, spec.noise_variance]).tobytes().hex(), spec.lengthscales.tobytes().hex())
+
+# A search warm-started from the last kernel, on six more observations.
+x = np.vstack([x, rng.uniform(0.0, 1.0, size=(6, 6))])
+y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(x.shape[0])
+spec = optimize_hyperparams(x, y, seed=1, start=spec)
+print(np.array([spec.signal_variance, spec.noise_variance]).tobytes().hex(), spec.lengthscales.tobytes().hex())
 
 # The posterior over a scan-sized block of queries.
 scan = rng.uniform(0.0, 1.0, size=(1064, 6))

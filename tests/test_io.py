@@ -535,10 +535,14 @@ def _kernel_dimension(doc):
     doc["kernels"][1]["lengthscales"].append(1.0)
 
 
+def _kernel_family(doc):
+    doc["kernels"][1]["family"] = "squared_exponential"
+
+
 @pytest.mark.parametrize(
     "tamper",
     [_add_kernel, _drop_last_kernel, _shorten_reference, _drop_record, _drop_objective, _add_objective,
-     _shorten_design, _design_above_box, _design_below_box, _nan_objective, _kernel_dimension],
+     _shorten_design, _design_above_box, _design_below_box, _nan_objective, _kernel_dimension, _kernel_family],
 )
 def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
     path = str(tmp_path / "state.json")

@@ -22,9 +22,9 @@ from buttonlab import (
     run,
     save_artifact,
 )
-from buttonlab import seeds
+from buttonlab import loop, seeds
 from buttonlab.acquisition import scan_candidates
-from buttonlab.loop import EvaluationRecord, RunState, design_box, objective_names, unit_designs
+from buttonlab.loop import HYPEROPT_PERIOD, EvaluationRecord, RunState, design_box, objective_names, unit_designs
 from buttonlab.pareto import ParetoArchive, ReferencePoint
 
 SCHAFFER = CidConfig(
@@ -227,6 +227,27 @@ def test_cid_step_appends_and_preserves_invariants():
 
     with pytest.raises(StateError):
         cid_step(state, provider)
+
+
+def test_refits_start_from_the_state_kernels_and_the_first_fit_from_none(monkeypatch):
+    config = dataclasses.replace(SCHAFFER, budget=HYPEROPT_PERIOD)
+    provider = make_provider(config)
+    search = loop.optimize_hyperparams
+    starts = []
+
+    def recorded(inputs, targets, **kwargs):
+        starts.append(kwargs["start"])
+        return search(inputs, targets, **kwargs)
+
+    monkeypatch.setattr(loop, "optimize_hyperparams", recorded)
+    state = initial_state(config, provider)
+    assert starts == [None, None]
+    for _ in range(HYPEROPT_PERIOD - 1):
+        state = cid_step(state, provider)
+    assert len(starts) == 2
+    refit = cid_step(state, provider)
+    assert refit.iteration == HYPEROPT_PERIOD
+    assert len(starts) == 4 and all(got is want for got, want in zip(starts[2:], state.kernels, strict=True))
 
 
 def test_run_produces_exactly_init_plus_budget_records():
