@@ -40,7 +40,7 @@ class EpisodeSummary:
 
     return_: float
     success: bool
-    time_to_activation_s: float  # nan when activation never happened
+    time_to_activation_s: float | None  # None when the episode never activated
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def _evaluated(trajectories, task: TaskSpec):
         successes[i] = traj.success
         durations[i] = len(traj) * dt if traj.success else task.horizon * dt
         efforts[i] = float(np.sum(traj.actions**2)) * dt
-        t_act = np.nan if traj.activation_step is None else traj.activation_step * dt
+        t_act = None if traj.activation_step is None else traj.activation_step * dt
         summaries.append(EpisodeSummary(traj.return_, traj.success, t_act))
     vector = np.array([durations.mean(), 1.0 - successes.mean(), efforts.mean()])
     return vector, tuple(summaries)

@@ -30,8 +30,7 @@ def pareto_front(points) -> np.ndarray:
     """Indices of the rows of ``points`` that no other row strictly dominates.
 
     Duplicate rows never dominate each other, so all copies are kept.
-    Each row is tested against the whole set in turn, so memory stays
-    O(n * m).
+    The front is read off one (n, n) strict-dominance table.
 
     Raises:
         ValueError: empty input or ragged/non-2-D data.
@@ -39,7 +38,7 @@ def pareto_front(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("pareto_front needs a nonempty 2-D array of objectives")
-    return np.flatnonzero([not np.any(_dominates(pts, p)) for p in pts])
+    return np.flatnonzero(~_dominates(pts[:, None, :], pts[None, :, :]).any(axis=0))
 
 
 @dataclass(frozen=True)

@@ -279,51 +279,6 @@ def _trajectory(records, success, act):
     )
 
 
-# Below this many running episodes, rollouts runs each one alone: a
-# lockstep tick costs about as much as four scalar steps at batch sizes
-# this small (the table in rollouts' docstring).
-LOCKSTEP_MIN_EPISODES = 4
-
-
-def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
-    """B independent seeded episodes against the simulated button at 1 kHz.
-
-    ``params``, ``tasks``, ``models`` and ``seeds`` are sequences of one
-    entry per episode.  Each tick runs the public stepper's physics,
-    ``button._tick``, on the same spring lookup, so replaying an
-    episode's actions through :func:`~buttonlab.button.step` reproduces
-    it bit for bit.  Each episode draws its noise from its own seed's
-    stream, so every episode is a pure function of its own (params, task,
-    model, seed): its trajectory is byte-identical in any batch, alone or
-    not.  The engines draw that noise and record each tick in buffers of
-    _CHUNK ticks, so a batch holds memory by the ticks its episodes run,
-    not by their horizons.  While at least LOCKSTEP_MIN_EPISODES episodes
-    are running they advance together, one tick for all of them, in the
-    same elementwise arithmetic as one episode alone; each of the rest
-    then finishes alone from where it stands, so a batch of fewer runs
-    each episode alone from its start.
-
-    Lockstep time over one-at-a-time time, each batch run with that rule
-    at threshold min(B, 4) (2 cores, numpy 2.4, OpenBLAS; 24 batches
-    each).  Evaluation style is one adapted policy on one design;
-    adaptation style is the initial policy on 4 episodes per design:
-
-        B             2     3     4     6     8
-        evaluation   1.79  1.20  0.93  0.66  0.53
-        adaptation   1.60  1.19  0.94  0.85  0.78
-
-    Raises:
-        ValueError: sequences of different lengths, or policies of
-            different architectures in one call, at any batch size.
-    """
-    params, tasks, models, seeds = list(params), list(tasks), list(models), list(seeds)
-    if not len(params) == len(tasks) == len(models) == len(seeds):
-        raise ValueError("need one policy, task, model and seed per episode")
-    if len({p.layer_sizes for p in params}) > 1:
-        raise ValueError("one rollouts call needs one policy architecture")
-    return _lockstep(params, tasks, models, seeds)
-
-
 def _layer(params: list[PolicyParams], k: int):
     """Layer k of every policy: its weights, one shared matrix when every
     policy holds the same bits, else a (B, n_in, n_out) stack, and its
@@ -367,8 +322,48 @@ def _chunk(streams, sigmas, rows, size):
     return np.empty((rows.size, size, 5)), np.empty((rows.size, size)), noise
 
 
-def _lockstep(params: list[PolicyParams], tasks: list[TaskSpec], models: list[FdvvModel], seeds):
-    """:func:`rollouts` once its arguments are checked."""
+# Below this many running episodes, rollouts runs each one alone: a
+# lockstep tick costs about as much as four scalar steps at batch sizes
+# this small (the table in rollouts' docstring).
+LOCKSTEP_MIN_EPISODES = 4
+
+
+def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
+    """B independent seeded episodes against the simulated button at 1 kHz.
+
+    ``params``, ``tasks``, ``models`` and ``seeds`` are sequences of one
+    entry per episode.  Each tick runs the public stepper's physics,
+    ``button._tick``, on the same spring lookup, so replaying an
+    episode's actions through :func:`~buttonlab.button.step` reproduces
+    it bit for bit.  Each episode draws its noise from its own seed's
+    stream, so every episode is a pure function of its own (params, task,
+    model, seed): its trajectory is byte-identical in any batch, alone or
+    not.  The engines draw that noise and record each tick in buffers of
+    _CHUNK ticks, so a batch holds memory by the ticks its episodes run,
+    not by their horizons.  While at least LOCKSTEP_MIN_EPISODES episodes
+    are running they advance together, one tick for all of them, in the
+    same elementwise arithmetic as one episode alone; each of the rest
+    then finishes alone from where it stands, so a batch of fewer runs
+    each episode alone from its start.
+
+    Lockstep time over one-at-a-time time, each batch run with that rule
+    at threshold min(B, 4) (2 cores, numpy 2.4, OpenBLAS; 24 batches
+    each).  Evaluation style is one adapted policy on one design;
+    adaptation style is the initial policy on 4 episodes per design:
+
+        B             2     3     4     6     8
+        evaluation   1.79  1.20  0.93  0.66  0.53
+        adaptation   1.60  1.19  0.94  0.85  0.78
+
+    Raises:
+        ValueError: sequences of different lengths, or policies of
+            different architectures in one call, at any batch size.
+    """
+    params, tasks, models, seeds = list(params), list(tasks), list(models), list(seeds)
+    if not len(params) == len(tasks) == len(models) == len(seeds):
+        raise ValueError("need one policy, task, model and seed per episode")
+    if len({p.layer_sizes for p in params}) > 1:
+        raise ValueError("one rollouts call needs one policy architecture")
     n = len(params)
     horizons = [t.horizon for t in tasks]
     span = max(horizons, default=0)

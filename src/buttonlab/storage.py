@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 
 import numpy as np
@@ -139,9 +138,7 @@ def _encode_runstate(state: RunState) -> dict:
                     {
                         "return": float(e.return_),
                         "success": bool(e.success),
-                        "time_to_activation_s": None
-                        if math.isnan(e.time_to_activation_s)
-                        else float(e.time_to_activation_s),
+                        "time_to_activation_s": e.time_to_activation_s,
                     }
                     for e in r.episodes
                 ],
@@ -187,8 +184,7 @@ def _decode_runstate(doc: dict) -> RunState:
         if not np.all(np.isfinite(objectives)):
             raise FormatError(f"run state record {i} has a non-finite objective")
         episodes = tuple(
-            EpisodeSummary(e["return"], bool(e["success"]),
-                           math.nan if e["time_to_activation_s"] is None else e["time_to_activation_s"])
+            EpisodeSummary(e["return"], bool(e["success"]), e["time_to_activation_s"])
             for e in r["episodes"]
         )
         records.append(EvaluationRecord(design, objectives, tuple(int(s) for s in r["seeds"]), episodes))

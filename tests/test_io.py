@@ -31,6 +31,7 @@ from buttonlab import (
     initial_state,
     load_artifact,
     load_trace,
+    make_provider,
     parse_config,
     run,
     save_artifact,
@@ -423,6 +424,20 @@ def test_runstate_artifact_round_trip(tmp_path):
                 assert getattr(mb, name).tobytes() == getattr(ms, name).tobytes(), (step, name)
 
 
+def test_runstate_round_trip_keeps_never_activated_episodes(tmp_path):
+    from test_loop import TINY_BUTTON, small_meta
+
+    state = initial_state(TINY_BUTTON, make_provider(TINY_BUTTON, small_meta(TINY_BUTTON)))
+    path = str(tmp_path / "state.json")
+    save_artifact(path, state)
+    back = load_artifact(path)
+    for rb, rs in zip(back.records, state.records, strict=True):
+        assert rb.episodes == rs.episodes
+    # The records hold episodes that activated and episodes that never did.
+    times = [ep.time_to_activation_s for rec in state.records for ep in rec.episodes]
+    assert None in times and any(t is not None for t in times)
+
+
 def sphere_provider():
     """Three closed-form objectives over the button's design box: the
     first two unit coordinates place a point on the unit sphere's octant."""
@@ -727,8 +742,6 @@ def test_cli_optimize_resume_matches_full_run(tmp_path, capsys):
     assert main(["optimize", "--config", cfg, "--out-dir", full_dir]) == 0
 
     config = parse_config(SMALL_SCHAFFER)
-    from buttonlab import make_provider
-
     provider = make_provider(config)
     half = initial_state(config, provider)
     half = cid_step(half, provider)
@@ -760,43 +773,51 @@ def test_cli_optimize_resume_matches_full_run(tmp_path, capsys):
 
 
 def test_cli_optimize_resumes_a_crash_between_log_and_state(tmp_path, capsys, monkeypatch):
-    import buttonlab.cli as cli
+    import buttonlab.storage as storage
 
-    cfg = config_file(tmp_path, SMALL_SCHAFFER)
-    full_dir = str(tmp_path / "full")
-    assert main(["optimize", "--config", cfg, "--out-dir", full_dir]) == 0
-
-    # The third run-state write dies: the log already holds the second
-    # step, the state only the first.
     class Crash(Exception):
         pass
 
-    save = cli.save_artifact
-    writes = []
+    write = storage._atomic_write
+    calls, crash_at = [], None
 
-    def crashing_save(path, artifact):
-        writes.append(path)
-        if len(writes) == 3:
+    def crashing_write(path, text):
+        calls.append(path)
+        if len(calls) == crash_at:
             raise Crash
-        save(path, artifact)
+        write(path, text)
 
-    monkeypatch.setattr(cli, "save_artifact", crashing_save)
-    crash_dir = str(tmp_path / "crashed")
-    with pytest.raises(Crash):
-        main(["optimize", "--config", cfg, "--out-dir", crash_dir])
-    monkeypatch.setattr(cli, "save_artifact", save)
-    state_path = os.path.join(crash_dir, "run_state.json")
-    assert load_artifact(state_path).iteration == 1
-    with open(os.path.join(crash_dir, "evaluations.jsonl")) as handle:
-        assert len(handle.readlines()) == 5
+    monkeypatch.setattr(storage, "_atomic_write", crashing_write)
+    cfg = config_file(tmp_path, SMALL_SCHAFFER)
+    config = parse_config(SMALL_SCHAFFER)
+    full_dir = str(tmp_path / "full")
+    assert main(["optimize", "--config", cfg, "--out-dir", full_dir]) == 0
+    original = _run_outputs(full_dir)
+    # The log, then the state, once per state (the initial one and one per
+    # step), then the front and the curve.
+    persisted = 2 * (config.budget + 1)
+    assert len(calls) == persisted + 2
 
-    assert main(["optimize", "--config", cfg, "--out-dir", crash_dir, "--resume", state_path]) == 0
+    for k in range(1, len(calls) + 1):
+        calls.clear()
+        crash_at = k
+        crash_dir = str(tmp_path / f"crash-{k}")
+        with pytest.raises(Crash):
+            main(["optimize", "--config", cfg, "--out-dir", crash_dir])
+        crash_at = None
+        state_path = os.path.join(crash_dir, "run_state.json")
+        if k % 2 == 0 and k <= persisted:
+            # A state write died: the log is one state ahead of the state file.
+            with open(os.path.join(crash_dir, "evaluations.jsonl")) as handle:
+                assert len(handle.readlines()) == config.init_count + k // 2 - 1, k
+            if k > 2:
+                assert load_artifact(state_path).iteration == k // 2 - 2, k
+        again = ["optimize", "--config", cfg, "--out-dir", crash_dir]
+        if os.path.exists(state_path):
+            again += ["--resume", state_path]
+        assert main(again) == 0, k
+        assert _run_outputs(crash_dir) == original, k
     capsys.readouterr()
-    for name in ("front.csv", "hv_curve.csv", "run_state.json", "evaluations.jsonl"):
-        with open(os.path.join(full_dir, name), "rb") as fa, open(
-            os.path.join(crash_dir, name), "rb"
-        ) as fb:
-            assert fa.read() == fb.read(), name
 
 
 def _run_outputs(out_dir):

@@ -368,7 +368,7 @@ def test_button_records_keep_episode_summaries():
         assert len(rec.seeds) == 1
         for ep in rec.episodes:
             assert isinstance(ep.success, bool)
-            assert np.isnan(ep.time_to_activation_s) or ep.time_to_activation_s >= 0.0
+            assert ep.time_to_activation_s is None or ep.time_to_activation_s >= 0.0
 
 
 def test_provider_box_must_be_the_config_design_box():
