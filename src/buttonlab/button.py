@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bspline import BSplineCurve, fit_lsq_spline
+from .bspline import BSplineCurve
 
 # Hardware-motivated force ceiling in newtons.
 FORCE_CEILING_N = 4.4
@@ -424,31 +424,17 @@ DESIGN_BOUNDS = {
 }
 
 
-def _smoothstep(u: np.ndarray) -> np.ndarray:
-    return u * u * (3.0 - 2.0 * u)
-
-
-def _tactile_shape(d: np.ndarray, travel: float, activation: float, peak: float, snap: float) -> np.ndarray:
-    """Rise-drop-rise force profile, C1 at the segment joins."""
-    mid = activation + 0.5 * (travel - activation)
-    drop = peak * snap
-    out = np.empty_like(d)
-    seg1 = d <= activation
-    out[seg1] = peak * _smoothstep(d[seg1] / activation)
-    seg2 = (d > activation) & (d <= mid)
-    out[seg2] = peak - drop * _smoothstep((d[seg2] - activation) / (mid - activation))
-    seg3 = d > mid
-    out[seg3] = (peak - drop) + drop * _smoothstep((d[seg3] - mid) / (travel - mid))
-    return out
-
-
 def design_to_fdvv(params: ButtonDesignParams) -> FdvvModel:
     """Render design parameters into a concrete FDVV model.
 
-    The canonical tactile shape is piecewise cubic with C1 joins at the
-    activation point and at the drop midpoint, so a cubic spline with
-    doubled knots there represents it exactly; each velocity level scales
-    force by (1 + velocity_stiffening * v / 100).
+    The canonical tactile shape rises from 0 to the peak force at the
+    activation point, drops by ``snap_ratio`` of the peak to the midpoint
+    of the remaining travel, and rises back to the peak at full travel.
+    Each piece is a smoothstep, a cubic with zero slope at both ends, so
+    its Bezier points repeat its end values; with doubled knots at the
+    joins those points are the cubic B-spline's coefficients, and the
+    spline is the shape exactly.  Each velocity level scales force by
+    (1 + velocity_stiffening * v / 100).
     """
     activation = params.activation_fraction * params.travel
     mid = activation + 0.5 * (params.travel - activation)
@@ -459,13 +445,13 @@ def design_to_fdvv(params: ButtonDesignParams) -> FdvvModel:
             np.full(4, params.travel),
         ]
     )
-    grid = np.linspace(0.0, params.travel, 240)
-    base = _tactile_shape(grid, params.travel, activation, params.peak_force, params.snap_ratio)
-    curves = []
-    for level in DESIGN_VELOCITY_LEVELS:
-        scale = 1.0 + params.velocity_stiffening * level / 100.0
-        curve, _ = fit_lsq_spline(grid, scale * base, knots, 3)
-        curves.append(curve)
+    peak = params.peak_force
+    dip = peak * (1.0 - params.snap_ratio)
+    base = np.array([0.0, 0.0, peak, peak, dip, dip, peak, peak])
+    curves = tuple(
+        BSplineCurve(3, knots, (1.0 + params.velocity_stiffening * level / 100.0) * base)
+        for level in DESIGN_VELOCITY_LEVELS
+    )
     vibration = VibrationSpec(
         frequency=125.0 + 375.0 * params.snap_ratio,
         amplitude=params.snap_ratio * params.peak_force,
@@ -473,7 +459,7 @@ def design_to_fdvv(params: ButtonDesignParams) -> FdvvModel:
     )
     return FdvvModel(
         velocity_levels=DESIGN_VELOCITY_LEVELS,
-        fd_curves=tuple(curves),
+        fd_curves=curves,
         travel=params.travel,
         activation_disp=activation,
         release_disp=RELEASE_FRACTION * activation,

@@ -188,8 +188,6 @@ def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
     if x.shape[0] != y.size:
         raise ValueError(f"{x.shape[0]} inputs vs {y.size} targets")
     _check_finite(x, y)
-    if x.shape[0] == 0:
-        return GpModel(x, spec, np.zeros((0, 0)), np.zeros(0), 0.0)
     gram = _kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, x, x)
     factor, whitened, jitter = _factor(gram, spec.noise_variance, y)
     return GpModel(x, spec, np.linalg.inv(factor), whitened, _lml(factor, whitened), jitter)
@@ -198,12 +196,10 @@ def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
 def gp_predict_batch(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances over an (m, d) block of query points.
 
-    An empty model returns the prior (zero mean, signal variance).
+    An empty model gives the prior (zero mean, signal variance).
     """
     spec = model.kernel
     q = _as_points(queries, spec.dim, "queries")
-    if model.n == 0:
-        return np.zeros(q.shape[0]), np.full(q.shape[0], spec.signal_variance)
     k = _kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, model.inputs, q)
     v = model.inverse_factor @ k
     mean = model.whitened @ v

@@ -156,6 +156,14 @@ def _staircase(pts: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return lo, hi
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of a 1-D float array, bit for bit: sort, then keep
+    each value that differs from its predecessor.  In numpy 2 the plain
+    ``np.unique`` imports ``numpy.ma`` on a process's first call (about 10 ms)."""
+    v = np.sort(values)
+    return np.concatenate([v[:1], v[1:][v[1:] != v[:-1]]])
+
+
 def _boxes(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint boxes whose union is the region ``front`` dominates inside ref.
 
@@ -168,7 +176,7 @@ def _boxes(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pts = front[np.all(front < ref, axis=1)]
     if ref.size == 2:
         return _staircase(pts, ref)
-    z_edges = np.append(np.unique(pts[:, 2]), ref[2])
+    z_edges = np.append(_distinct(pts[:, 2]), ref[2])
     los, his = [np.zeros((3, 0))], [np.zeros((3, 0))]
     for z0, z1 in zip(z_edges[:-1], z_edges[1:]):
         lo, hi = _staircase(pts[pts[:, 2] <= z0], ref)

@@ -12,7 +12,8 @@ A change that alters results on purpose rewrites that file with
 
     PYTHONPATH=src python tests/golden_outputs.py
 
-and lists each changed digest in CHANGES.md.
+which prints the digests that changed and those that stayed against the
+file it rewrites; a re-baselining change lists both in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -164,14 +165,27 @@ def load() -> dict:
         return json.load(handle)
 
 
+def compare(old: dict[str, str], new: dict[str, str]) -> tuple[list[str], list[str]]:
+    """(changed, unchanged) output names; an output in one map only is changed."""
+    names = sorted(set(old) | set(new))
+    changed = [name for name in names if old.get(name) != new.get(name)]
+    return changed, [name for name in names if name not in changed]
+
+
 def main() -> int:
     info = platform_info()
     reason = unpinned_reason(info)
     if reason is not None:
         print(f"cannot pin the CPU path: {reason}", file=sys.stderr)
         return 1
+    old = load()["outputs"] if os.path.exists(DIGESTS) else {}
     with tempfile.TemporaryDirectory() as workdir:
         outputs = compute_digests(workdir)
+    changed, unchanged = compare(old, outputs)
+    for label, names in (("changed", changed), ("unchanged", unchanged)):
+        print(f"{label} ({len(names)}):")
+        for name in names:
+            print(f"  {name}")
     with open(DIGESTS, "w") as handle:
         json.dump({"written_under": describe(info), "outputs": outputs}, handle, indent=2)
         handle.write("\n")

@@ -5,6 +5,8 @@ independent ways: the package stepper, a closed-form overdamped solution,
 and an RK4 integrator local to this file.
 """
 
+import dataclasses
+import itertools
 import math
 from bisect import bisect_right
 
@@ -231,6 +233,44 @@ def test_design_to_fdvv_shape_arithmetic():
         assert curve(act) == pytest.approx(2.0 * scale, abs=1e-8)
         assert curve(mid) == pytest.approx(2.0 * (1.0 - 0.4) * scale, abs=1e-8)
         assert curve(params.travel) == pytest.approx(2.0 * scale, abs=1e-8)
+
+
+def smoothstep(u):
+    return u * u * (3.0 - 2.0 * u)
+
+
+def tactile_shape(d, travel, activation, peak, snap):
+    """Rise-drop-rise force profile from smoothsteps, C1 at the segment joins."""
+    mid = activation + 0.5 * (travel - activation)
+    drop = peak * snap
+    out = np.empty_like(d)
+    seg1 = d <= activation
+    out[seg1] = peak * smoothstep(d[seg1] / activation)
+    seg2 = (d > activation) & (d <= mid)
+    out[seg2] = peak - drop * smoothstep((d[seg2] - activation) / (mid - activation))
+    seg3 = d > mid
+    out[seg3] = (peak - drop) + drop * smoothstep((d[seg3] - mid) / (travel - mid))
+    return out
+
+
+def test_design_to_fdvv_curves_are_the_smoothstep_shape_in_closed_form():
+    rng = np.random.default_rng(30)
+    designs = [random_design(rng) for _ in range(40)]
+    designs += [dataclasses.replace(d, snap_ratio=0.0) for d in designs[:5]]
+    corners = itertools.product(*(DESIGN_BOUNDS[f] for f in DESIGN_FIELDS))
+    designs += [ButtonDesignParams(*c) for c in corners]
+    for params in designs:
+        model = design_to_fdvv(params)
+        activation = params.activation_fraction * params.travel
+        peak = params.peak_force
+        dip = peak * (1.0 - params.snap_ratio)
+        grid = np.linspace(0.0, params.travel, 2000)
+        shape = tactile_shape(grid, params.travel, activation, peak, params.snap_ratio)
+        for level, curve in zip(model.velocity_levels, model.fd_curves):
+            scale = 1.0 + params.velocity_stiffening * level / 100.0
+            want = scale * np.array([0.0, 0.0, peak, peak, dip, dip, peak, peak])
+            assert curve.coefficients.tobytes() == want.tobytes()
+            assert np.max(np.abs(curve(grid) - scale * shape)) <= 1e-12
 
 
 def test_force_interpolates_between_velocity_levels():

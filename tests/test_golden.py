@@ -14,8 +14,7 @@ def test_golden_outputs_match_their_digests(tmp_path):
     got = golden_outputs.compute_digests(str(tmp_path))
     changed = [
         f"{name}: {want['outputs'].get(name)} -> {got.get(name)}"
-        for name in sorted(set(want["outputs"]) | set(got))
-        if want["outputs"].get(name) != got.get(name)
+        for name in golden_outputs.compare(want["outputs"], got)[0]
     ]
     assert not changed, (
         "golden outputs changed:\n  " + "\n  ".join(changed)

@@ -7,10 +7,16 @@ slicing_hypervolume3 integrates exact 2-D areas slab by slab.  None
 shares code with the package.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import buttonlab
 from buttonlab import ParetoArchive, ReferencePoint, dominates, hypervolume, pareto_front
+from buttonlab.pareto import _distinct
 
 
 def brute_force_front(points):
@@ -273,3 +279,39 @@ def test_reference_point_from_observations():
     assert np.allclose(ref.values, [3.0 + 0.2, 10.0 + 0.8])
     with pytest.raises(ValueError):
         ReferencePoint(np.array([1.0, np.inf]))
+
+
+def test_distinct_matches_np_unique_bit_for_bit():
+    # Ties and signed zeros: which of 0.0 and -0.0 is kept depends on the
+    # sort, so the bytes, not just the values, must agree.
+    rng = np.random.default_rng(12)
+    values = np.array([0.0, -0.0, 0.25, -1.5, 3.0, 0.25])
+    for n in range(12):
+        for _ in range(40):
+            x = rng.choice(values, n) if rng.random() < 0.5 else np.round(rng.standard_normal(n), 1)
+            assert _distinct(x).tobytes() == np.unique(x).tobytes()
+            assert _distinct(x).shape == np.unique(x).shape
+    for x in ([0.0, -0.0], [-0.0, 0.0], [-0.0, 1.0, 0.0, -0.0], [2.0, 2.0, 2.0]):
+        assert _distinct(np.array(x)).tobytes() == np.unique(np.array(x)).tobytes()
+
+
+def test_three_objective_hypervolume_and_proposal_leave_numpy_ma_unimported():
+    # numpy 2's plain np.unique imports numpy.ma (about 10 ms) on its first call.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from buttonlab import KernelSpec, ParetoArchive, ReferencePoint, gp_fit, hypervolume, propose_next\n"
+        "rng = np.random.default_rng(3)\n"
+        "x, objs = rng.random((6, 2)), rng.random((6, 3))\n"
+        "hypervolume(objs, np.full(3, 1.5))\n"
+        "archive = ParetoArchive(())\n"
+        "for i in range(6):\n"
+        "    archive = archive.inserted(x[i], objs[i], i)\n"
+        "models = [gp_fit(x, objs[:, j], KernelSpec(1.0, np.full(2, 0.4))) for j in range(3)]\n"
+        "propose_next(models, archive, ReferencePoint(np.full(3, 1.5)), scan_count=64, seed=1)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(buttonlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["False"]
