@@ -11,10 +11,13 @@ Gaussians, so the expected volume a candidate adds is
     EHVI = prod_k psi_k(r_k) - sum_b prod_k [psi_k(hi_bk) - psi_k(lo_bk)],
 
 with psi_k(c) = E[(c - Y_k)+] and r the reference point: the box-
-decomposition EHVI of Yang, Emmerich, Deutz & Baeck (2019).  It draws
-no random numbers, so one candidate scored alone by ``_ehvi_batch``
-reproduces its value in a batched scan up to the GP posterior's last
-bits.
+decomposition EHVI of Yang, Emmerich, Deutz & Baeck (2019).  Every
+objective is scored in one stacked pass: one ``gp_predict_batch`` call
+gives all the surrogates' posteriors, and one ``_psi`` call evaluates
+psi_k at every axis's distinct edges for every candidate, each with the
+bits a pass per objective gives.  EHVI draws no random numbers, so one
+candidate scored alone by ``_ehvi_batch`` reproduces its value in a
+batched scan up to the GP posterior's last bits.
 
 The candidate scan is a seeded Latin hypercube in [0, 1)^d: every
 coordinate of a scan of n points puts one point in each of n equal
@@ -42,6 +45,9 @@ PERTURB_FRACTION = 0.05
 REFINE_STEP_INIT = 0.2
 REFINE_STEP_MIN = 0.01
 REFINE_MOVE_LIMIT = 40
+# Candidates per _gains call, at least: a scan of about 1,000 candidates
+# is scored in 4 blocks.
+GAIN_BLOCK = 256
 
 # erfc(x) rounds to exactly 2.0 for x <= -6 (2 - erfc(6) is about 2.2e-17,
 # under half an ulp of 2.0) and to exactly 0.0 for x >= 28 (erfc(28) is
@@ -51,95 +57,115 @@ _ERFC_TWO_BELOW = -6.0
 _ERFC_ZERO_ABOVE = 28.0
 
 
-def _posterior_grid(models: list[GpModel], candidates: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-objective posteriors as (n, m) mean and std arrays, one
-    prediction block per objective."""
-    preds = [gp_predict_batch(model, candidates) for model in models]
-    return np.stack([p[0] for p in preds], axis=1), np.sqrt(np.stack([p[1] for p in preds], axis=1))
-
-
 def _check_models(models) -> list[GpModel]:
     models = list(models)
     if len(models) < 2:
         raise ValueError("EHVI needs one surrogate per objective, at least 2")
     if len(models) > 3:
         raise ValueError("EHVI supports 2 or 3 objectives")
-    dims = {m.kernel.dim for m in models}
-    if len(dims) != 1:
-        raise ValueError(f"surrogates disagree on design dimension: {sorted(dims)}")
     return models
 
 
-def _cells(archive: ParetoArchive, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The archive's dominated boxes for _ehvi_batch, as _boxes returns them."""
-    front = archive.objective_matrix if len(archive) else np.zeros((0, ref.size))
-    return _boxes(front, ref)
+def _cells(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The boxes ``front`` dominates (``pareto._boxes``) as per-axis edge
+    tables for _gains, built once per proposal; ``front`` holds m-objective
+    rows, and may be empty.
+
+    Returns (edges, lo, hi, at_ref): an (m, e) table of each axis's
+    distinct box edges and reference value, padded with +inf to the
+    longest axis (psi there is an exact +inf, found with no erfc call),
+    and for each axis the columns of its boxes' lower and upper edges,
+    (m, boxes), and of its reference value, (m,).
+    """
+    lo_b, hi_b = _boxes(np.reshape(front, (-1, ref.size)), ref)
+    b = lo_b.shape[1]
+    axes = [np.unique(np.concatenate([lo_b[k], hi_b[k], ref[k : k + 1]]), return_inverse=True) for k in range(ref.size)]
+    edges = np.full((ref.size, max(e.size for e, _ in axes)), np.inf)
+    for k, (e, _) in enumerate(axes):
+        edges[k, : e.size] = e
+    at = np.array([a for _, a in axes])
+    return edges, at[:, :b], at[:, b : 2 * b], at[:, -1]
 
 
 def _normal_cdf(u: np.ndarray) -> np.ndarray:
     """Phi(u) = erfc(-u / sqrt 2) / 2, elementwise, with math.erfc
     (scipy.special's would add its import to every start-up) called only
     off the tails where it is exactly 2 or 0.  u = +-inf lands in a tail,
-    and nan goes through math.erfc.
+    and nan goes through math.erfc.  The result is written over ``u``.
 
     A memoryview hands math.erfc one Python float at a time; a list of
     them all would hold 32 bytes per element at once.
     """
-    x = u * -math.sqrt(0.5)
+    x = np.multiply(u, -math.sqrt(0.5), out=u)
     low = x <= _ERFC_TWO_BELOW
-    erfc = np.where(low, 2.0, 0.0)
-    rest = ~(low | (x >= _ERFC_ZERO_ABOVE))
-    erfc[rest] = np.fromiter(map(math.erfc, memoryview(x[rest])), float)
-    erfc *= 0.5
-    return erfc
+    high = x >= _ERFC_ZERO_ABOVE
+    rest = ~(low | high)
+    x[rest] = np.fromiter(map(math.erfc, memoryview(x[rest])), float)
+    x[low] = 2.0
+    x[high] = 0.0
+    x *= 0.5
+    return x
 
 
 def _psi(edges: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     """psi(c) = E[(c - Y)+] for Y ~ N(mean, std^2), shape (e, n) from
-    (e,) edges and (n,) posteriors.
+    (e,) edges and (n,) posteriors, or (m, e, n) from (m, e) edges and
+    (m, n) posteriors.
 
     (c - mean) Phi(u) + std phi(u) with u = (c - mean) / std, and
-    max(c - mean, 0) where std is 0.
+    max(c - mean, 0) where std is 0; each term in that order, written
+    into three buffers of the result's size.
     """
-    gap = edges[:, None] - mean
+    gap = edges[..., :, None] - mean[..., None, :]
+    std = std[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = gap / std
-        cdf = _normal_cdf(u)
-        psi = gap * cdf + std * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    return np.where(std > 0.0, psi, np.maximum(gap, 0.0))
+        density = np.multiply(u, -0.5)
+        density *= u
+        np.exp(density, out=density)
+        np.multiply(density, std, out=density)
+        density /= math.sqrt(2.0 * math.pi)
+        psi = _normal_cdf(u)
+        psi *= gap
+        psi += density
+    flat = ~(std > 0.0)
+    if flat.any():
+        np.copyto(psi, np.maximum(gap, 0.0, out=gap), where=flat)
+    return psi
 
 
-def _gains(
-    cells: tuple[np.ndarray, np.ndarray],
-    ref_values: np.ndarray,
-    means: np.ndarray,
-    stds: np.ndarray,
-) -> np.ndarray:
-    """Expected hypervolume each (n, m) posterior row adds to the union of ``cells``.
+def _gains(cells: tuple[np.ndarray, ...], means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """Expected hypervolume each column of the (m, n) posteriors adds to
+    the union of the boxes that ``cells = _cells(front, ref)`` tabulates.
 
     E vol(Y..ref) minus the expected overlap with each box, both products
-    over axes of psi, which is evaluated once per distinct edge of an axis.
-    Box-major (boxes, n) tables keep the per-box lookups row copies.
+    over axes of psi, which one _psi call evaluates at every axis's
+    distinct edges.  Box-major (boxes, n) tables keep the per-box lookups
+    row copies.
     """
-    lo_b, hi_b = cells
-    boxes = lo_b.shape[1]
+    edges, lo, hi, at_ref = cells
+    psi = _psi(edges, means, stds)
     total = overlap = 1.0
-    for k in range(ref_values.size):
-        edges, at = np.unique(np.concatenate([lo_b[k], hi_b[k], ref_values[k : k + 1]]), return_inverse=True)
-        psi = _psi(edges, means[:, k], stds[:, k])
-        overlap = overlap * (psi[at[boxes : 2 * boxes]] - psi[at[:boxes]])
-        total = total * psi[at[-1]]
+    for k in range(edges.shape[0]):
+        overlap = overlap * (psi[k, hi[k]] - psi[k, lo[k]])
+        total = total * psi[k, at_ref[k]]
     return np.clip(total - overlap.sum(axis=0), 0.0, None)
 
 
-def _ehvi_batch(
-    models: list[GpModel],
-    candidates: np.ndarray,
-    cells: tuple[np.ndarray, np.ndarray],
-    ref_values: np.ndarray,
-) -> np.ndarray:
-    """EHVI of every candidate against ``cells = _cells(archive, ref_values)``."""
-    return _gains(cells, ref_values, *_posterior_grid(models, candidates))
+def _ehvi_batch(models: list[GpModel], candidates: np.ndarray, cells: tuple[np.ndarray, ...]) -> np.ndarray:
+    """EHVI of every candidate against ``cells = _cells(front, ref_values)``.
+
+    _gains scores the candidates in blocks of at least GAIN_BLOCK columns,
+    which bounds its (boxes, candidates) tables on a full scan.  A column's
+    gain does not depend on its block: the sum over boxes adds rows in
+    order at any block width above 1.
+    """
+    means, variances = gp_predict_batch(models, candidates)
+    stds = np.sqrt(variances, out=variances)
+    n = means.shape[1]
+    blocks = max(1, n // GAIN_BLOCK)
+    cuts = [n * i // blocks for i in range(blocks + 1)]
+    return np.concatenate([_gains(cells, means[:, a:b], stds[:, a:b]) for a, b in zip(cuts, cuts[1:])])
 
 
 def scan_candidates(dim: int, count: int, seed: int) -> np.ndarray:
@@ -187,12 +213,12 @@ def propose_next(
         local = np.clip(archive.design_matrix + jumps, 0.0, 1.0)
         pool = np.vstack([pool, local])
 
-    cells = _cells(archive, ref_values)
-    values = _ehvi_batch(models, pool, cells, ref_values)
+    cells = _cells(archive.objective_matrix, ref_values)
+    values = _ehvi_batch(models, pool, cells)
     best = int(np.argmax(values))
     choice = pool[best]
     if len(archive):
-        choice = _refine(models, choice, float(values[best]), cells, ref_values)
+        choice = _refine(models, choice, float(values[best]), cells)
 
     evaluated = models[0].inputs
     if evaluated.shape[0] and np.min(np.max(np.abs(evaluated - choice[None, :]), axis=1)) < DUPLICATE_TOL:
@@ -205,8 +231,7 @@ def _refine(
     models: list[GpModel],
     start: np.ndarray,
     start_value: float,
-    cells,
-    ref_values: np.ndarray,
+    cells: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Axis-aligned pattern search on EHVI around the scan argmax.
 
@@ -223,7 +248,7 @@ def _refine(
         for j in range(best.size):
             cands[2 * j, j] = max(best[j] - step, 0.0)
             cands[2 * j + 1, j] = min(best[j] + step, 1.0)
-        vals = _ehvi_batch(models, cands, cells, ref_values)
+        vals = _ehvi_batch(models, cands, cells)
         k = int(np.argmax(vals))
         if vals[k] > best_value:
             best = cands[k]

@@ -84,10 +84,6 @@ class GpModel:
     log_likelihood: float
     jitter: float = 0.0
 
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
 
 # A kernel's shape between two point sets: the Matern-5/2 polynomial (None
 # for the squared exponential) and the exponential factor.
@@ -96,14 +92,27 @@ _KernelShape = tuple[np.ndarray | None, np.ndarray]
 
 def _kernel_shape(ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.ndarray) -> _KernelShape:
     """The factors of the covariance between the rows of ``a`` and ``b``
-    that depend on the ARD lengthscales alone."""
+    that depend on the ARD lengthscales alone.
+
+    ``ls`` is one (d,) row, or an (M, 1, d) stack of rows that gives a
+    stack of M shapes, each with the bits its row alone gives.
+    """
     sa = a / ls
     sb = b / ls
-    r2 = np.maximum(np.square(sa).sum(axis=1)[:, None] + np.square(sb).sum(axis=1)[None, :] - 2.0 * sa @ sb.T, 0.0)
+    r2 = np.add(np.square(sa).sum(axis=-1)[..., :, None], np.square(sb).sum(axis=-1)[..., None, :])
+    r2 -= 2.0 * sa @ np.swapaxes(sb, -1, -2)
+    np.maximum(r2, 0.0, out=r2)
     if family is KernelFamily.SQUARED_EXPONENTIAL:
-        return None, np.exp(-0.5 * r2)
-    r = np.sqrt(r2)
-    return 1.0 + _SQRT5 * r + (5.0 / 3.0) * r2, np.exp(-_SQRT5 * r)
+        return None, np.exp(np.multiply(r2, -0.5, out=r2), out=r2)
+    # poly = (1 + sqrt5 r) + (5/3) r2 and exp(-(sqrt5 r)) = exp((-sqrt5) r),
+    # bit for bit, in two buffers: 1 + sqrt5 r is formed one shape at a time.
+    s = np.sqrt(r2)
+    s *= _SQRT5
+    poly = np.multiply(r2, 5.0 / 3.0, out=r2)
+    for i in np.ndindex(poly.shape[:-2]):
+        p = poly[i]
+        p += 1.0 + s[i]
+    return poly, np.exp(np.negative(s, out=s), out=s)
 
 
 def _scaled(sv: float, shape: _KernelShape) -> np.ndarray:
@@ -113,9 +122,15 @@ def _scaled(sv: float, shape: _KernelShape) -> np.ndarray:
     return sv * e if poly is None else sv * poly * e
 
 
-def _kernel_matrix(sv: float, ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Covariance between the rows of ``a`` and ``b`` (signal variance, ARD lengthscales)."""
-    return _scaled(sv, _kernel_shape(ls, family, a, b))
+def _kernel_matrix(sv, ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Covariance between the rows of ``a`` and ``b`` (signal variance, ARD
+    lengthscales), multiplied as ``_scaled`` does but over the fresh shape's
+    own buffers.  ``sv`` (M, 1, 1) and ``ls`` (M, 1, d) give a stack of M."""
+    poly, e = _kernel_shape(ls, family, a, b)
+    if poly is None:
+        return np.multiply(e, sv, out=e)
+    np.multiply(poly, sv, out=poly)
+    return np.multiply(poly, e, out=poly)
 
 
 def _as_points(x, dim: int, what: str) -> np.ndarray:
@@ -193,18 +208,39 @@ def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
     return GpModel(x, spec, np.linalg.inv(factor), whitened, _lml(factor, whitened), jitter)
 
 
-def gp_predict_batch(model: GpModel, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances over an (m, d) block of query points.
+def gp_predict_batch(models, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances of every model over an (m, d) block
+    of query points, each as an (M, m) array for M models.
 
+    The models are scored in one stacked pass: one kernel over stacked
+    lengthscales, and one stacked product each for L^-1 k and its
+    projections.  Every model's row has the bits that model alone gives.
     An empty model gives the prior (zero mean, signal variance).
+
+    Raises:
+        ValueError: no models; models that differ in training inputs,
+            dimension or kernel family; or queries of another dimension.
     """
-    spec = model.kernel
-    q = _as_points(queries, spec.dim, "queries")
-    k = _kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, model.inputs, q)
-    v = model.inverse_factor @ k
-    mean = model.whitened @ v
-    variance = spec.signal_variance - np.sum(v * v, axis=0)
-    return mean, np.clip(variance, 0.0, spec.signal_variance)
+    models = tuple(models)
+    if not models:
+        raise ValueError("gp_predict_batch needs at least one model")
+    first = models[0]
+    x, family = first.inputs, first.kernel.family
+    for model in models[1:]:
+        if model.kernel.family is not family:
+            raise ValueError(f"models must share one kernel family, got {family.value} and {model.kernel.family.value}")
+        if model.inputs.shape != x.shape or not (model.inputs == x).all():
+            raise ValueError("models must share their training inputs")
+    q = _as_points(queries, first.kernel.dim, "queries")
+    sv = np.array([m.kernel.signal_variance for m in models])[:, None, None]
+    ls = np.array([m.kernel.lengthscales for m in models])[:, None, :]
+    k = _kernel_matrix(sv, ls, family, x, q)
+    v = np.array([m.inverse_factor for m in models]) @ k
+    mean = (np.array([m.whitened for m in models])[:, None, :] @ v)[:, 0, :]
+    variance = np.multiply(v, v, out=v).sum(axis=1)
+    sv = sv[:, :, 0]
+    np.subtract(sv, variance, out=variance)
+    return mean, np.clip(variance, 0.0, sv, out=variance)
 
 
 def optimize_hyperparams(

@@ -24,7 +24,8 @@ from buttonlab import (
     propose_next,
     scan_candidates,
 )
-from buttonlab.acquisition import _cells, _check_models, _ehvi_batch, _gains, _posterior_grid, _psi
+from buttonlab import acquisition
+from buttonlab.acquisition import _cells, _check_models, _ehvi_batch, _gains, _psi
 from buttonlab.pareto import _boxes, _reference_values
 from test_pareto import slicing_hypervolume3, sweep_hypervolume2
 
@@ -35,7 +36,7 @@ def ehvi(models, candidate, archive, ref):
     models = _check_models(models)
     ref_values = _reference_values(ref, len(models))
     point = np.atleast_2d(np.asarray(candidate, dtype=float))
-    return float(_ehvi_batch(models, point, _cells(archive, ref_values), ref_values)[0])
+    return float(_ehvi_batch(models, point, _cells(archive.objective_matrix, ref_values))[0])
 
 
 def two_models(rng, n=6, d=2, noise=1e-6):
@@ -106,7 +107,7 @@ def test_box_gains_2d_match_hypervolume_difference():
         y = rng.uniform(-0.2, 1.2, size=(30, 2))
         if t % 3 == 1:
             y = np.round(y * 5.0) / 5.0
-        gains = _gains(_boxes(front, ref), ref, y, np.zeros_like(y))
+        gains = _gains(_cells(front, ref), y.T, np.zeros_like(y).T)
         for i in range(30):
             expected = sweep_hypervolume2(np.vstack([front, y[i]]), ref) - base
             assert gains[i] == pytest.approx(expected, abs=1e-12)
@@ -201,6 +202,95 @@ def test_psi_matches_the_all_erfc_oracle_bit_for_bit():
             assert np.array_equal(_psi(edges, mean, std), oracle_psi(edges, mean, std))
 
 
+def per_axis_gains(front, ref, means, stds):
+    """_gains as it was before the edge tables, on (n, m) posteriors: each
+    axis's distinct edges found and its psi evaluated apart, with the
+    all-erfc _psi above."""
+    lo_b, hi_b = _boxes(np.reshape(front, (-1, ref.size)), ref)
+    boxes = lo_b.shape[1]
+    total = overlap = 1.0
+    for k in range(ref.size):
+        edges, at = np.unique(np.concatenate([lo_b[k], hi_b[k], ref[k : k + 1]]), return_inverse=True)
+        psi = oracle_psi(edges, means[:, k], stds[:, k])
+        overlap = overlap * (psi[at[boxes : 2 * boxes]] - psi[at[:boxes]])
+        total = total * psi[at[-1]]
+    return np.clip(total - overlap.sum(axis=0), 0.0, None)
+
+
+def edge_table_case(rng, m, size):
+    """A front (ties on a 0.2 grid, dominated points, points past the
+    reference) and (m, 64) posteriors with zero stds, some in every
+    objective and some in one, and means on the reference."""
+    ref = np.array([1.0, 1.1, 0.9])[:m]
+    front = np.round(rng.uniform(-0.1, 1.3, size=(size, m)) * 5.0) / 5.0
+    means = rng.uniform(-0.2, 1.2, size=(m, 64))
+    means[:, 1] = ref
+    stds = rng.uniform(0.0, 0.4, size=(m, 64))
+    stds[:, ::7] = 0.0
+    stds[int(rng.integers(m)), 3::11] = 0.0
+    return front, ref, means, stds
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_gains_over_edge_tables_match_per_axis_gains_bit_for_bit(m):
+    rng = np.random.default_rng(50 + m)
+    padded = 0
+    for size in [0] * 3 + list(range(1, 25)):
+        front, ref, means, stds = edge_table_case(rng, m, size)
+        cells = _cells(front, ref)
+        edges = cells[0]
+        counts = np.isfinite(edges).sum(axis=1)
+        assert np.all(np.isinf(edges[np.arange(edges.shape[1]) >= counts[:, None]]))
+        padded += int(counts.min() < counts.max())
+        assert np.array_equal(_gains(cells, means, stds), per_axis_gains(front, ref, means.T, stds.T)), size
+    # Fronts with axes of unequal edge counts, so padded tables, were met.
+    assert padded > 5
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_edge_table_padding_calls_no_erfc(m, monkeypatch):
+    # The stacked pass calls math.erfc exactly as often as each axis
+    # evaluated alone on its own edges: a +inf edge lands on an exact tail.
+    rng = np.random.default_rng(60 + m)
+    for size in range(4, 30):  # the first front whose table is padded
+        front, ref, means, stds = edge_table_case(rng, m, size)
+        cells = _cells(front, ref)
+        counts = np.isfinite(cells[0]).sum(axis=1)
+        if counts.min() < counts.max():
+            break
+    assert counts.min() < counts.max()
+    erfc, calls = math.erfc, 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return erfc(x)
+
+    monkeypatch.setattr(math, "erfc", counted)
+    _gains(cells, means, stds)
+    stacked, calls = calls, 0
+    for k in range(m):
+        _psi(cells[0][k, : counts[k]], means[k], stds[k])
+    assert stacked == calls > 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_ehvi_batch_blocks_change_no_bit(m):
+    # _ehvi_batch hands _gains a long scan in column blocks; every value is
+    # the bits of one _gains pass over all the candidates.
+    rng = np.random.default_rng(70 + m)
+    models, x, objs = (two_models if m == 2 else three_models)(rng, n=12, d=3)
+    ref = ReferencePoint.from_observations(objs)
+    cells = _cells(archive_of(x, objs).objective_matrix, ref.values)
+    block = acquisition.GAIN_BLOCK
+    for rows in (1, 2, 2 * block - 1, 2 * block, 1064):
+        cands = scan_candidates(3, rows, rows)
+        means, variances = gp_predict_batch(models, cands)
+        whole = _gains(cells, means, np.sqrt(variances))
+        assert np.array_equal(_ehvi_batch(models, cands, cells), whole), rows
+        assert np.max(whole) > 0.0
+
+
 @pytest.mark.parametrize(
     "m, size", [(2, 0), (2, 12), (3, 0), (3, 14)], ids=["2d-empty", "2d-front", "3d-empty", "3d-front"]
 )
@@ -215,7 +305,7 @@ def test_ehvi_matches_monte_carlo_of_the_hypervolume_difference(m, size):
     means = rng.uniform(-0.2, 1.2, size=(8, m))
     stds = rng.uniform(0.02, 0.4, size=(8, m))
     stds[-2:] = 0.0
-    got = _gains(_boxes(front, ref), ref, means, stds)
+    got = _gains(_cells(front, ref), means.T, stds.T)
 
     base = hypervolume(front, ref).value
     z = np.random.default_rng(size).standard_normal((200_000, m))
@@ -255,14 +345,15 @@ def test_ehvi_2d_agrees_with_strip_formula():
     cands = rng.uniform(0.0, 1.0, size=(300, 3))
     for size in (0, 1, 6, 24):
         front = archive_of(x[:size], objs[:size]).objective_matrix if size else np.zeros((0, 2))
-        cases.append((front, ref, *_posterior_grid(models, cands)))
+        means, variances = gp_predict_batch(models, cands)
+        cases.append((front, ref, means.T, np.sqrt(variances).T))
     t = np.linspace(0.0, 1.0, 12)
     staircase = np.stack([t, (1.0 - np.sqrt(t)) * 0.9], axis=1)
     deep = rng.uniform(0.4, 0.9, size=(300, 2)), rng.uniform(1e-3, 0.1, size=(300, 2))
     cases.append((staircase, np.ones(2), *deep))
     eps = np.finfo(float).eps
     for front, ref, means, stds in cases:
-        got = _gains(_boxes(front, ref), ref, means, stds)
+        got = _gains(_cells(front, ref), means.T, stds.T)
         want = strip_sum2(front, ref, means, stds)
         scale = np.prod(np.vstack([_psi(ref[k : k + 1], means[:, k], stds[:, k]) for k in range(2)]), axis=0)
         assert np.max(want) > 0.0
@@ -282,7 +373,7 @@ def test_ehvi_collapses_to_deterministic_gain_at_zero_variance():
     ref = ReferencePoint.from_observations(objs)
     # Training input 4 dominates archived input 5, so it gains volume.
     idx = 4
-    assert all(gp_predict_batch(m, x[idx][None, :])[1][0] == 0.0 for m in models)
+    assert np.all(gp_predict_batch(models, x[idx][None, :])[1] == 0.0)
     value = ehvi(models, x[idx], archive, ref)
     front = archive.objective_matrix
     base = hypervolume(front, ref).value
@@ -303,8 +394,8 @@ def test_ehvi_three_objective_path_matches_union_oracle():
     cand = np.array([0.4, 0.6])
     got = ehvi(models, cand, archive, ref)
 
-    means = np.array([gp_predict_batch(m, cand[None, :])[0][0] for m in models])
-    stds = np.sqrt([gp_predict_batch(m, cand[None, :])[1][0] for m in models])
+    means, variances = gp_predict_batch(models, cand[None, :])
+    means, stds = means[:, 0], np.sqrt(variances[:, 0])
     z = np.random.default_rng(7).standard_normal((4096, 3))
     front = archive.objective_matrix
     base = hypervolume(front, ref.values).value
@@ -340,8 +431,8 @@ def test_proposal_has_highest_ehvi_over_the_scan_three_objectives():
     choice = propose_next(models, archive, ref, scan_count=128, seed=seed)
     value = ehvi(models, choice, archive, ref)
     scan = scan_candidates(2, 128, seed)
-    cells = _cells(archive, ref.values)
-    batched = _ehvi_batch(models, scan, cells, ref.values)
+    cells = _cells(archive.objective_matrix, ref.values)
+    batched = _ehvi_batch(models, scan, cells)
     rescanned = np.array([ehvi(models, c, archive, ref) for c in scan])
     # One row of a GP posterior predicted alone differs from the same row of
     # a batch in its last bits (BLAS tiling), so a rescan agrees to 1e-12.

@@ -54,9 +54,9 @@ def oracle_predict(spec, x, y, q):
 
 
 def predict_one(model, query):
-    """Posterior (mean, variance) at one point: a one-row gp_predict_batch."""
-    mean, variance = gp_predict_batch(model, query)
-    return float(mean[0]), float(variance[0])
+    """Posterior (mean, variance) at one point: a one-row, one-model gp_predict_batch."""
+    mean, variance = gp_predict_batch([model], query)
+    return float(mean[0, 0]), float(variance[0, 0])
 
 
 def random_problem(rng, family):
@@ -104,11 +104,81 @@ def test_batch_prediction_agrees_with_scalar_path():
     x, y, spec = random_problem(rng, KernelFamily.MATERN52)
     model = gp_fit(x, y, spec)
     queries = rng.uniform(-2.0, 2.0, size=(30, x.shape[1]))
-    means, variances = gp_predict_batch(model, queries)
+    (means,), (variances,) = gp_predict_batch([model], queries)
     for i, q in enumerate(queries):
         pred_mean, pred_var = predict_one(model, q)
         assert means[i] == pytest.approx(pred_mean, abs=1e-12)
         assert variances[i] == pytest.approx(pred_var, abs=1e-12)
+
+
+def per_model_posterior(model, queries):
+    """One model's posterior as gp_predict_batch computed it, one model per
+    call, before it stacked them: the kernel's expression for one
+    lengthscale row, then L^-1 k, its projections and the clip."""
+    spec = model.kernel
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    sa = model.inputs / spec.lengthscales
+    sb = q / spec.lengthscales
+    r2 = np.maximum(np.square(sa).sum(axis=1)[:, None] + np.square(sb).sum(axis=1)[None, :] - 2.0 * sa @ sb.T, 0.0)
+    if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
+        k = spec.signal_variance * np.exp(-0.5 * r2)
+    else:
+        r = np.sqrt(r2)
+        k = spec.signal_variance * (1.0 + SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-SQRT5 * r)
+    v = model.inverse_factor @ k
+    mean = model.whitened @ v
+    variance = spec.signal_variance - np.sum(v * v, axis=0)
+    return mean, np.clip(variance, 0.0, spec.signal_variance)
+
+
+@pytest.mark.parametrize("family", list(KernelFamily))
+def test_stacked_posterior_matches_per_model_oracle_bit_for_bit(family):
+    # Every model's row of one stacked call is the bits that model alone
+    # gave, at every model count and query block size the loop uses.
+    rng = np.random.default_rng(23)
+    for n, d in [(0, 2), (1, 3), (9, 1), (44, 6), (70, 6)]:
+        x = rng.uniform(0.0, 1.0, size=(n, d))
+        models = [
+            gp_fit(
+                x,
+                np.sin((j + 2.0) * x).sum(axis=1) + 0.05 * rng.standard_normal(n),
+                KernelSpec(float(rng.uniform(0.2, 3.0)), rng.uniform(0.1, 2.0, d), float(rng.uniform(1e-6, 1e-2)), family),
+            )
+            for j in range(3)
+        ]
+        for count in (1, 2, 3):
+            for rows in (1, 12, 1064):
+                queries = rng.uniform(0.0, 1.0, size=(rows, d))
+                means, variances = gp_predict_batch(models[:count], queries)
+                assert means.shape == variances.shape == (count, rows)
+                for j in range(count):
+                    mean, variance = per_model_posterior(models[j], queries)
+                    assert np.array_equal(means[j], mean), (n, count, rows, j)
+                    assert np.array_equal(variances[j], variance), (n, count, rows, j)
+
+
+def test_stacked_posterior_refuses_models_of_other_inputs_dimension_or_family():
+    # A model of another dimension has inputs of another shape.
+    rng = np.random.default_rng(29)
+    x = rng.uniform(0.0, 1.0, size=(6, 2))
+    y = np.sin(3.0 * x).sum(axis=1)
+    spec = KernelSpec(1.0, np.full(2, 0.5))
+    model = gp_fit(x, y, spec)
+    others = [
+        ("training inputs", gp_fit(x + 0.1, y, spec)),
+        ("training inputs", gp_fit(x[:5], y[:5], spec)),
+        ("training inputs", gp_fit(np.hstack([x, x[:, :1]]), y, KernelSpec(1.0, np.full(3, 0.5)))),
+        ("kernel family", gp_fit(x, y, KernelSpec(1.0, np.full(2, 0.5), family=KernelFamily.SQUARED_EXPONENTIAL))),
+    ]
+    for what, other in others:
+        for pair in ([model, other], [other, model]):
+            with pytest.raises(ValueError, match=what):
+                gp_predict_batch(pair, x)
+    with pytest.raises(ValueError, match="at least one model"):
+        gp_predict_batch([], x)
+    # A second fit on the same inputs, with another kernel and targets, is accepted.
+    twin = gp_fit(x.copy(), np.cos(x).sum(axis=1), KernelSpec(2.0, np.array([0.3, 0.9])))
+    assert gp_predict_batch([model, twin], x)[0].shape == (2, 6)
 
 
 def test_log_marginal_likelihood_matches_dense_formula():
@@ -184,7 +254,7 @@ def test_shape_mismatch_raises():
         gp_fit(np.zeros((3, 1)), np.zeros(4), KernelSpec(1.0, np.array([1.0])))
     model = gp_fit(np.zeros((2, 2)), np.zeros(2), KernelSpec(1.0, np.ones(2)))
     with pytest.raises(ValueError):
-        gp_predict_batch(model, np.zeros(3))
+        gp_predict_batch([model], np.zeros(3))
 
 
 def test_hyperparameter_search_improves_on_poor_guess():
@@ -214,7 +284,7 @@ def test_model_exposes_training_size():
     x = np.linspace(0, 1, 5)[:, None]
     model = gp_fit(x, np.zeros(5), KernelSpec(1.0, np.array([1.0])))
     assert isinstance(model, GpModel)
-    assert model.n == 5
+    assert model.inputs.shape[0] == 5
 
 
 def test_non_finite_inputs_or_targets_raise_value_error():
@@ -444,7 +514,7 @@ for n in (44, 70):
     x = rng.uniform(0.0, 1.0, size=(n, 6))
     y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(n)
     model = gp_fit(x, y, optimize_hyperparams(x, y, seed=n))
-    print(n, digest(*gp_predict_batch(model, scan)))
+    print(n, digest(*gp_predict_batch([model], scan)))
 
 # Duplicate noise-free inputs with matching targets: a fit that needs jitter.
 x = rng.uniform(0.0, 1.0, size=(30, 6))
@@ -452,6 +522,15 @@ x[15:] = x[:15]
 model = gp_fit(x, np.sin(3.0 * x).sum(axis=1), KernelSpec(1.0, np.full(6, 0.5), noise_variance=0.0))
 assert model.jitter > 0.0
 print(model.jitter, digest(model.inverse_factor, model.whitened, model.log_likelihood))
+
+# Three models on shared inputs, each with its own kernel, in one stacked posterior.
+x = rng.uniform(0.0, 1.0, size=(60, 6))
+models = [
+    gp_fit(x, np.sin(3.0 * x).sum(axis=1), KernelSpec(1.3, np.full(6, 0.4), 1e-4)),
+    gp_fit(x, np.cos(2.0 * x).sum(axis=1), KernelSpec(0.6, np.linspace(0.2, 1.5, 6), 1e-3)),
+    gp_fit(x, x.prod(axis=1), KernelSpec(2.1, np.linspace(1.1, 0.3, 6), 1e-5)),
+]
+print(digest(*gp_predict_batch(models, scan)))
 """
 
 
