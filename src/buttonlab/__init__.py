@@ -7,7 +7,7 @@ process surrogates until the evaluation budget is spent.
 """
 
 from .acquisition import propose_next, scan_candidates
-from .bspline import BSplineCurve, fit_bspline_bic, fit_lsq_spline, uniform_clamped_knots
+from .bspline import BSplineCurve, fit_bspline_bic, uniform_clamped_knots
 from .button import (
     ACTIVATION,
     DESIGN_BOUNDS,
@@ -49,7 +49,6 @@ from .loop import (
 from .pareto import (
     ParetoArchive,
     ReferencePoint,
-    dominates,
     hypervolume,
     pareto_front,
 )
@@ -102,12 +101,10 @@ __all__ = [
     "compensate_drive",
     "config_fingerprint",
     "design_to_fdvv",
-    "dominates",
     "evaluate_designs",
     "export_front",
     "fit_bspline_bic",
     "fit_fdvv",
-    "fit_lsq_spline",
     "force_at",
     "gp_fit",
     "gp_predict_batch",

@@ -165,21 +165,6 @@ def _lstsq(xq: np.ndarray, y: np.ndarray, knots: np.ndarray, degree: int) -> tup
     return coeffs, float(resid @ resid)
 
 
-def fit_lsq_spline(
-    x: np.ndarray, y: np.ndarray, knots: np.ndarray, degree: int
-) -> tuple[BSplineCurve, float]:
-    """Least-squares fit of a clamped B-spline on a fixed knot vector.
-
-    Returns the fitted curve and the residual sum of squares.
-    """
-    _check_degree(degree)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    # The clip only absorbs floating-point spill at the ends of the base interval.
-    coeffs, rss = _lstsq(np.clip(x, knots[degree], knots[-degree - 1]), y, knots, degree)
-    return BSplineCurve(degree, knots, coeffs), rss
-
-
 def fit_bspline_bic(
     points: np.ndarray,
     degree: int = 3,

@@ -374,9 +374,6 @@ class ButtonDesignParams:
             if not within_limits(name, value):
                 raise ValueError(f"{name} = {value} outside its allowed range")
 
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in DESIGN_FIELDS])
-
     @classmethod
     def from_array(cls, values) -> "ButtonDesignParams":
         v = np.asarray(values, dtype=float).ravel()

@@ -21,7 +21,7 @@ from .config import CidConfig, parse_config
 from .errors import FormatError, NumericalError, StateError
 from .loop import RunState, run
 from .pareto import hypervolume
-from .policy import default_task_sampler, meta_train
+from .policy import box_task_sampler, meta_train
 from .storage import export_evaluations, export_front, load_artifact, load_trace, save_artifact, save_trace
 from .synthetic import PROBLEMS, get_problem
 
@@ -128,12 +128,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_meta_train(args) -> int:
     config = _load_config(args.config, args.seed)
     meta = meta_train(
-        default_task_sampler,
+        box_task_sampler(config.bounds),
         args.iterations,
         seed=config.master_seed,
         inner_lr=config.inner_lr,
         adapt_episodes=config.adapt_episodes,
         log_every=max(1, args.iterations // 20) if args.iterations else 0,
+        horizon=config.horizon,
+        sensory_delay=config.sensory_delay,
+        dwell_limit=config.dwell_limit,
     )
     save_artifact(args.out, meta)
     print(f"wrote {args.out}: {args.iterations} meta-iterations, seed {config.master_seed}")

@@ -20,8 +20,6 @@ from .policy import DEFAULT_INNER_LR
 from .synthetic import PROBLEMS
 
 OBJECTIVE_NAMES = ("completion_time_s", "error_rate", "effort")
-PROVIDERS = ("simulated_button", *PROBLEMS)
-KERNELS = tuple(family.value for family in KernelFamily)
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,6 @@ def _fail(path: str, message: str):
 
 
 def _validate(cfg: CidConfig):
-    if cfg.provider not in PROVIDERS:
-        _fail("run.provider", f"must be one of {PROVIDERS}, got {cfg.provider!r}")
     if len(cfg.objectives) < 2:
         _fail("objectives.minimize", "need at least 2 objectives")
     for name in cfg.objectives:
@@ -85,45 +81,37 @@ def _validate(cfg: CidConfig):
             lim_lo, lim_hi, closed_lo, closed_hi = DESIGN_LIMITS[key]
             bracket = f"{'[' if closed_lo else '('}{lim_lo}, {lim_hi}{']' if closed_hi else ')'}"
             _fail(f"design_space.{key}", f"bounds ({lo}, {hi}) outside admissible {bracket}")
-    if cfg.init_count < 2:
-        _fail("run.init_count", f"must be >= 2 to fit surrogates, got {cfg.init_count}")
-    minimums = (
-        ("run.budget", cfg.budget, 1),
-        ("optimizer.scan_count", cfg.scan_count, 1),
-        ("user_model.episodes_per_eval", cfg.episodes_per_eval, 1),
-        ("user_model.horizon", cfg.horizon, 1),
-        ("user_model.dwell_limit", cfg.dwell_limit, 1),
-        ("user_model.adapt_episodes", cfg.adapt_episodes, 0),
-        ("user_model.sensory_delay", cfg.sensory_delay, 0),
-        ("run.master_seed", cfg.master_seed, 0),
-    )
-    for path, value, least in minimums:
-        if value < least:
-            _fail(path, f"must be >= {least}, got {value}")
-    if cfg.kernel not in KERNELS:
-        _fail("optimizer.kernel", f"must be one of {KERNELS}, got {cfg.kernel!r}")
+    for section, key, _, rule in _SCALAR_KEYS:
+        value = getattr(cfg, key)
+        if isinstance(rule, tuple) and value not in rule:
+            _fail(f"{section}.{key}", f"must be one of {rule}, got {value!r}")
+        if isinstance(rule, int) and value < rule:
+            _fail(f"{section}.{key}", f"must be >= {rule}, got {value}")
     if not 0 < cfg.inner_lr < math.inf:  # written so that nan fails too
         _fail("user_model.inner_lr", f"must be finite and > 0, got {cfg.inner_lr}")
 
 
-# Every scalar key as (section, key, type), in the order serialize_config
-# writes them; each key is also its CidConfig field's name.
+# Every scalar key as (section, key, type, rule), in the order
+# serialize_config writes them; each key is also its CidConfig field's
+# name.  A rule is the least admissible value of an integer key or the
+# tuple of a key's admissible values; inner_lr has its own check, and
+# policy_path takes any path.
 _SCALAR_KEYS = (
-    ("optimizer", "scan_count", int),
-    ("optimizer", "kernel", str),
-    ("user_model", "inner_lr", float),
-    ("user_model", "adapt_episodes", int),
-    ("user_model", "episodes_per_eval", int),
-    ("user_model", "horizon", int),
-    ("user_model", "sensory_delay", int),
-    ("user_model", "dwell_limit", int),
-    ("user_model", "policy_path", str),
-    ("run", "provider", str),
-    ("run", "budget", int),
-    ("run", "init_count", int),
-    ("run", "master_seed", int),
+    ("optimizer", "scan_count", int, 1),
+    ("optimizer", "kernel", str, tuple(family.value for family in KernelFamily)),
+    ("user_model", "inner_lr", float, None),
+    ("user_model", "adapt_episodes", int, 0),
+    ("user_model", "episodes_per_eval", int, 1),
+    ("user_model", "horizon", int, 1),
+    ("user_model", "sensory_delay", int, 0),
+    ("user_model", "dwell_limit", int, 1),
+    ("user_model", "policy_path", str, None),
+    ("run", "provider", str, ("simulated_button", *PROBLEMS)),
+    ("run", "budget", int, 1),
+    ("run", "init_count", int, 2),
+    ("run", "master_seed", int, 0),
 )
-_KEY_TYPES = {(section, key): kind for section, key, kind in _SCALAR_KEYS}
+_KEY_TYPES = {(section, key): kind for section, key, kind, _ in _SCALAR_KEYS}
 _SECTIONS = ("design_space", "objectives", "optimizer", "user_model", "run")
 
 
@@ -180,7 +168,7 @@ def serialize_config(cfg: CidConfig) -> str:
         key: f"{cfg.bounds[key][0]!r}, {cfg.bounds[key][1]!r}" for key in DESIGN_FIELDS
     }
     parser["objectives"] = {"minimize": ", ".join(cfg.objectives)}
-    for section, key, kind in _SCALAR_KEYS:
+    for section, key, kind, _ in _SCALAR_KEYS:
         value = getattr(cfg, key)
         if not parser.has_section(section):
             parser.add_section(section)

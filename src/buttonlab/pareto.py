@@ -1,7 +1,7 @@
 """Pareto dominance, archive bookkeeping, and hypervolume.
 
 All objectives are minimized.  One kernel, ``_dominates``, decides
-strict dominance for ``dominates``, ``pareto_front`` and the archive.
+strict dominance for ``pareto_front`` and the archive.
 Hypervolume is exact and defined for two and three objectives only, the
 counts the loop runs: it is the sum of a disjoint box decomposition that
 EHVI shares.
@@ -19,11 +19,6 @@ def _dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[-1:] != b.shape[-1:]:
         raise ValueError(f"objective shapes differ: {a.shape} vs {b.shape}")
     return np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
-
-
-def dominates(a, b) -> bool:
-    """Strict Pareto dominance: a <= b everywhere and a < b somewhere."""
-    return bool(_dominates(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
 
 def pareto_front(points) -> np.ndarray:

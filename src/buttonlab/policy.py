@@ -25,7 +25,7 @@ from .button import (
     ACTIVATION,
     DEFAULT_DT_S,
     DEFAULT_MASS_KG,
-    DESIGN_BOUNDS,
+    DESIGN_FIELDS,
     FORCE_CEILING_N,
     RELEASE,
     ButtonDesignParams,
@@ -332,15 +332,17 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
     """B independent seeded episodes against the simulated button at 1 kHz.
 
     ``params``, ``tasks``, ``models`` and ``seeds`` are sequences of one
-    entry per episode.  Each tick runs the public stepper's physics,
+    entry per episode; a seed is what ``np.random.default_rng`` makes a
+    new generator from each time (an int or a SeedSequence, not a
+    generator).  Each tick runs the public stepper's physics,
     ``button._tick``, on the same spring lookup, so replaying an
     episode's actions through :func:`~buttonlab.button.step` reproduces
     it bit for bit.  Each episode draws its noise from its own seed's
     stream, so every episode is a pure function of its own (params, task,
     model, seed): its trajectory is byte-identical in any batch, alone or
-    not.  The engines draw that noise and record each tick in buffers of
-    _CHUNK ticks, so a batch holds memory by the ticks its episodes run,
-    not by their horizons.  While at least LOCKSTEP_MIN_EPISODES episodes
+    not.  The lockstep draws that noise a chunk at a time, and both
+    engines record each tick in buffers of _CHUNK ticks, so a batch holds
+    memory by the ticks its episodes run, not by their horizons.  While at least LOCKSTEP_MIN_EPISODES episodes
     are running they advance together, one tick for all of them, in the
     same elementwise arithmetic as one episode alone; each of the rest
     then finishes alone from where it stands, so a batch of fewer runs
@@ -367,10 +369,6 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
     n = len(params)
     horizons = [t.horizon for t in tasks]
     span = max(horizons, default=0)
-    # Each episode's noise stream: it is drawn a chunk at a time, and a
-    # stream drawn in pieces gives the bits of one draw.  It goes when
-    # its episode ends.
-    streams = [np.random.default_rng(seed) for seed in seeds]
     sigmas = np.array([math.exp(p.log_std) for p in params])
     # What a tick records, the observations and raw actions, goes into
     # episode-major buffers of _CHUNK ticks of the running episodes.  When
@@ -380,7 +378,6 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
     records = [[] for _ in range(n)]
     trajectories = [None] * n
     t0 = chunk_end = 0
-    noise_rec = np.zeros((n, 0))
     success = np.zeros(n, dtype=bool)
 
     # Per episode, by batch index: what only an event or a timeout reads.
@@ -424,6 +421,9 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
         # first pass, so that a batch too small to share a tick never
         # builds it, and narrowed on each later one.
         if keep is None:
+            # Each episode's noise stream, drawn a chunk at a time; it
+            # goes when its episode ends.
+            streams = [np.random.default_rng(seed) for seed in seeds]
             # The forward pass is a stack of vector-times-matrix products:
             # each row's matmul gives the bits of _press's ``h @ w``, where
             # a single (B, n) @ (n, m) product would not.  Biases are per
@@ -536,17 +536,16 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
         keep = ~done
         state = {k: x[keep] for k, x in state.items()}
 
-    # Too few running to share a tick: each finishes alone, from the noise
-    # its chunk holds for the ticks not yet run and the rest of its stream.
+    # Too few running to share a tick: each finishes alone, its noise from
+    # tick t on drawn afresh from its seed (a stream drawn in pieces gives
+    # the bits of one draw, so these are the lockstep's bits).
     for e, p, (d, v, *_) in zip(state["rows"].tolist(), state["pos"].tolist(), state["numer"].tolist()):
         if t > t0:
             records[e].append((obs_rec[p, : t - t0], raw_rec[p, : t - t0]))
-        held = min(chunk_end, horizons[e]) - t0  # the chunk's ticks within its horizon
-        rest = streams[e].standard_normal(horizons[e] - t0 - held) * sigmas[e]
-        noise = np.concatenate([noise_rec[p, t - t0 : held], rest])
+        noise = np.random.default_rng(seeds[e]).standard_normal(horizons[e])[t:] * sigmas[e]
         ok, act = _press(params[e], tasks[e], models[e], noise, records[e], t, d, v, int(act_step[e]))
         trajectories[e] = _trajectory(records[e], ok, act)
-        records[e] = streams[e] = None
+        records[e] = None
     return trajectories
 
 
@@ -687,10 +686,14 @@ def _adapt_tasks(meta: MetaPolicy, tasks, models, task_seeds) -> list[PolicyPara
     return params
 
 
-def default_task_sampler(rng) -> ButtonDesignParams:
-    """Uniform draw over the optimizer's design box."""
-    values = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in DESIGN_BOUNDS.items()}
-    return ButtonDesignParams(**values)
+def box_task_sampler(bounds):
+    """A task sampler for :func:`meta_train`: each design field drawn
+    uniformly from its ``(low, high)`` in ``bounds``, in DESIGN_FIELDS order."""
+
+    def sample(rng) -> ButtonDesignParams:
+        return ButtonDesignParams(**{name: float(rng.uniform(*bounds[name])) for name in DESIGN_FIELDS})
+
+    return sample
 
 
 def meta_train(
@@ -703,6 +706,9 @@ def meta_train(
     adapt_episodes: int = 8,
     tasks_per_iteration: int = 8,
     log_every: int = 0,
+    horizon: int = TaskSpec.horizon,
+    sensory_delay: int = TaskSpec.sensory_delay,
+    dwell_limit: int = TaskSpec.dwell_limit,
 ) -> MetaPolicy:
     """First-order MAML of the policy initialization for the recipe it returns.
 
@@ -719,7 +725,8 @@ def meta_train(
     4 episodes the recipe's second step draws, so each task costs
     ``adapt_episodes`` rollouts per iteration.  The tasks of an iteration
     adapt together, and their last batches run in one :func:`rollouts`
-    call; the result is the same as one task at a time.
+    call; the result is the same as one task at a time.  Every task is
+    ``TaskSpec(task_sampler(rng), horizon, sensory_delay, dwell_limit)``.
 
     Raises:
         ValueError: iterations < 0, adapt_episodes < 1, or
@@ -739,7 +746,7 @@ def meta_train(
         for j in range(tasks_per_iteration):
             design = task_sampler(np.random.default_rng(seeds.seed_for(seed, "meta_task", it, j)))
             models.append(design_to_fdvv(design))
-            tasks.append(TaskSpec(design))
+            tasks.append(TaskSpec(design, horizon, sensory_delay, dwell_limit))
         reached = _adapt_tasks(
             MetaPolicy(init, inner_lr, inner_episodes),
             tasks,

@@ -33,10 +33,6 @@ from .policy import MetaPolicy, PolicyParams
 
 TRACE_HEADER = ("t_s", "disp_mm", "force_n", "vib")
 
-_FDVV_TAG = "fdvv/1"
-_POLICY_TAG = "policy/1"
-_RUNSTATE_TAG = "runstate/1"
-
 
 def _atomic_write(path: str, text: str):
     # A new temporary file in the same directory, created with mode 0o666
@@ -59,7 +55,6 @@ def _floats(values) -> list[float]:
 
 def _encode_fdvv(model: FdvvModel) -> dict:
     return {
-        "format": _FDVV_TAG,
         "velocity_levels": _floats(model.velocity_levels),
         "curves": [
             {
@@ -101,7 +96,6 @@ def _decode_fdvv(doc: dict) -> FdvvModel:
 
 def _encode_policy(meta: MetaPolicy) -> dict:
     return {
-        "format": _POLICY_TAG,
         "layer_sizes": list(meta.init_params.layer_sizes),
         "vector": _floats(meta.init_params.vector),
         "inner_lr": float(meta.inner_lr),
@@ -116,7 +110,6 @@ def _decode_policy(doc: dict) -> MetaPolicy:
 
 def _encode_runstate(state: RunState) -> dict:
     return {
-        "format": _RUNSTATE_TAG,
         "fingerprint": config_fingerprint(state.config),
         "config": serialize_config(state.config),
         "reference": _floats(state.reference.values),
@@ -197,14 +190,21 @@ def _decode_runstate(doc: dict) -> RunState:
     return RunState(config, tuple(records), kernels, reference)
 
 
+# Each artifact type with its format tag, encoder and decoder.  The
+# encoders give the document without its tag, which save_artifact adds.
+_FORMATS = (
+    (FdvvModel, "fdvv/1", _encode_fdvv, _decode_fdvv),
+    (MetaPolicy, "policy/1", _encode_policy, _decode_policy),
+    (RunState, "runstate/1", _encode_runstate, _decode_runstate),
+)
+
+
 def save_artifact(path: str, artifact) -> None:
     """Write a model, policy, or run state as a tagged JSON document."""
-    if isinstance(artifact, FdvvModel):
-        doc = _encode_fdvv(artifact)
-    elif isinstance(artifact, MetaPolicy):
-        doc = _encode_policy(artifact)
-    elif isinstance(artifact, RunState):
-        doc = _encode_runstate(artifact)
+    for kind, tag, encode, _ in _FORMATS:
+        if isinstance(artifact, kind):
+            doc = {"format": tag, **encode(artifact)}
+            break
     else:
         raise TypeError(f"cannot serialize {type(artifact).__name__} as an artifact")
     _atomic_write(path, json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
@@ -226,11 +226,7 @@ def load_artifact(path: str):
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: artifact must be a JSON object")
     tag = doc.get("format")
-    decoders = {
-        _FDVV_TAG: _decode_fdvv,
-        _POLICY_TAG: _decode_policy,
-        _RUNSTATE_TAG: _decode_runstate,
-    }
+    decoders = {name: decode for _, name, _, decode in _FORMATS}
     if tag not in decoders:
         known = ", ".join(sorted(decoders))
         raise FormatError(f"{path}: unsupported format tag {tag!r} (known: {known})")

@@ -16,7 +16,6 @@ import numpy as np
 class SyntheticProblem:
     """A deterministic vector objective with a known Pareto front."""
 
-    name: str
     dim: int
     lower: np.ndarray
     upper: np.ndarray
@@ -50,7 +49,6 @@ def _zdt1_front(n: int) -> np.ndarray:
 
 PROBLEMS = {
     "schaffer": SyntheticProblem(
-        name="schaffer",
         dim=1,
         lower=np.array([-10.0]),
         upper=np.array([10.0]),
@@ -60,7 +58,6 @@ PROBLEMS = {
         true_front=_schaffer_front,
     ),
     "zdt1": SyntheticProblem(
-        name="zdt1",
         dim=6,
         lower=np.zeros(6),
         upper=np.ones(6),

@@ -48,7 +48,6 @@ from buttonlab import (
     seeds,
     step,
 )
-from buttonlab.policy import default_task_sampler
 
 from test_bspline import cox_de_boor, random_curve
 from test_button import (
@@ -63,7 +62,7 @@ from test_button import (
 )
 from test_capture import constant_velocity_trace
 from test_gp import oracle_predict, predict_one, random_problem
-from test_policy import EASY, linear_params, surrogate_objective
+from test_policy import EASY, default_task_sampler, linear_params, surrogate_objective
 
 
 def _verdict(label: str, ok: bool, detail: str, t0: float) -> None:

@@ -549,7 +549,7 @@ def test_design_params_validation():
 def test_design_params_array_round_trip():
     rng = np.random.default_rng(4)
     params = random_design(rng)
-    arr = params.to_array()
+    arr = np.array([getattr(params, name) for name in DESIGN_FIELDS])
     assert arr.shape == (len(DESIGN_FIELDS),)
     again = ButtonDesignParams.from_array(arr)
     assert again == params

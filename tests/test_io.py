@@ -4,9 +4,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -38,7 +40,9 @@ from buttonlab import (
     save_trace,
     serialize_config,
 )
+from buttonlab import policy, storage
 from buttonlab.cli import main
+from buttonlab.config import _SCALAR_KEYS
 from buttonlab.loop import Provider, design_box
 from buttonlab.storage import export_evaluations
 
@@ -164,6 +168,27 @@ def test_config_bounds_admissible_exactly_where_design_values_are():
         for i, lo in enumerate(probes):
             for hi in probes[i + 1 :]:
                 assert bounds_ok(key, lo, hi) == (ok[lo] and ok[hi]), (key, lo, hi)
+
+
+# Per row of the config's scalar table: a value just outside its rule,
+# or None where every value parses, and values on its boundary.  A rule
+# is a least integer or a tuple of choices; inner_lr has its own check.
+def _just_outside_and_boundary(key, rule):
+    if isinstance(rule, tuple):
+        return "nonesuch", rule
+    if isinstance(rule, int):
+        return str(rule - 1), (str(rule),)
+    return {"inner_lr": ("0.0", ("5e-324",)), "policy_path": (None, ("", "p.json"))}[key]
+
+
+@pytest.mark.parametrize("section, key, kind, rule", _SCALAR_KEYS, ids=[key for _, key, _, _ in _SCALAR_KEYS])
+def test_every_scalar_key_refuses_past_its_rule_and_parses_its_boundary(section, key, kind, rule):
+    outside, boundary = _just_outside_and_boundary(key, rule)
+    if outside is not None:
+        with pytest.raises(FormatError, match=re.escape(f"{section}.{key}: ")):
+            parse_config(f"[{section}]\n{key} = {outside}\n")
+    for value in boundary:
+        assert getattr(parse_config(f"[{section}]\n{key} = {value}\n"), key) == kind(value)
 
 
 def test_config_objective_subset_parses():
@@ -660,8 +685,41 @@ def test_outputs_follow_the_umask(tmp_path, umask, mode):
 
 
 def test_save_artifact_rejects_unknown_types(tmp_path):
-    with pytest.raises(TypeError):
-        save_artifact(str(tmp_path / "x.json"), {"not": "supported"})
+    # A library object of no type in the format table is refused too, and nothing is written.
+    for unsupported in ({"not": "supported"}, make_trace()):
+        with pytest.raises(TypeError, match=type(unsupported).__name__):
+            save_artifact(str(tmp_path / "x.json"), unsupported)
+    assert not os.path.exists(tmp_path / "x.json")
+
+
+ARTIFACTS = {
+    "fdvv/1": lambda: design_to_fdvv(ButtonDesignParams(2.5, 0.5, 2.0, 0.4, 0.3, 0.01)),
+    "policy/1": lambda: MetaPolicy(init_policy(3), inner_lr=0.07, adapt_episodes=6),
+    "runstate/1": lambda: initial_state(parse_config(SMALL_SCHAFFER)),
+}
+
+
+def test_every_artifact_type_round_trips_through_the_format_table(tmp_path):
+    assert [tag for _, tag, _, _ in storage._FORMATS] == list(ARTIFACTS)
+    for kind, tag, _, _ in storage._FORMATS:
+        artifact = ARTIFACTS[tag]()
+        path, again = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        save_artifact(path, artifact)
+        with open(path) as handle:
+            assert json.load(handle)["format"] == tag
+        back = load_artifact(path)
+        assert type(back) is kind
+        save_artifact(again, back)
+        with open(path, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read(), tag
+
+
+def test_all_lists_exactly_the_public_names_the_package_imports():
+    public = {
+        name for name, value in vars(buttonlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(buttonlab.__all__) == sorted(public)
 
 
 def config_file(tmp_path, text):
@@ -925,6 +983,33 @@ def test_cli_report_exports_front(tmp_path, capsys):
         os.path.join(report_dir, "front.csv"), "rb"
     ) as fb:
         assert fa.read() == fb.read()
+
+
+def test_cli_meta_train_reads_the_config_box_and_task_timing(tmp_path, capsys, monkeypatch):
+    box = {"travel": (2.0, 2.5), "peak_force": (1.0, 1.5), "damping": (0.004, 0.006)}
+    text = "[design_space]\n" + "".join(f"{k} = {lo}, {hi}\n" for k, (lo, hi) in box.items())
+    text += "[user_model]\nhorizon = 120\nsensory_delay = 20\ndwell_limit = 60\n"
+    config = parse_config(text)
+    seen = []
+    engine = policy.rollouts
+
+    def recording(params, tasks, models, episode_seeds):
+        trajectories = engine(params, tasks, models, episode_seeds)
+        seen.extend(zip(tasks, trajectories))
+        return trajectories
+
+    monkeypatch.setattr(policy, "rollouts", recording)
+    out = str(tmp_path / "policy.json")
+    assert main(["meta-train", "--config", config_file(tmp_path, text), "--iterations", "2", "--out", out]) == 0
+    capsys.readouterr()
+    assert len(seen) == 2 * 8 * config.adapt_episodes
+    for task, trajectory in seen:
+        assert (task.horizon, task.sensory_delay, task.dwell_limit) == (120, 20, 60)
+        assert len(trajectory) <= 120
+        for key in DESIGN_FIELDS:
+            lo, hi = config.bounds[key]
+            assert lo <= getattr(task.design, key) <= hi, key
+    assert len({task.design for task, _ in seen}) == 2 * 8
 
 
 def test_cli_meta_train_writes_policy(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 
 from buttonlab import (
     ACTIVATION,
+    DESIGN_BOUNDS,
     RELEASE,
     ButtonDesignParams,
     FdTrace,
@@ -46,9 +47,12 @@ from buttonlab.policy import (
     _layer,
     _mean_batch,
     _pooled,
-    default_task_sampler,
+    box_task_sampler,
     param_count,
 )
+
+# Uniform draws over the default design box.
+default_task_sampler = box_task_sampler(DESIGN_BOUNDS)
 
 EASY = ButtonDesignParams(
     travel=2.0,
@@ -393,8 +397,10 @@ def test_policy_gradient_rejects_empty_batch():
 
 _THREAD_PROBE = """
 import numpy as np
-from buttonlab import MetaPolicy, TaskSpec, adapt, design_to_fdvv, evaluate_designs, meta_train
-from buttonlab.policy import LOCKSTEP_MIN_EPISODES, default_task_sampler
+from buttonlab import DESIGN_BOUNDS, MetaPolicy, TaskSpec, adapt, design_to_fdvv, evaluate_designs, meta_train
+from buttonlab.policy import LOCKSTEP_MIN_EPISODES, box_task_sampler
+
+default_task_sampler = box_task_sampler(DESIGN_BOUNDS)
 
 meta = meta_train(default_task_sampler, iterations=2, seed=3, tasks_per_iteration=4)
 rng = np.random.default_rng(5)
