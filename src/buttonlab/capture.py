@@ -30,6 +30,20 @@ from .button import (
 _MIN_FILTER_SAMPLES = 8
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-d float array, NaN if it holds one.
+
+    The same bits: the middle value, or the mean of the two middle
+    values, (a + b) / 2, of the sorted array.  np.median's NaN check
+    imports numpy.ma on a process's first call; this one does not.
+    """
+    s = np.sort(values)
+    if np.isnan(s[-1]):  # the sort puts NaNs last
+        return math.nan
+    m = s.size // 2
+    return float(s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2.0)
+
+
 def low_pass_filter(trace: FdTrace, cutoff: float) -> FdTrace:
     """Zero-phase second-order Butterworth low-pass on force and displacement.
 
@@ -161,7 +175,7 @@ def _group_velocity_level(traces: list[FdTrace]) -> float:
         v = np.abs(_press_speed(trace))
         moving = v > 0.1 * np.max(v) if np.max(v) > 0 else np.ones_like(v, bool)
         speeds.append(v[moving])
-    return float(np.median(np.concatenate(speeds)))
+    return _median(np.concatenate(speeds))
 
 
 def _first_peak(curve, travel: float) -> float:

@@ -164,6 +164,8 @@ class TaskSpec:
     dwell_limit: int = 300
 
     def __post_init__(self):
+        for name in ("horizon", "sensory_delay", "dwell_limit"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.sensory_delay < 0 or self.dwell_limit < 1:
@@ -608,7 +610,12 @@ def _gradient(
         # depend on the thread count; einsum keeps one summation order.
         grads.append(np.concatenate([np.einsum("ni,nj->ij", x, delta).ravel(), delta.sum(axis=0)]))
         if li > first:
-            delta = (delta @ w.T) * (1.0 - hidden[li - 1] ** 2)
+            # (delta @ w.T) * (1 - h**2), written into h: the einsum above
+            # was the last reader of this hidden layer.
+            h = hidden[li - 1]
+            np.square(h, out=h)
+            np.subtract(1.0, h, out=h)
+            delta = np.multiply(delta @ w.T, h, out=h)
     grads.reverse()
     g_log_std = float(np.mean(adv * (zs * zs - 1.0)))
     return np.concatenate(grads + [np.array([g_log_std])])
@@ -674,12 +681,12 @@ def _adapt_tasks(meta: MetaPolicy, tasks, models, task_seeds) -> list[PolicyPara
             [seeds.seed_for(s, "adapt", batch_index, j) for s in task_seeds for j in range(size)],
         )
         stepped = []
-        for k, p in enumerate(params):
+        for p in params:
             vector = p.vector.copy()
-            vector[-head:] += rates * _gradient(episodes[k * size : (k + 1) * size], p, None, 1)
+            vector[-head:] += rates * _gradient(episodes[:size], p, None, 1)
             stepped.append(p.replaced(vector))
-        # Free this batch's trajectories before the next batch records its own.
-        del episodes
+            # This task's trajectories go once its step is taken.
+            del episodes[:size]
         params = stepped
         remaining -= size
         batch_index += 1
@@ -763,10 +770,10 @@ def meta_train(
                 for r in range(last_episodes)
             ],
         )
-        grads = [
-            policy_gradient(last[j * last_episodes : (j + 1) * last_episodes], p)
-            for j, p in enumerate(reached)
-        ]
+        grads = []
+        for p in reached:  # each task's last batch goes once its gradient is taken
+            grads.append(policy_gradient(last[:last_episodes], p))
+            del last[:last_episodes]
         step = meta_lr * np.mean(grads, axis=0)
         step[-1] = 0.0  # the log-std is left to adaptation
         init = init.replaced(init.vector + step)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bspline import BSplineCurve
 from .button import FdTrace, FdvvModel, VibrationSpec
+from .capture import _median
 from .config import config_fingerprint, parse_config, serialize_config
 from .errors import FormatError
 from .gp import KernelFamily, KernelSpec
@@ -282,7 +283,7 @@ def load_trace(path: str) -> FdTrace:
     bad = np.flatnonzero(steps <= 0)
     if bad.size:
         raise FormatError(f"{path}: row {bad[0] + 3}: time does not increase")
-    dt = float(np.median(steps))
+    dt = _median(steps)
     off = np.flatnonzero(np.abs(steps - dt) > 0.01 * dt)
     if off.size:
         raise FormatError(

@@ -1,9 +1,15 @@
 """Trace filtering, drive compensation, and FDVV model recovery."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.signal import butter, filtfilt
 
+import buttonlab
 from buttonlab import (
     ButtonDesignParams,
     FdTrace,
@@ -13,6 +19,7 @@ from buttonlab import (
     force_at,
     low_pass_filter,
 )
+from buttonlab.capture import _median
 
 
 def make_trace(force, disp=None, vib=None, fs=1000.0):
@@ -198,3 +205,49 @@ def test_fit_fdvv_validation():
         fit_fdvv([slow, []])
     with pytest.raises(ValueError):
         fit_fdvv([slow, [constant_velocity_trace(model, 10.0)]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 63, 64])
+def test_median_is_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    samples = (
+        rng.random(n),
+        rng.normal(size=n) * 1e300,
+        np.round(rng.random(n), 1),  # ties
+        np.exp(rng.normal(size=n) * 50.0),
+        rng.random(n) * 1e-310,  # subnormals
+    )
+    for values in samples:
+        before = values.copy()
+        want = np.median(values)
+        got = _median(values)
+        assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+        assert values.tobytes() == before.tobytes()  # sorted a copy
+    values = rng.random(n)
+    values[n // 2] = np.nan
+    assert math.isnan(_median(values)) and math.isnan(np.median(values))
+
+
+def test_trace_load_and_fit_leave_numpy_ma_unimported():
+    # np.median's NaN check imports numpy.ma (about 10 ms) on its first call.
+    code = (
+        "import os, sys, tempfile\n"
+        "import numpy as np\n"
+        "from buttonlab import ButtonDesignParams, FdTrace, design_to_fdvv, fit_fdvv, force_at\n"
+        "from buttonlab import load_trace, save_trace\n"
+        "model = design_to_fdvv(ButtonDesignParams(2.0, 0.5, 1.0, 0.2, 0.0, 0.01))\n"
+        "d = np.linspace(0.0, model.travel, 200)\n"
+        "groups = []\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    for speed in (10.0, 100.0):\n"
+        "        force = np.array([force_at(model, float(x), speed) for x in d])\n"
+        "        trace = FdTrace(np.arange(200) * (d[1] / speed), d, force, np.zeros(200), speed / d[1])\n"
+        "        save_trace(os.path.join(tmp, 'trace.csv'), trace)\n"
+        "        groups.append([load_trace(os.path.join(tmp, 'trace.csv'))])\n"
+        "fit_fdvv(groups)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(buttonlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == ["False"]

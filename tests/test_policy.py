@@ -13,6 +13,7 @@ import pytest
 from buttonlab import (
     ACTIVATION,
     DESIGN_BOUNDS,
+    FORCE_CEILING_N,
     RELEASE,
     ButtonDesignParams,
     FdTrace,
@@ -44,6 +45,7 @@ from buttonlab.policy import (
     TIMEOUT_PENALTY,
     _CHUNK,
     _adapt_tasks,
+    _gradient,
     _layer,
     _mean_batch,
     _pooled,
@@ -171,6 +173,77 @@ def test_gradient_matches_finite_differences_deep_policy():
         ) / (2.0 * h)
     rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
     assert rel < 1e-2
+
+
+def reference_gradient(trajectories, params, baseline, depth):
+    """``_gradient`` with its backward product out of place, as a fresh
+    (delta @ w.T) * (1 - h**2) per layer."""
+    obs, raws, adv = _pooled(trajectories, baseline)
+    n = obs.shape[0]
+    means, hidden = _mean_batch(params, obs)
+    sigma = math.exp(params.log_std)
+    zs = (raws - means) / sigma
+    layers = params.weights
+    first = len(layers) - depth
+    delta = (adv * zs / sigma / n)[:, None]
+    grads = []
+    for li in range(len(layers) - 1, first - 1, -1):
+        w, _ = layers[li]
+        x = obs if li == 0 else hidden[li - 1]
+        grads.append(np.concatenate([np.einsum("ni,nj->ij", x, delta).ravel(), delta.sum(axis=0)]))
+        if li > first:
+            delta = (delta @ w.T) * (1.0 - hidden[li - 1] ** 2)
+    grads.reverse()
+    g_log_std = float(np.mean(adv * (zs * zs - 1.0)))
+    return np.concatenate(grads + [np.array([g_log_std])])
+
+
+# Too heavy for a fresh policy's push: its episodes time out at the horizon.
+HEAVY = ButtonDesignParams(3.0, 0.6, FORCE_CEILING_N, 0.3, 0.5, 0.01)
+
+
+def long_batch(params, designs):
+    """One episode per design at horizon 1000, on seeds fixed per position."""
+    tasks = [TaskSpec(d, 1000, 50 + 10 * i, 1000) for i, d in enumerate(designs)]
+    models = [design_to_fdvv(d) for d in designs]
+    episode_seeds = [seeds.seed_for(41, "rollout", i) for i in range(len(designs))]
+    return rollouts([params] * len(designs), tasks, models, episode_seeds)
+
+
+@pytest.mark.parametrize("layer_sizes", [(5, 32, 32, 1), (5, 16, 16, 16, 1)])
+def test_gradient_at_every_depth_equals_out_of_place_backward_bit_for_bit(layer_sizes):
+    params = init_policy(2, layer_sizes)
+    batch = long_batch(params, [HEAVY, EASY, HEAVY, EASY])
+    assert [len(t) for t in batch][::2] == [1000, 1000] and not any(t.success for t in batch[::2])
+    assert all(t.success for t in batch[1::2])
+    for baseline in (None, -1.5):
+        for depth in range(1, len(layer_sizes)):
+            got = _gradient(batch, params, baseline, depth)
+            want = reference_gradient(batch, params, baseline, depth)
+            assert got.tobytes() == want.tobytes(), (depth, baseline)
+    want = reference_gradient(batch, params, None, len(layer_sizes) - 1)
+    assert policy_gradient(batch, params).tobytes() == want.tobytes()
+
+
+def test_full_gradient_peak_memory_stays_near_the_forward_pass():
+    # Four 1000-tick timeouts of the default policy.  The forward pass
+    # holds three (n, 32) hidden-layer arrays at once, and the backward
+    # pass, run in the dead hidden layers, no more; the pooled arrays
+    # add under one more.  A fresh square, difference and product per
+    # layer would take the peak to about 6.3 such arrays.
+    params = init_policy(2)
+    batch = long_batch(params, [HEAVY] * 4)
+    for t in batch:
+        t.returns_to_go  # cached on the trajectory, not the gradient's memory
+    n = sum(len(t) for t in batch)
+    assert n == 4000
+    tracemalloc.start()
+    try:
+        policy_gradient(batch, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * n * 32 * 8
 
 
 def zeroed_trajectory(params, n=20):
@@ -345,6 +418,17 @@ def test_task_spec_validation():
         TaskSpec(EASY, sensory_delay=-1)
     with pytest.raises(ValueError):
         TaskSpec(EASY, dwell_limit=0)
+
+
+@pytest.mark.parametrize("field", ["horizon", "sensory_delay", "dwell_limit"])
+def test_task_spec_counts_must_be_integers(field):
+    # Each is a count of ticks; an integral float is refused too, as
+    # PolicyParams and MetaPolicy refuse theirs.
+    for value in (300.0, 2.5):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TaskSpec(EASY, **{field: value})
+    task = TaskSpec(EASY, **{field: np.int64(40)})
+    assert getattr(task, field) == 40 and type(getattr(task, field)) is int
 
 
 def test_meta_policy_validation():
