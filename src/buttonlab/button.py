@@ -106,10 +106,10 @@ class VibrationSpec:
 class FdvvModel:
     """Force-displacement-vibration button characterization.
 
-    One FD curve (force in N versus displacement in mm) per ascending
-    velocity level; forces between levels interpolate linearly and clamp
-    to the outermost curves.  ``damping`` is the velocity-proportional
-    resistance the stepper applies (N*s/mm).
+    One FD curve (force in N versus displacement in mm, of degree 3 at
+    most) per ascending velocity level; forces between levels
+    interpolate linearly and clamp to the outermost curves.  ``damping``
+    is the velocity-proportional resistance the stepper applies (N*s/mm).
     """
 
     velocity_levels: tuple[float, ...]
@@ -137,6 +137,8 @@ class FdvvModel:
                 f"{self.release_disp}, {self.activation_disp}, {self.travel}"
             )
         for curve in curves:
+            if curve.degree > 3:
+                raise ValueError(f"curve degree {curve.degree} is above 3; the spring lookup evaluates cubics at most")
             lo, hi = curve.domain
             if lo > 1e-12 or hi < self.travel - 1e-12:
                 raise ValueError(f"curve domain [{lo}, {hi}] does not cover [0, {self.travel}]")
@@ -161,8 +163,7 @@ class FdvvModel:
         tables = []
         for curve in self.fd_curves:
             c = curve.power_coefficients()
-            pad = 4 - c.shape[0]
-            coeffs = np.vstack([np.zeros((pad, c.shape[1])), c]) if pad > 0 else c
+            coeffs = np.vstack([np.zeros((4 - c.shape[0], c.shape[1])), c])
             keep = np.flatnonzero(np.diff(curve.knots) > 0.0)
             breaks = curve.knots[keep].tolist() + [float(curve.knots[-1])]
             starts, segments, first, last = breaks[:-1], coeffs[:, keep].T.tolist(), breaks[0], breaks[-1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .button import DESIGN_BOUNDS, DESIGN_FIELDS, DESIGN_LIMITS, within_limits
 from .errors import FormatError
 from .gp import KernelFamily
-from .policy import DEFAULT_INNER_LR
+from .policy import DEFAULT_INNER_LR, MetaPolicy, TaskSpec
 from .synthetic import PROBLEMS
 
 OBJECTIVE_NAMES = ("completion_time_s", "error_rate", "effort")
@@ -37,11 +37,11 @@ class CidConfig:
     scan_count: int = 1024
     kernel: str = "matern52"
     inner_lr: float = DEFAULT_INNER_LR
-    adapt_episodes: int = 8
+    adapt_episodes: int = MetaPolicy.adapt_episodes
     episodes_per_eval: int = 20
-    horizon: int = 1000
-    sensory_delay: int = 50
-    dwell_limit: int = 300
+    horizon: int = TaskSpec.horizon
+    sensory_delay: int = TaskSpec.sensory_delay
+    dwell_limit: int = TaskSpec.dwell_limit
     policy_path: str = ""
 
     def __post_init__(self):

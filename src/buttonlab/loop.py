@@ -23,7 +23,7 @@ from .config import OBJECTIVE_NAMES, CidConfig, config_fingerprint
 from .errors import StateError
 from .gp import GpModel, KernelFamily, KernelSpec, gp_fit, optimize_hyperparams
 from .pareto import ArchiveEntry, ParetoArchive, ReferencePoint, _dominates, hypervolume
-from .policy import MetaPolicy, TaskSpec, _adapt_tasks, _repeat, init_policy, rollouts
+from .policy import MetaPolicy, TaskSpec, _adapt_tasks, _batches, init_policy
 from .seeds import seed_for
 from .synthetic import get_problem
 
@@ -149,9 +149,9 @@ def evaluate_designs(
     meta: MetaPolicy,
     episodes: int,
     seeds,
-    horizon: int = 1000,
-    sensory_delay: int = 50,
-    dwell_limit: int = 300,
+    horizon: int = TaskSpec.horizon,
+    sensory_delay: int = TaskSpec.sensory_delay,
+    dwell_limit: int = TaskSpec.dwell_limit,
 ) -> list[tuple[np.ndarray, tuple[EpisodeSummary, ...]]]:
     """Objectives of button designs, each under the user model adapted to it.
 
@@ -181,17 +181,10 @@ def evaluate_designs(
     models = [design_to_fdvv(p) for p in params]
     tasks = [TaskSpec(p, horizon, sensory_delay, dwell_limit) for p in params]
     adapted = _adapt_tasks(meta, tasks, models, seeds)
-    trajectories = rollouts(
-        _repeat(adapted, episodes),
-        _repeat(tasks, episodes),
-        _repeat(models, episodes),
-        [seed_for(seed, "rollout", i) for seed in seeds for i in range(episodes)],
-    )
-    results = []
-    for task in tasks:
-        results.append(_evaluated(trajectories[:episodes], task))
-        del trajectories[:episodes]  # each design's episodes go once it is evaluated
-    return results
+    episode_seeds = (seed_for(seed, "rollout", i) for seed in seeds for i in range(episodes))
+    return [
+        _evaluated(batch, task) for task, batch in zip(tasks, _batches(adapted, tasks, models, episode_seeds, episodes))
+    ]
 
 
 def _evaluated(trajectories, task: TaskSpec):
@@ -219,8 +212,9 @@ def _load_meta(config: CidConfig) -> MetaPolicy:
         meta = load_artifact(config.policy_path)
         if not isinstance(meta, MetaPolicy):
             raise ValueError(f"{config.policy_path} does not hold a policy artifact")
-        return MetaPolicy(meta.init_params, config.inner_lr, config.adapt_episodes)
-    init = init_policy(seeds.seed_for(config.master_seed, "meta_init"))
+        init = meta.init_params
+    else:
+        init = init_policy(seeds.seed_for(config.master_seed, "meta_init"))
     return MetaPolicy(init, config.inner_lr, config.adapt_episodes)
 
 

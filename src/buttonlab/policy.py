@@ -16,6 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -312,16 +313,17 @@ def _clamp(raw: np.ndarray, out: np.ndarray, below: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunk(streams, sigmas, rows, size):
+def _chunk(streams, sigmas, size):
     """Episode-major buffers for the next ``size`` ticks of the episodes
-    ``rows``: observations and raw actions to fill, and the exploration
-    noise, each episode's next standard normals times its sigma, drawn.
-    A stream drawn past its episode's horizon is never read again."""
-    noise = np.empty((rows.size, size))
-    for row, e in zip(noise, rows.tolist()):
-        streams[e].standard_normal(out=row)
-    noise *= sigmas[rows, None]
-    return np.empty((rows.size, size, 5)), np.empty((rows.size, size)), noise
+    whose noise ``streams`` and ``sigmas`` are given: observations and raw
+    actions to fill, and the exploration noise, each episode's next
+    standard normals times its sigma, drawn.  A stream drawn past its
+    episode's horizon is never read again."""
+    noise = np.empty((len(streams), size))
+    for row, stream in zip(noise, streams):
+        stream.standard_normal(out=row)
+    noise *= sigmas[:, None]
+    return np.empty((len(streams), size, 5)), np.empty((len(streams), size)), noise
 
 
 # Below this many running episodes, rollouts runs each one alone: a
@@ -379,23 +381,12 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
     # they go.  So what a batch holds follows the ticks its episodes ran.
     records = [[] for _ in range(n)]
     trajectories = [None] * n
-    t0 = chunk_end = 0
-    success = np.zeros(n, dtype=bool)
-
-    # Per episode, by batch index: what only an event or a timeout reads.
-    act_step = np.full(n, _NEVER)
-    cue_at = np.full(n, _NEVER)
-    # The tick that times the episode out: its horizon's last, or the
-    # dwell limit's after activation if that comes first.
-    deadline = np.array(horizons) - 1
-    delay = np.array([t.sensory_delay for t in tasks])
-    dwell = np.array([t.dwell_limit for t in tasks])
-    rel_disp = np.array([m.release_disp for m in models])
-    # Per running episode, narrowed as others end: what every tick reads.
-    # An observation is ``numer / denom``: displacement over travel,
-    # velocity over VELOCITY_SCALE, spring force over FORCE_CEILING_N,
-    # the release cue over 1 and the ticks left over the horizon.  The
-    # column views of ``numer`` are the episodes' state.
+    t = t0 = chunk_end = 0
+    # Per running episode, narrowed as others end; ``rows`` maps each back
+    # to its batch index.  An observation is ``numer / denom``:
+    # displacement over travel, velocity over VELOCITY_SCALE, spring force
+    # over FORCE_CEILING_N, the release cue over 1 and the ticks left over
+    # the horizon.  The column views of ``numer`` are the episodes' state.
     state = {
         "rows": np.arange(n),
         "pos": np.zeros(n, dtype=int),  # row in the chunk
@@ -405,6 +396,7 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
         "denom": np.array(
             [[m.travel, VELOCITY_SCALE, FORCE_CEILING_N, 1.0, t.horizon] for t, m in zip(tasks, models)]
         ),
+        "sigma": sigmas,
         "damping": np.array([m.damping for m in models]),
         # One comparison, ``edges <= signs * d``, finds the stops, d <= 0
         # and d >= travel, and the event test: d at or past its edge, the
@@ -415,34 +407,38 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
         "edges": np.array([[0.0, m.travel, m.activation_disp] for m in models]),
         "signs": np.tile([-1.0, 1.0, 1.0], (n, 1)),
         "beyond": np.zeros(n, dtype=bool),
+        # What only an event or a timeout reads.  The deadline is the tick
+        # that times the episode out: its horizon's last, or the dwell
+        # limit's after activation if that comes first.
+        "act_step": np.full(n, _NEVER),
+        "cue_at": np.full(n, _NEVER),
+        "deadline": np.array(horizons) - 1,
+        "delay": np.array([t.sensory_delay for t in tasks]),
+        "dwell": np.array([t.dwell_limit for t in tasks]),
+        "rel_disp": np.array([m.release_disp for m in models]),
     }
+    if n >= LOCKSTEP_MIN_EPISODES:
+        # What a tick reads of the policies and models, built only for a
+        # batch large enough to share a tick and narrowed with ``state``:
+        # each episode's noise stream, drawn a chunk at a time, the layers
+        # and the spring tables.  The forward pass is a stack of
+        # vector-times-matrix products: each row's matmul gives the bits
+        # of _press's ``h @ w``, where a single (B, n) @ (n, m) product
+        # would not.  Biases are per episode, for flat elementwise adds.
+        streams = [np.random.default_rng(seed) for seed in seeds]
+        layers = [_layer(params, k) for k in range(len(params[0].weights))]
+        springs = SpringTables(models)
     next_cue = _NEVER
-    t, keep = 0, None
     while state["rows"].size >= LOCKSTEP_MIN_EPISODES:
-        # What a tick reads of the policies and models: built on the
-        # first pass, so that a batch too small to share a tick never
-        # builds it, and narrowed on each later one.
-        if keep is None:
-            # Each episode's noise stream, drawn a chunk at a time; it
-            # goes when its episode ends.
-            streams = [np.random.default_rng(seed) for seed in seeds]
-            # The forward pass is a stack of vector-times-matrix products:
-            # each row's matmul gives the bits of _press's ``h @ w``, where
-            # a single (B, n) @ (n, m) product would not.  Biases are per
-            # episode, for flat elementwise adds.
-            layers = [_layer(params, k) for k in range(len(params[0].weights))]
-            springs = SpringTables(models)
-        else:
-            layers = [(w[keep] if w.ndim == 3 else w, bias[keep]) for w, bias in layers]
-            springs.take(keep)
         # The running episodes and their scratch arrays until one ends.
         b = state["rows"].size
         rows, pos, at, obs_at = (state[k] for k in ("rows", "pos", "at", "obs_at"))
         numer, denom = state["numer"], state["denom"]
         damping, edges, signs, beyond = (state[k] for k in ("damping", "edges", "signs", "beyond"))
+        act_step, cue_at, deadline = state["act_step"], state["cue_at"], state["deadline"]
         d, v, spring, cue, left = numer.T
         travel, sign, edge = edges[:, 1], signs[:, 2], edges[:, 2]
-        next_deadline = int(deadline[rows].min())
+        next_deadline = int(deadline.min())
         obs = np.empty((b, 5))
         rows_in = obs[:, None, :]
         hidden = []
@@ -467,15 +463,14 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
                         records[e].append((obs_rec[p].copy(), raw_rec[p].copy()))
                 t0, size = t, min(_CHUNK, span - t)
                 chunk_end = t + size
-                obs_rec, raw_rec, noise_rec = _chunk(streams, sigmas, rows, size)
+                obs_rec, raw_rec, noise_rec = _chunk(streams, state["sigma"], size)
                 obs_flat, raws_flat, noise_flat = obs_rec.reshape(-1), raw_rec.reshape(-1), noise_rec.reshape(-1)
                 np.copyto(pos, np.arange(b))
                 np.multiply(pos, size, out=at)
                 np.add(at[:, None] * 5, np.arange(5), out=obs_at)
             if t >= next_cue:
-                running_cues = cue_at[rows]
-                np.greater_equal(t, running_cues, out=cue)
-                later = running_cues[running_cues > t]
+                np.greater_equal(t, cue_at, out=cue)
+                later = cue_at[cue_at > t]
                 next_cue = int(later.min()) if later.size else _NEVER
             springs.force(d, v, out=spring)
             np.divide(numer, denom, out=obs)
@@ -512,40 +507,45 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
             np.add(at, _TICK, out=at)
             np.add(obs_at, _OBS_TICK, out=obs_at)
             if np.count_nonzero(cross) or t == next_deadline:
-                hit = np.flatnonzero(cross)
-                pressed, released = hit[sign[hit] > 0.0], hit[sign[hit] < 0.0]
+                released = cross & (sign < 0.0)
+                pressed = np.flatnonzero(cross & (sign > 0.0))
                 if pressed.size:
-                    e = rows[pressed]
-                    act_step[e] = t
-                    cue_at[e] = t + delay[e]
-                    deadline[e] = np.minimum(t + dwell[e], deadline[e])
+                    act_step[pressed] = t
+                    cue_at[pressed] = t + state["delay"][pressed]
+                    deadline[pressed] = np.minimum(t + state["dwell"][pressed], deadline[pressed])
                     sign[pressed] = -1.0
-                    edge[pressed] = -rel_disp[e]
+                    edge[pressed] = -state["rel_disp"][pressed]
                     beyond[pressed] = edge[pressed] <= -d[pressed]
-                    next_cue = min(next_cue, int(cue_at[e].min()))
-                    next_deadline = int(deadline[rows].min())
-                ended = deadline[rows] == t
-                ended[released] = True
+                    next_cue = min(next_cue, int(cue_at[pressed].min()))
+                    next_deadline = int(deadline.min())
+                ended = (deadline == t) | released
                 if ended.any():
                     done = ended
-                    success[rows[released]] = True
             t += 1
 
-        for e, p in zip(rows[done].tolist(), pos[done].tolist()):
-            records[e].append((obs_rec[p, : t - t0], raw_rec[p, : t - t0]))
-            trajectories[e] = _trajectory(records[e], bool(success[e]), act_step[e])
-            records[e] = streams[e] = None
         keep = ~done
+        # The ended episodes' noise streams go before their trajectories
+        # are built.
+        streams = list(compress(streams, keep))
+        for e, p, ok, act in zip(
+            rows[done].tolist(), pos[done].tolist(), released[done].tolist(), act_step[done].tolist()
+        ):
+            records[e].append((obs_rec[p, : t - t0], raw_rec[p, : t - t0]))
+            trajectories[e] = _trajectory(records[e], ok, act)
+            records[e] = None
         state = {k: x[keep] for k, x in state.items()}
+        layers = [(w[keep] if w.ndim == 3 else w, bias[keep]) for w, bias in layers]
+        springs.take(keep)
 
     # Too few running to share a tick: each finishes alone, its noise from
     # tick t on drawn afresh from its seed (a stream drawn in pieces gives
     # the bits of one draw, so these are the lockstep's bits).
-    for e, p, (d, v, *_) in zip(state["rows"].tolist(), state["pos"].tolist(), state["numer"].tolist()):
+    tail = zip(state["rows"].tolist(), state["pos"].tolist(), state["numer"].tolist(), state["act_step"].tolist())
+    for e, p, (d, v, *_), act in tail:
         if t > t0:
             records[e].append((obs_rec[p, : t - t0], raw_rec[p, : t - t0]))
         noise = np.random.default_rng(seeds[e]).standard_normal(horizons[e])[t:] * sigmas[e]
-        ok, act = _press(params[e], tasks[e], models[e], noise, records[e], t, d, v, int(act_step[e]))
+        ok, act = _press(params[e], tasks[e], models[e], noise, records[e], t, d, v, act)
         trajectories[e] = _trajectory(records[e], ok, act)
         records[e] = None
     return trajectories
@@ -658,8 +658,24 @@ def adapt(meta: MetaPolicy, task: TaskSpec, model: FdvvModel, seed) -> PolicyPar
     return _adapt_tasks(meta, [task], [model], [seed])[0]
 
 
-def _repeat(items, count: int) -> list:
-    return [x for x in items for _ in range(count)]
+def _batches(params, tasks, models, episode_seeds, count: int):
+    """``count`` episodes of every task from one :func:`rollouts` call,
+    one task's list at a time; task k's run under ``params[k]`` and
+    ``models[k]`` on the k-th ``count`` of ``episode_seeds``.  Each task's
+    episodes go when the next task's are taken and the last task's with
+    the generator, so a caller that runs it in one comprehension holds no
+    batch past it.  The seeds are read once: a generator of them keeps
+    none alive past the rollouts call."""
+    episodes = rollouts(
+        [p for p in params for _ in range(count)],
+        [t for t in tasks for _ in range(count)],
+        [m for m in models for _ in range(count)],
+        episode_seeds,
+    )
+    for _ in tasks:
+        batch = episodes[:count]
+        del episodes[:count]
+        yield batch
 
 
 def _adapt_tasks(meta: MetaPolicy, tasks, models, task_seeds) -> list[PolicyParams]:
@@ -670,26 +686,13 @@ def _adapt_tasks(meta: MetaPolicy, tasks, models, task_seeds) -> list[PolicyPara
     head = param_count(meta.init_params.layer_sizes[-2:])
     rates = np.full(head, meta.inner_lr)
     rates[-1] *= LOG_STD_STEP_SCALE
-    remaining = meta.adapt_episodes
-    batch_index = 0
-    while remaining > 0:
-        size = min(_BATCH, remaining)
-        episodes = rollouts(
-            _repeat(params, size),
-            _repeat(tasks, size),
-            _repeat(models, size),
-            [seeds.seed_for(s, "adapt", batch_index, j) for s in task_seeds for j in range(size)],
-        )
-        stepped = []
-        for p in params:
-            vector = p.vector.copy()
-            vector[-head:] += rates * _gradient(episodes[:size], p, None, 1)
-            stepped.append(p.replaced(vector))
-            # This task's trajectories go once its step is taken.
-            del episodes[:size]
-        params = stepped
-        remaining -= size
-        batch_index += 1
+    for batch_index, start in enumerate(range(0, meta.adapt_episodes, _BATCH)):
+        size = min(_BATCH, meta.adapt_episodes - start)
+        episode_seeds = (seeds.seed_for(s, "adapt", batch_index, j) for s in task_seeds for j in range(size))
+        params = [
+            p.replaced(np.concatenate([p.vector[:-head], p.vector[-head:] + rates * _gradient(batch, p, None, 1)]))
+            for p, batch in zip(params, _batches(params, tasks, models, episode_seeds, size))
+        ]
     return params
 
 
@@ -710,7 +713,7 @@ def meta_train(
     seed: int = 0,
     layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES,
     inner_lr: float = DEFAULT_INNER_LR,
-    adapt_episodes: int = 8,
+    adapt_episodes: int = MetaPolicy.adapt_episodes,
     tasks_per_iteration: int = 8,
     log_every: int = 0,
     horizon: int = TaskSpec.horizon,
@@ -760,20 +763,15 @@ def meta_train(
             models,
             [seeds.seed_int(seed, "meta_inner", it, j) for j in range(tasks_per_iteration)],
         )
-        last = rollouts(
-            _repeat(reached, last_episodes),
-            _repeat(tasks, last_episodes),
-            _repeat(models, last_episodes),
-            [
-                seeds.seed_for(seed, "meta_post", it, j, r)
-                for j in range(tasks_per_iteration)
-                for r in range(last_episodes)
-            ],
+        post_seeds = (
+            seeds.seed_for(seed, "meta_post", it, j, r)
+            for j in range(tasks_per_iteration)
+            for r in range(last_episodes)
         )
-        grads = []
-        for p in reached:  # each task's last batch goes once its gradient is taken
-            grads.append(policy_gradient(last[:last_episodes], p))
-            del last[:last_episodes]
+        grads = [
+            policy_gradient(batch, p)
+            for p, batch in zip(reached, _batches(reached, tasks, models, post_seeds, last_episodes))
+        ]
         step = meta_lr * np.mean(grads, axis=0)
         step[-1] = 0.0  # the log-std is left to adaptation
         init = init.replaced(init.vector + step)

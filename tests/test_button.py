@@ -599,6 +599,10 @@ def test_fdvv_model_validation():
     for damping in (math.nan, math.inf):
         with pytest.raises(ValueError, match="damping"):
             FdvvModel((10.0, 100.0), (line, line), 4.0, 3.0, 2.0, vib, damping=damping)
+    # The spring lookup evaluates cubics at most: a quartic is refused.
+    quartic = BSplineCurve(4, np.array([0.0] * 5 + [4.0] * 5), np.linspace(0.0, 4.0, 5))
+    with pytest.raises(ValueError, match="curve degree 4 is above 3"):
+        FdvvModel((10.0, 100.0), (line, quartic), 4.0, 3.0, 2.0, vib)
     # A nan level fails every comparison the check used to make.
     for levels in ((10.0, math.nan, 300.0), (math.nan, 100.0), (10.0, math.inf), (0.0, 100.0), (10.0, 10.0)):
         with pytest.raises(ValueError, match="velocity levels"):

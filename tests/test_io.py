@@ -409,6 +409,21 @@ def test_model_artifact_with_nan_parameter_is_rejected(tmp_path, field):
         load_artifact(path)
 
 
+def test_model_artifact_with_a_quartic_curve_is_rejected(tmp_path):
+    # It used to load, and its first spring lookup failed to unpack five
+    # coefficients.
+    path = str(tmp_path / "model.json")
+    save_artifact(path, design_to_fdvv(ButtonDesignParams(2.0, 0.5, 1.0, 0.2, 0.1, 0.01)))
+    with open(path) as handle:
+        doc = json.load(handle)
+    travel = doc["travel"]
+    doc["curves"][0] = {"degree": 4, "knots": [0.0] * 5 + [travel] * 5, "coefficients": [0.0, 0.2, 0.4, 0.6, 0.8]}
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    with pytest.raises(FormatError, match="curve degree 4"):
+        load_artifact(path)
+
+
 def test_runstate_artifact_round_trip(tmp_path):
     config = parse_config(SMALL_SCHAFFER)
     state = initial_state(config)

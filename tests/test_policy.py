@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from buttonlab.policy import (
     TIMEOUT_PENALTY,
     _CHUNK,
     _adapt_tasks,
+    _batches,
     _gradient,
     _layer,
     _mean_batch,
@@ -681,6 +683,47 @@ def test_rollouts_hand_over_at_chunk_boundaries(short):
     assert [len(t) for t in got] == horizons
     for g, one in zip(got, zip(*args), strict=True):
         assert_same_trajectory(g, rollout(*one))
+
+
+def batches_args(task_count, count, seed):
+    """``_batches`` arguments: one policy, design and short task per task."""
+    rng = np.random.default_rng(seed)
+    designs = [default_task_sampler(rng) for _ in range(task_count)]
+    base = init_policy(2)
+    params = [base.replaced(base.vector + 0.05 * k) for k in range(task_count)]
+    tasks = [TaskSpec(d, 150, 20 + 5 * k, 60) for k, d in enumerate(designs)]
+    models = [design_to_fdvv(d) for d in designs]
+    episode_seeds = [seeds.seed_for(seed, "rollout", k, j) for k in range(task_count) for j in range(count)]
+    return params, tasks, models, episode_seeds
+
+
+@pytest.mark.parametrize("task_count", [1, 3, 8])
+@pytest.mark.parametrize("count", [1, 4, 20])
+def test_batches_hand_out_each_tasks_slice_of_one_rollouts_call(task_count, count):
+    params, tasks, models, episode_seeds = batches_args(task_count, count, 10 * task_count + count)
+    want = rollouts(
+        *([x for x in items for _ in range(count)] for items in (params, tasks, models)), episode_seeds
+    )
+    got = list(_batches(params, tasks, models, episode_seeds, count))
+    assert len(got) == task_count
+    for k, batch in enumerate(got):
+        assert len(batch) == count
+        for g, w in zip(batch, want[k * count : (k + 1) * count], strict=True):
+            assert_same_trajectory(g, w)
+
+
+def test_batches_drop_each_tasks_episodes_once_the_next_are_taken():
+    batches = _batches(*batches_args(3, 4, 5), 4)
+    first = [weakref.ref(t) for t in next(batches)]
+    assert all(ref() is not None for ref in first)
+    second = next(batches)
+    assert all(ref() is None for ref in first)
+    later = [weakref.ref(t) for t in second]
+    del second
+    assert all(ref() is not None for ref in later)
+    next(batches)
+    assert all(ref() is None for ref in later)
+    assert next(batches, None) is None
 
 
 def test_lockstep_memory_follows_the_ticks_run():
