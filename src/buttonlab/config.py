@@ -87,19 +87,19 @@ def _validate(cfg: CidConfig):
             _fail(f"{section}.{key}", f"must be one of {rule}, got {value!r}")
         if isinstance(rule, int) and value < rule:
             _fail(f"{section}.{key}", f"must be >= {rule}, got {value}")
-    if not 0 < cfg.inner_lr < math.inf:  # written so that nan fails too
-        _fail("user_model.inner_lr", f"must be finite and > 0, got {cfg.inner_lr}")
+        if isinstance(rule, float) and not rule < value < math.inf:  # written so that nan fails too
+            _fail(f"{section}.{key}", f"must be finite and > {rule:g}, got {value}")
 
 
 # Every scalar key as (section, key, type, rule), in the order
 # serialize_config writes them; each key is also its CidConfig field's
-# name.  A rule is the least admissible value of an integer key or the
-# tuple of a key's admissible values; inner_lr has its own check, and
-# policy_path takes any path.
+# name.  A rule is the least admissible value of an integer key, the
+# exclusive lower bound of a finite float key, or the tuple of a key's
+# admissible values; policy_path takes any path.
 _SCALAR_KEYS = (
     ("optimizer", "scan_count", int, 1),
     ("optimizer", "kernel", str, tuple(family.value for family in KernelFamily)),
-    ("user_model", "inner_lr", float, None),
+    ("user_model", "inner_lr", float, 0.0),
     ("user_model", "adapt_episodes", int, 0),
     ("user_model", "episodes_per_eval", int, 1),
     ("user_model", "horizon", int, 1),

@@ -122,10 +122,11 @@ class RunState:
 class Provider:
     """Where objective values come from: the button pipeline or a test function.
 
+    The first five fields are a :func:`run_space`.
     ``evaluate(design, seed)`` returns ``(objectives, summaries, seeds)``
     for one raw design, where ``objectives`` holds one finite value per
-    name in ``objective_names(config)``, in that order; the loop refuses
-    any other vector before it returns a state.
+    objective name of the config's run space, in that order; the loop
+    refuses any other vector before it returns a state.
     ``evaluate_batch(designs, seeds)``, when set, takes a (k, d) array of
     raw designs and k seeds and returns k such tuples, row by row the
     bits that mapping ``evaluate`` over the rows would give;
@@ -218,61 +219,55 @@ def _load_meta(config: CidConfig) -> MetaPolicy:
     return MetaPolicy(init, config.inner_lr, config.adapt_episodes)
 
 
-def design_box(config: CidConfig) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Parameter names and raw bounds of the configured design space."""
+def run_space(
+    config: CidConfig,
+) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray, np.ndarray | None]:
+    """A config's run space in :class:`Provider`'s field order.
+
+    Parameter names, objective names (for the simulated button, the
+    configured subset and order; a synthetic problem's own two), raw
+    lower and upper bounds, and the fixed reference point, which is None
+    when the initial observations set it.
+    """
     if config.provider == "simulated_button":
         lower = np.array([config.bounds[k][0] for k in DESIGN_FIELDS])
         upper = np.array([config.bounds[k][1] for k in DESIGN_FIELDS])
-        return DESIGN_FIELDS, lower, upper
+        return DESIGN_FIELDS, config.objectives, lower, upper, None
     problem = get_problem(config.provider)
     names = tuple(f"x{i}" for i in range(problem.dim))
-    return names, problem.lower.copy(), problem.upper.copy()
-
-
-def objective_names(config: CidConfig) -> tuple[str, ...]:
-    """Objective column names the provider will produce, in order."""
-    if config.provider == "simulated_button":
-        return tuple(config.objectives)
-    return get_problem(config.provider).objective_names
+    return names, problem.objective_names, problem.lower.copy(), problem.upper.copy(), problem.reference.copy()
 
 
 def make_provider(config: CidConfig, meta: MetaPolicy | None = None) -> Provider:
-    """Bind a config to its objective source.
-
-    For the simulated button the objective vector follows the
-    configured subset and ordering; synthetic problems define their own
-    two objectives and ignore the objectives section.
-    """
-    names, lower, upper = design_box(config)
-    if config.provider == "simulated_button":
-        meta = meta if meta is not None else _load_meta(config)
-        indices = [OBJECTIVE_NAMES.index(name) for name in config.objectives]
-
-        def evaluate_batch(designs, eval_seeds):
-            results = evaluate_designs(
-                designs,
-                meta,
-                config.episodes_per_eval,
-                eval_seeds,
-                config.horizon,
-                config.sensory_delay,
-                config.dwell_limit,
-            )
-            return [(full[indices], summaries, (seed,)) for (full, summaries), seed in zip(results, eval_seeds)]
+    """Bind a config to its objective source, over :func:`run_space`."""
+    space = run_space(config)
+    if config.provider != "simulated_button":
+        problem = get_problem(config.provider)
 
         def evaluate(design: np.ndarray, seed: int):
-            return evaluate_batch([design], [seed])[0]
+            return np.asarray(problem.evaluate(design), dtype=float), (), ()
 
-        return Provider(names, tuple(config.objectives), lower, upper, None, evaluate, evaluate_batch)
+        return Provider(*space, evaluate)
 
-    problem = get_problem(config.provider)
+    meta = meta if meta is not None else _load_meta(config)
+    indices = [OBJECTIVE_NAMES.index(name) for name in config.objectives]
+
+    def evaluate_batch(designs, eval_seeds):
+        results = evaluate_designs(
+            designs,
+            meta,
+            config.episodes_per_eval,
+            eval_seeds,
+            config.horizon,
+            config.sensory_delay,
+            config.dwell_limit,
+        )
+        return [(full[indices], summaries, (seed,)) for (full, summaries), seed in zip(results, eval_seeds)]
 
     def evaluate(design: np.ndarray, seed: int):
-        return np.asarray(problem.evaluate(design), dtype=float), (), ()
+        return evaluate_batch([design], [seed])[0]
 
-    return Provider(
-        names, problem.objective_names, lower, upper, problem.reference.copy(), evaluate
-    )
+    return Provider(*space, evaluate, evaluate_batch)
 
 
 def _provider_for(config: CidConfig, provider: Provider | None) -> Provider:
@@ -282,11 +277,11 @@ def _provider_for(config: CidConfig, provider: Provider | None) -> Provider:
     config's (:func:`unit_designs`), so the two must be the same box.
 
     Raises:
-        ValueError: the provider's box differs from ``design_box(config)``.
+        ValueError: the provider's box differs from the config's :func:`run_space`.
     """
     if provider is None:
         return make_provider(config)
-    _, lower, upper = design_box(config)
+    _, _, lower, upper, _ = run_space(config)
     if not (np.array_equal(provider.lower, lower) and np.array_equal(provider.upper, upper)):
         raise ValueError(
             f"provider box [{provider.lower}, {provider.upper}] differs from the config's "
@@ -301,7 +296,7 @@ def _from_unit(provider: Provider, unit: np.ndarray) -> np.ndarray:
 
 def unit_designs(config: CidConfig, records) -> np.ndarray:
     """The records' raw designs rescaled to the unit cube: every unit row the loop keeps."""
-    _, lower, upper = design_box(config)
+    _, _, lower, upper, _ = run_space(config)
     return (np.array([rec.design for rec in records]) - lower) / (upper - lower)
 
 
@@ -333,7 +328,7 @@ def _records(config: CidConfig, designs, results) -> tuple[EvaluationRecord, ...
         ValueError: an objective vector without one value per configured
             objective, or with a non-finite value.
     """
-    count = len(objective_names(config))
+    count = len(run_space(config)[1])
     records = tuple(
         EvaluationRecord(x, objectives, used, summaries)
         for x, (objectives, summaries, used) in zip(designs, results, strict=True)

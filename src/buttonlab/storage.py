@@ -21,14 +21,7 @@ from .capture import _median
 from .config import config_fingerprint, parse_config, serialize_config
 from .errors import FormatError
 from .gp import KernelFamily, KernelSpec
-from .loop import (
-    EpisodeSummary,
-    EvaluationRecord,
-    RunState,
-    design_box,
-    objective_names,
-    unit_designs,
-)
+from .loop import EpisodeSummary, EvaluationRecord, RunState, run_space, unit_designs
 from .pareto import ReferencePoint
 from .policy import MetaPolicy, PolicyParams
 
@@ -152,8 +145,8 @@ def _decode_runstate(doc: dict) -> RunState:
         for k in doc["kernels"]
     )
     reference = ReferencePoint(np.array(doc["reference"], dtype=float))
-    m = len(objective_names(config))
-    d = len(design_box(config)[0])
+    names, obj_names, _, _, _ = run_space(config)
+    d, m = len(names), len(obj_names)
     if len(kernels) != m:
         raise FormatError(f"run state has {len(kernels)} kernels for {m} objectives")
     for j, k in enumerate(kernels):
@@ -322,8 +315,7 @@ def export_front(state: RunState, front_path: str, hv_path: str) -> None:
     ``state.hypervolume_curve()``, one row per iteration, against the
     frozen reference.  Numbers carry 9 significant digits.
     """
-    names, _, _ = design_box(state.config)
-    obj_names = objective_names(state.config)
+    names, obj_names, _, _, _ = run_space(state.config)
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -43,7 +43,7 @@ from buttonlab import (
 from buttonlab import policy, storage
 from buttonlab.cli import main
 from buttonlab.config import _SCALAR_KEYS
-from buttonlab.loop import Provider, design_box
+from buttonlab.loop import Provider, run_space
 from buttonlab.storage import export_evaluations
 
 SMALL_SCHAFFER = """
@@ -172,13 +172,15 @@ def test_config_bounds_admissible_exactly_where_design_values_are():
 
 # Per row of the config's scalar table: a value just outside its rule,
 # or None where every value parses, and values on its boundary.  A rule
-# is a least integer or a tuple of choices; inner_lr has its own check.
+# is a least integer, an exclusive float bound or a tuple of choices.
 def _just_outside_and_boundary(key, rule):
     if isinstance(rule, tuple):
         return "nonesuch", rule
     if isinstance(rule, int):
         return str(rule - 1), (str(rule),)
-    return {"inner_lr": ("0.0", ("5e-324",)), "policy_path": (None, ("", "p.json"))}[key]
+    if isinstance(rule, float):
+        return repr(rule), (repr(math.nextafter(rule, math.inf)),)
+    return None, ("", "p.json")
 
 
 @pytest.mark.parametrize("section, key, kind, rule", _SCALAR_KEYS, ids=[key for _, key, _, _ in _SCALAR_KEYS])
@@ -667,7 +669,7 @@ def test_nan_objective_fails_the_step_before_the_state_is_saved(tmp_path, monkey
 
 def test_runstate_record_on_the_design_box_bounds_loads(tmp_path):
     config = parse_config(SMALL_SCHAFFER)
-    _, lower, upper = design_box(config)
+    _, _, lower, upper, _ = run_space(config)
     path = str(tmp_path / "state.json")
     save_artifact(path, initial_state(config))
     with open(path) as handle:

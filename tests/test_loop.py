@@ -24,7 +24,7 @@ from buttonlab import (
 )
 from buttonlab import loop, seeds
 from buttonlab.acquisition import scan_candidates
-from buttonlab.loop import HYPEROPT_PERIOD, EvaluationRecord, RunState, design_box, objective_names, unit_designs
+from buttonlab.loop import HYPEROPT_PERIOD, EvaluationRecord, RunState, run_space, unit_designs
 from buttonlab.pareto import ParetoArchive, ReferencePoint
 
 SCHAFFER = CidConfig(
@@ -89,7 +89,7 @@ def test_evaluate_design_rejects_bad_input():
 
 def initial_designs(config):
     """The raw initial design set ``initial_state`` evaluates under ``config``."""
-    _, lower, upper = design_box(config)
+    _, _, lower, upper, _ = run_space(config)
     unit = scan_candidates(lower.size, config.init_count, seeds.seed_int(config.master_seed, "doe"))
     return lower + unit * (upper - lower)
 
@@ -148,15 +148,15 @@ def test_schaffer_provider_evaluates_exactly():
     assert np.array_equal(provider.fixed_reference, np.array([4.0, 4.0]))
 
 
-def test_design_box_and_objective_names_follow_provider():
-    names, lower, upper = design_box(TINY_BUTTON)
+def test_run_space_follows_provider():
+    names, objectives, lower, upper, _ = run_space(TINY_BUTTON)
     assert names == DESIGN_FIELDS
     assert lower[0] == DESIGN_BOUNDS["travel"][0]
-    assert objective_names(TINY_BUTTON) == ("completion_time_s", "error_rate", "effort")
+    assert objectives == ("completion_time_s", "error_rate", "effort")
 
-    names, lower, upper = design_box(SCHAFFER)
+    names, objectives, lower, upper, _ = run_space(SCHAFFER)
     assert names == ("x0",)
-    assert objective_names(SCHAFFER) == ("f1", "f2")
+    assert objectives == ("f1", "f2")
 
 
 def brute_nondominated(objs):
@@ -305,7 +305,7 @@ def test_archive_and_curve_are_sequential_insertion_bit_for_bit(provider, m):
     # coordinate and dominated rows; some rows are copied outright.
     rng = np.random.default_rng(20 + m)
     config = CidConfig(provider=provider, init_count=3)
-    _, lower, upper = design_box(config)
+    _, _, lower, upper, _ = run_space(config)
     for trial in range(40):
         n = int(rng.integers(3, 30))
         levels = rng.random((5, m))
