@@ -11,6 +11,8 @@ import configparser
 import hashlib
 import io
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 from .button import DESIGN_BOUNDS, DESIGN_FIELDS, DESIGN_LIMITS, within_limits
@@ -51,11 +53,24 @@ class CidConfig:
             "bounds",
             {k: (float(lo), float(hi)) for k, (lo, hi) in self.bounds.items()},
         )
+        for section, key, kind, _ in _SCALAR_KEYS:
+            object.__setattr__(self, key, _typed(f"{section}.{key}", kind, getattr(self, key)))
         _validate(self)
 
 
 def _fail(path: str, message: str):
     raise FormatError(f"{path}: {message}")
+
+
+def _typed(path: str, kind: type, value):
+    """``value`` stored as ``kind`` by its ``_KINDS`` row; a bool is no number."""
+    name, accepted, convert = _KINDS[kind]
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        try:
+            return convert(value)
+        except (TypeError, OverflowError):
+            pass
+    _fail(path, f"expected {name}, got {value!r}")
 
 
 def _validate(cfg: CidConfig):
@@ -89,13 +104,16 @@ def _validate(cfg: CidConfig):
             _fail(f"{section}.{key}", f"must be >= {rule}, got {value}")
         if isinstance(rule, float) and not rule < value < math.inf:  # written so that nan fails too
             _fail(f"{section}.{key}", f"must be finite and > {rule:g}, got {value}")
+        if rule is None and (value != value.strip() or len(value.splitlines()) > 1):
+            _fail(f"{section}.{key}", f"must be one line without surrounding whitespace, got {value!r}")
 
 
 # Every scalar key as (section, key, type, rule), in the order
 # serialize_config writes them; each key is also its CidConfig field's
 # name.  A rule is the least admissible value of an integer key, the
 # exclusive lower bound of a finite float key, or the tuple of a key's
-# admissible values; policy_path takes any path.
+# admissible values; None admits any one-line text that the document
+# reads back as itself.
 _SCALAR_KEYS = (
     ("optimizer", "scan_count", int, 1),
     ("optimizer", "kernel", str, tuple(family.value for family in KernelFamily)),
@@ -112,6 +130,13 @@ _SCALAR_KEYS = (
     ("run", "master_seed", int, 0),
 )
 _KEY_TYPES = {(section, key): kind for section, key, kind, _ in _SCALAR_KEYS}
+# Each scalar type as (name, accepted class, converter): an int key holds
+# what operator.index takes, a float key any real number, a str key a str.
+_KINDS = {
+    int: ("an integer", object, operator.index),
+    float: ("a number", numbers.Real, float),
+    str: ("a string", str, str),
+}
 _SECTIONS = ("design_space", "objectives", "optimizer", "user_model", "run")
 
 
@@ -154,7 +179,7 @@ def parse_config(text: str) -> CidConfig:
                 try:
                     values[key] = kind(raw.strip())
                 except ValueError:
-                    _fail(path, f"expected {'an integer' if kind is int else 'a number'}, got {raw!r}")
+                    _fail(path, f"expected {_KINDS[kind][0]}, got {raw!r}")
             else:
                 _fail(path, "unknown key")
     values["bounds"] = bounds

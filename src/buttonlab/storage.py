@@ -135,6 +135,15 @@ def _encode_runstate(state: RunState) -> dict:
     }
 
 
+# Each stored episode field, in EpisodeSummary's order, with the JSON
+# types it may hold; json reads true and false as bool, which is no number.
+_EPISODE_FIELDS = (
+    ("return", (int, float)),
+    ("success", (bool,)),
+    ("time_to_activation_s", (int, float, type(None))),
+)
+
+
 def _decode_runstate(doc: dict) -> RunState:
     config = parse_config(doc["config"])
     if config_fingerprint(config) != doc["fingerprint"]:
@@ -170,11 +179,14 @@ def _decode_runstate(doc: dict) -> RunState:
             )
         if not np.all(np.isfinite(objectives)):
             raise FormatError(f"run state record {i} has a non-finite objective")
-        episodes = tuple(
-            EpisodeSummary(e["return"], bool(e["success"]), e["time_to_activation_s"])
-            for e in r["episodes"]
-        )
-        records.append(EvaluationRecord(design, objectives, tuple(int(s) for s in r["seeds"]), episodes))
+        for e in r["episodes"]:
+            for key, kinds in _EPISODE_FIELDS:
+                if type(e[key]) not in kinds:
+                    raise FormatError(f"run state record {i} has an episode whose {key} is {e[key]!r}")
+        if any(type(s) is not int for s in r["seeds"]):
+            raise FormatError(f"run state record {i} has a seed that is not an integer: {r['seeds']!r}")
+        episodes = tuple(EpisodeSummary(*(e[key] for key, _ in _EPISODE_FIELDS)) for e in r["episodes"])
+        records.append(EvaluationRecord(design, objectives, tuple(r["seeds"]), episodes))
     # The slack admits a design that lower + unit * (upper - lower) rounded one ulp past a bound;
     # the comparisons also refuse a non-finite design.
     unit = unit_designs(config, records)

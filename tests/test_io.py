@@ -193,6 +193,59 @@ def test_every_scalar_key_refuses_past_its_rule_and_parses_its_boundary(section,
         assert getattr(parse_config(f"[{section}]\n{key} = {value}\n"), key) == kind(value)
 
 
+class _Text(str):
+    pass
+
+
+def _mistyped(kind, rule):
+    """Values of other Python types for a scalar key: ``(refused, normalized)``;
+    each normalized value is admissible and equals what the config stores."""
+    if kind is int:
+        return (2.5, 3.0, np.float64(3.0), True, "3", None), (np.int64(7), np.uint8(7))
+    if kind is float:
+        return ("0.5", True, np.bool_(True), None, 10**400, 1j), (1, np.int64(2), np.float32(0.5))
+    valid = rule[0] if isinstance(rule, tuple) else "p.json"
+    return (None, 1, True, b"p.json", ["p.json"]), (_Text(valid),)
+
+
+@pytest.mark.parametrize("section, key, kind, rule", _SCALAR_KEYS, ids=[key for _, key, _, _ in _SCALAR_KEYS])
+def test_every_scalar_key_refuses_or_normalizes_a_mistyped_value(section, key, kind, rule):
+    refused, normalized = _mistyped(kind, rule)
+    for value in refused:
+        with pytest.raises(FormatError, match=re.escape(f"{section}.{key}: expected ")):
+            CidConfig(**{key: value})
+    for value in normalized:
+        config = CidConfig(**{key: value})
+        assert type(getattr(config, key)) is kind and getattr(config, key) == value
+        assert parse_config(serialize_config(config)) == config
+        assert config_fingerprint(parse_config(serialize_config(config))) == config_fingerprint(config)
+
+
+def _scalar_values(kind, rule):
+    """Values of a scalar key's own type, or ones it normalizes, in and just past its rule."""
+    if isinstance(rule, tuple):
+        return st.sampled_from(rule) | st.text(max_size=4).map(_Text)
+    if kind is int:
+        return st.integers(min_value=rule - 1) | st.integers(min_value=rule - 1, max_value=2**62).map(np.int64)
+    if kind is float:
+        return st.floats() | st.integers(min_value=-1) | st.floats(width=32).map(np.float32)
+    return st.text() | st.text().map(_Text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({}, optional={key: _scalar_values(kind, rule) for _, key, kind, rule in _SCALAR_KEYS}))
+def test_every_config_the_constructor_accepts_round_trips_through_its_text(values):
+    try:
+        config = CidConfig(**values)
+    except FormatError:
+        return
+    for _, key, kind, _ in _SCALAR_KEYS:
+        assert type(getattr(config, key)) is kind, key
+    again = parse_config(serialize_config(config))
+    assert again == config
+    assert config_fingerprint(again) == config_fingerprint(config)
+
+
 def test_config_objective_subset_parses():
     config = parse_config("[objectives]\nminimize = error_rate, effort\n")
     assert config.objectives == ("error_rate", "effort")
@@ -596,14 +649,56 @@ def _kernel_family(doc):
     doc["kernels"][1]["family"] = "squared_exponential"
 
 
+# Episode and seed tampers, on a button state: synthetic records keep neither.
+def _success_not_a_boolean(doc):
+    doc["records"][1]["episodes"][0]["success"] = "no"
+
+
+def _success_as_a_number(doc):
+    doc["records"][1]["episodes"][0]["success"] = 1
+
+
+def _return_not_a_number(doc):
+    doc["records"][1]["episodes"][1]["return"] = "oops"
+
+
+def _return_as_a_boolean(doc):
+    doc["records"][1]["episodes"][1]["return"] = True
+
+
+def _activation_time_not_a_number(doc):
+    doc["records"][1]["episodes"][0]["time_to_activation_s"] = "soon"
+
+
+def _seed_not_an_integer(doc):
+    doc["records"][1]["seeds"][0] = 1.7
+
+
+BUTTON_TAMPERS = (
+    _success_not_a_boolean, _success_as_a_number, _return_not_a_number, _return_as_a_boolean,
+    _activation_time_not_a_number, _seed_not_an_integer,
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_button_state():
+    from test_loop import TINY_BUTTON, small_meta
+
+    return initial_state(TINY_BUTTON, make_provider(TINY_BUTTON, small_meta(TINY_BUTTON)))
+
+
 @pytest.mark.parametrize(
     "tamper",
     [_add_kernel, _drop_last_kernel, _shorten_reference, _drop_record, _drop_objective, _add_objective,
-     _shorten_design, _design_above_box, _design_below_box, _nan_objective, _kernel_dimension, _kernel_family],
+     _shorten_design, _design_above_box, _design_below_box, _nan_objective, _kernel_dimension, _kernel_family,
+     *BUTTON_TAMPERS],
 )
-def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
+def test_malformed_runstate_is_a_format_error(tmp_path, capsys, request, tamper):
     path = str(tmp_path / "state.json")
-    save_artifact(path, initial_state(parse_config(SMALL_SCHAFFER)))
+    if tamper in BUTTON_TAMPERS:
+        save_artifact(path, request.getfixturevalue("tiny_button_state"))
+    else:
+        save_artifact(path, initial_state(parse_config(SMALL_SCHAFFER)))
     with open(path) as handle:
         payload = json.load(handle)
     tamper(payload)
@@ -612,6 +707,8 @@ def test_malformed_runstate_is_a_format_error(tmp_path, capsys, tamper):
     with pytest.raises(FormatError, match="run state") as raised:
         load_artifact(path)
     assert path in str(raised.value)
+    if tamper in BUTTON_TAMPERS:
+        assert "run state record 1 " in str(raised.value)
     assert main(["report", "--state", path, "--out-dir", str(tmp_path / "report")]) == 2
     err = capsys.readouterr().err
     assert "run state" in err and path in err
