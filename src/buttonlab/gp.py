@@ -29,6 +29,8 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # Relative residual above which a "rescued" solve is declared inconsistent
 # (e.g. duplicate noise-free inputs with conflicting targets).
 _SOLVE_RTOL = 1e-6
+# Log-uniform random restarts per hyperparameter search, after the anchor.
+SEARCH_BUDGET = 8
 
 
 class KernelFamily(str, Enum):
@@ -246,14 +248,13 @@ def gp_predict_batch(models, queries) -> tuple[np.ndarray, np.ndarray]:
 def optimize_hyperparams(
     inputs,
     targets,
-    search_budget: int = 8,
     seed: int = 0,
     family: KernelFamily = KernelFamily.MATERN52,
     start: KernelSpec | None = None,
 ) -> KernelSpec:
     """Pick the kernel maximizing log marginal likelihood.
 
-    Log-space random restarts (``search_budget`` of them) followed by
+    Log-space random restarts (``SEARCH_BUDGET`` of them) followed by
     coordinate-wise multiplicative refinement of the best start.  The
     returned spec scores at least as well as every probed candidate, and
     the whole search is a pure function of the seed and ``start``.  Each
@@ -266,16 +267,14 @@ def optimize_hyperparams(
     and usually needs fewer refinement steps than without one.
 
     Raises:
-        ValueError: fewer than 2 observations, ``search_budget`` < 1,
-            a non-finite input or target, or a ``start`` whose dimension
+        ValueError: fewer than 2 observations, a non-finite input or
+            target, or a ``start`` whose dimension
             or family differs from the search's.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
     if x.shape[0] < 2:
         raise ValueError("hyperparameter search needs at least 2 observations")
-    if search_budget < 1:
-        raise ValueError("search_budget must be >= 1")
     _check_finite(x, y)
     d = x.shape[1]
     family = KernelFamily(family)
@@ -321,7 +320,7 @@ def optimize_hyperparams(
 
     # A sensible anchor plus log-uniform random restarts.
     candidates = [make(y_scale, 0.3 * span, 1e-4 * y_scale)]
-    for _ in range(search_budget):
+    for _ in range(SEARCH_BUDGET):
         sv = y_scale * 10.0 ** rng.uniform(-1.0, 1.0)
         ls = span * 10.0 ** rng.uniform(-1.5, 0.7, size=d)
         nv = y_scale * 10.0 ** rng.uniform(-8.0, -0.5)

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# A reference point from observations lies this share of each
+# objective's observed range beyond its worst value.
+REFERENCE_MARGIN = 0.1
+
 
 def _dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Strict dominance of ``a`` over ``b`` along the last axis, broadcast over the rest."""
@@ -111,14 +115,14 @@ class ReferencePoint:
         object.__setattr__(self, "values", _reference_values(self.values))
 
     @classmethod
-    def from_observations(cls, objectives, margin: float = 0.1) -> "ReferencePoint":
-        """Componentwise max plus ``margin`` of the observed range."""
+    def from_observations(cls, objectives) -> "ReferencePoint":
+        """Componentwise max plus ``REFERENCE_MARGIN`` of the observed range."""
         objs = np.atleast_2d(np.asarray(objectives, dtype=float))
         if objs.shape[0] == 0:
             raise ValueError("need at least one observation to place a reference point")
         hi = np.max(objs, axis=0)
         span = hi - np.min(objs, axis=0)
-        return cls(hi + margin * np.maximum(span, 1e-6))
+        return cls(hi + REFERENCE_MARGIN * np.maximum(span, 1e-6))
 
 
 def _reference_values(reference, m: int | None = None) -> np.ndarray:

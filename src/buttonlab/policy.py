@@ -60,6 +60,8 @@ DEFAULT_INNER_LR = 0.3
 # The log-std steps this many times further: its gradient pools every
 # step of a batch into one number, the best-measured direction there is.
 LOG_STD_STEP_SCALE = 10.0
+# Step size of one meta-update of the initialization.
+META_LR = 0.05
 
 DEFAULT_LAYER_SIZES = (5, 32, 32, 1)
 
@@ -709,7 +711,6 @@ def box_task_sampler(bounds):
 def meta_train(
     task_sampler,
     iterations: int,
-    meta_lr: float = 0.05,
     seed: int = 0,
     layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES,
     inner_lr: float = DEFAULT_INNER_LR,
@@ -727,7 +728,7 @@ def meta_train(
     every batch of that recipe but the last; the last batch is drawn from
     the parameters reached, and its policy gradient over all layers is
     the task's first-order meta-gradient.  The initialization moves by
-    ``meta_lr`` times the mean over tasks, except for its log-std: every
+    ``META_LR`` times the mean over tasks, except for its log-std: every
     design starts from the same exploration noise, and adaptation, whose
     log-std steps are too long for a first-order meta-gradient to carry
     back one for one, sets it per design.  With the default 8 episodes
@@ -772,7 +773,7 @@ def meta_train(
             policy_gradient(batch, p)
             for p, batch in zip(reached, _batches(reached, tasks, models, post_seeds, last_episodes))
         ]
-        step = meta_lr * np.mean(grads, axis=0)
+        step = META_LR * np.mean(grads, axis=0)
         step[-1] = 0.0  # the log-std is left to adaptation
         init = init.replaced(init.vector + step)
         if log_every and (it + 1) % log_every == 0:

@@ -275,7 +275,7 @@ def test_archive_validates_mutual_nondominance():
 
 def test_reference_point_from_observations():
     objs = np.array([[1.0, 10.0], [3.0, 2.0]])
-    ref = ReferencePoint.from_observations(objs, margin=0.1)
+    ref = ReferencePoint.from_observations(objs)
     assert np.allclose(ref.values, [3.0 + 0.2, 10.0 + 0.8])
     with pytest.raises(ValueError):
         ReferencePoint(np.array([1.0, np.inf]))
