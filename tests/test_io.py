@@ -992,6 +992,49 @@ def test_cli_optimize_resumes_a_crash_between_log_and_state(tmp_path, capsys, mo
     capsys.readouterr()
 
 
+def test_cli_optimize_resumes_past_a_killed_writers_temporary_file(tmp_path, capsys, monkeypatch):
+    # A process killed between writing its temporary file and os.replace
+    # runs no exception handler, so the partial file stays behind.
+    cfg = config_file(tmp_path, SMALL_SCHAFFER)
+    full_dir = str(tmp_path / "full")
+    assert main(["optimize", "--config", cfg, "--out-dir", full_dir]) == 0
+    original = _run_outputs(full_dir)
+
+    class Killed(BaseException):
+        pass
+
+    write = storage._atomic_write
+    calls = []
+
+    def killed_write(path, text):
+        calls.append(path)
+        if len(calls) == 6:  # the state write after the second step
+            tmp = f"{os.path.abspath(path)}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+            with open(tmp, "w") as handle:
+                handle.write(text[: len(text) // 2])
+            raise Killed
+        write(path, text)
+
+    monkeypatch.setattr(storage, "_atomic_write", killed_write)
+    cut_dir = str(tmp_path / "cut")
+    with pytest.raises(Killed):
+        main(["optimize", "--config", cfg, "--out-dir", cut_dir])
+    monkeypatch.setattr(storage, "_atomic_write", write)
+    [planted] = [name for name in os.listdir(cut_dir) if name.endswith(".tmp")]
+    assert planted.startswith("run_state.json.")
+    with open(os.path.join(cut_dir, planted), "rb") as handle:
+        partial = handle.read()
+
+    state_path = os.path.join(cut_dir, "run_state.json")
+    assert load_artifact(state_path).iteration == 1
+    assert main(["optimize", "--config", cfg, "--out-dir", cut_dir, "--resume", state_path]) == 0
+    capsys.readouterr()
+    assert _run_outputs(cut_dir) == original
+    assert sorted(os.listdir(cut_dir)) == sorted([*original, planted])
+    with open(os.path.join(cut_dir, planted), "rb") as handle:
+        assert handle.read() == partial
+
+
 def _run_outputs(out_dir):
     outputs = {}
     for name in ("front.csv", "hv_curve.csv", "run_state.json", "evaluations.jsonl"):
