@@ -217,8 +217,8 @@ def test_every_scalar_key_refuses_or_normalizes_a_mistyped_value(section, key, k
     for value in normalized:
         config = CidConfig(**{key: value})
         assert type(getattr(config, key)) is kind and getattr(config, key) == value
-        assert parse_config(serialize_config(config)) == config
-        assert config_fingerprint(parse_config(serialize_config(config))) == config_fingerprint(config)
+        again = parse_config(serialize_config(config))
+        assert again == config and config_fingerprint(again) == config_fingerprint(config)
 
 
 def _scalar_values(kind, rule):
