@@ -47,11 +47,13 @@ class CidConfig:
     policy_path: str = ""
 
     def __post_init__(self):
+        if isinstance(self.objectives, str):
+            _fail("objectives.minimize", "expected a sequence of objective names")
         object.__setattr__(self, "objectives", tuple(self.objectives))
         object.__setattr__(
             self,
             "bounds",
-            {k: (float(lo), float(hi)) for k, (lo, hi) in self.bounds.items()},
+            {k: tuple(_typed(f"design_space.{k}", float, x) for x in (lo, hi)) for k, (lo, hi) in self.bounds.items()},
         )
         for section, key, kind, _ in _SCALAR_KEYS:
             object.__setattr__(self, key, _typed(f"{section}.{key}", kind, getattr(self, key)))

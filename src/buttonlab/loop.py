@@ -159,9 +159,10 @@ def evaluate_designs(
     Renders every design and adapts the meta-policy to all of them at
     once (K episodes each per its recipe; every adaptation batch of every
     design runs in one lockstep), then runs every design's ``episodes``
-    evaluation rollouts in one lockstep.  Design k's result depends only
-    on ``designs[k]`` and ``seeds[k]``, bit for bit, so a one-design call
-    gives the same result as that design in any batch.
+    evaluation rollouts in one lockstep that records no observations.
+    Design k's result depends only on ``designs[k]`` and ``seeds[k]``,
+    bit for bit, so a one-design call gives the same result as that
+    design in any batch.
 
     Returns one ``(objectives, summaries)`` per design: the canonical
     objective vector (completion_time_s, error_rate, effort), all
@@ -184,7 +185,8 @@ def evaluate_designs(
     adapted = _adapt_tasks(meta, tasks, models, seeds)
     episode_seeds = (seed_for(seed, "rollout", i) for seed in seeds for i in range(episodes))
     return [
-        _evaluated(batch, task) for task, batch in zip(tasks, _batches(adapted, tasks, models, episode_seeds, episodes))
+        _evaluated(batch, task)
+        for task, batch in zip(tasks, _batches(adapted, tasks, models, episode_seeds, episodes, observe=False))
     ]
 
 

@@ -145,14 +145,17 @@ def init_policy(seed, layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES) -> Pol
     return PolicyParams(tuple(layer_sizes), np.concatenate(parts))
 
 
-def _mean_batch(params: PolicyParams, obs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batched forward pass; returns means and hidden activations."""
+def _mean_batch(params: PolicyParams, obs: np.ndarray, keep: int = 0) -> tuple[np.ndarray, list]:
+    """Batched forward pass in place; means and hidden activations (None
+    before layer ``keep``)."""
     layers = params.weights
     hidden = []
     h = obs
-    for w, b in layers[:-1]:
-        h = np.tanh(h @ w + b)
-        hidden.append(h)
+    for k, (w, b) in enumerate(layers[:-1]):
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
+        hidden.append(h if k >= keep else None)
     w, b = layers[-1]
     return (h @ w + b)[:, 0], hidden
 
@@ -212,13 +215,15 @@ def rollout(params: PolicyParams, task: TaskSpec, model: FdvvModel, seed) -> Tra
 _NEVER = np.iinfo(np.int64).max // 2
 
 
-def _press(params, task, model, noise, records, start, d, v, act):
+def _press(params, task, model, noise, records, start, d, v, act, observe):
     """Ticks ``start`` on of one episode, from displacement ``d``, velocity
     ``v`` and its activation step so far (_NEVER before activation), with
-    its scaled noise from tick ``start`` on; appends their observations and
-    raw actions to ``records``, one (observations, raw actions) piece per
-    _CHUNK ticks, and returns (success, activation step)."""
+    its scaled noise from tick ``start`` on; appends their observations
+    (none unless ``observe``) and raw actions to ``records``, one
+    (observations, raw actions) piece per _CHUNK ticks, and returns
+    (success, activation step)."""
     horizon = task.horizon
+    scratch = np.empty(5)
     layers = params.weights
     hidden_wb = layers[:-1]
     w_out, b_out = layers[-1]
@@ -231,10 +236,10 @@ def _press(params, task, model, noise, records, start, d, v, act):
     for k, t in enumerate(range(start, horizon)):
         at = k % _CHUNK
         if at == 0:
-            obs_buf, raws = np.empty((_CHUNK, 5)), np.empty(_CHUNK)
+            obs_buf, raws = np.empty((_CHUNK if observe else 0, 5)), np.empty(_CHUNK)
             records.append((obs_buf, raws))
         spring = model._spring_force(d, v)
-        obs = obs_buf[at]
+        obs = obs_buf[at] if observe else scratch
         obs[0] = d / model.travel
         obs[1] = v / VELOCITY_SCALE
         obs[2] = spring / FORCE_CEILING_N
@@ -297,7 +302,8 @@ def _layer(params: list[PolicyParams], k: int):
 
 # Ticks per chunk of the engines' record buffers.  A lockstep chunk holds
 # 56 bytes per running episode and tick (observation, raw action and
-# noise), and each chunk costs every running episode a copy and a draw.
+# noise; 16 unobserved), and each chunk costs every running episode a
+# copy and a draw.
 # At 128 ticks, evaluating 8 designs' episodes together peaked at 2.4
 # times one design's, against 2.0 at 64.
 _CHUNK = 64
@@ -315,17 +321,17 @@ def _clamp(raw: np.ndarray, out: np.ndarray, below: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunk(streams, sigmas, size):
+def _chunk(streams, sigmas, size, observe):
     """Episode-major buffers for the next ``size`` ticks of the episodes
-    whose noise ``streams`` and ``sigmas`` are given: observations and raw
-    actions to fill, and the exploration noise, each episode's next
-    standard normals times its sigma, drawn.  A stream drawn past its
-    episode's horizon is never read again."""
+    whose noise ``streams`` and ``sigmas`` are given: observations (of no
+    tick unless ``observe``) and raw actions to fill, and the exploration
+    noise, each episode's next standard normals times its sigma, drawn.  A
+    stream drawn past its episode's horizon is never read again."""
     noise = np.empty((len(streams), size))
     for row, stream in zip(noise, streams):
         stream.standard_normal(out=row)
     noise *= sigmas[:, None]
-    return np.empty((len(streams), size, 5)), np.empty((len(streams), size)), noise
+    return np.empty((len(streams), size if observe else 0, 5)), np.empty((len(streams), size)), noise
 
 
 # Below this many running episodes, rollouts runs each one alone: a
@@ -334,7 +340,7 @@ def _chunk(streams, sigmas, size):
 LOCKSTEP_MIN_EPISODES = 4
 
 
-def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
+def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Trajectory]:
     """B independent seeded episodes against the simulated button at 1 kHz.
 
     ``params``, ``tasks``, ``models`` and ``seeds`` are sequences of one
@@ -352,7 +358,9 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
     are running they advance together, one tick for all of them, in the
     same elementwise arithmetic as one episode alone; each of the rest
     then finishes alone from where it stands, so a batch of fewer runs
-    each episode alone from its start.
+    each episode alone from its start.  With ``observe`` false, the
+    engines store no observation: each trajectory's are an empty (0, 5)
+    array, and no gradient takes it.
 
     Lockstep time over one-at-a-time time, each batch run with that rule
     at threshold min(B, 4) (2 cores, numpy 2.4, OpenBLAS; 24 batches
@@ -465,7 +473,7 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
                         records[e].append((obs_rec[p].copy(), raw_rec[p].copy()))
                 t0, size = t, min(_CHUNK, span - t)
                 chunk_end = t + size
-                obs_rec, raw_rec, noise_rec = _chunk(streams, state["sigma"], size)
+                obs_rec, raw_rec, noise_rec = _chunk(streams, state["sigma"], size, observe)
                 obs_flat, raws_flat, noise_flat = obs_rec.reshape(-1), raw_rec.reshape(-1), noise_rec.reshape(-1)
                 np.copyto(pos, np.arange(b))
                 np.multiply(pos, size, out=at)
@@ -477,7 +485,9 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
             springs.force(d, v, out=spring)
             np.divide(numer, denom, out=obs)
             np.subtract(left, _ONE, out=left)
-            obs_flat[obs_at] = obs
+            if observe:
+                obs_flat[obs_at] = obs
+                np.add(obs_at, _OBS_TICK, out=obs_at)
 
             h = rows_in
             for w, bias, out, flat in hidden:
@@ -507,7 +517,6 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
             np.greater(now, beyond, out=cross)
             np.copyto(beyond, now)
             np.add(at, _TICK, out=at)
-            np.add(obs_at, _OBS_TICK, out=obs_at)
             if np.count_nonzero(cross) or t == next_deadline:
                 released = cross & (sign < 0.0)
                 pressed = np.flatnonzero(cross & (sign > 0.0))
@@ -547,13 +556,15 @@ def rollouts(params, tasks, models, seeds) -> list[Trajectory]:
         if t > t0:
             records[e].append((obs_rec[p, : t - t0], raw_rec[p, : t - t0]))
         noise = np.random.default_rng(seeds[e]).standard_normal(horizons[e])[t:] * sigmas[e]
-        ok, act = _press(params[e], tasks[e], models[e], noise, records[e], t, d, v, act)
+        ok, act = _press(params[e], tasks[e], models[e], noise, records[e], t, d, v, act, observe)
         trajectories[e] = _trajectory(records[e], ok, act)
         records[e] = None
     return trajectories
 
 
 def _pooled(trajectories: list[Trajectory], baseline: float | None):
+    if any(len(t.observations) != len(t) for t in trajectories):
+        raise ValueError("a gradient needs one observation per step")
     obs = np.concatenate([t.observations for t in trajectories])
     raws = np.concatenate([t.raw_actions for t in trajectories])
     gains = np.concatenate([t.returns_to_go for t in trajectories])
@@ -595,12 +606,12 @@ def _gradient(
         raise ValueError("need at least one trajectory")
     obs, raws, adv = _pooled(trajectories, baseline)
     n = obs.shape[0]
-    means, hidden = _mean_batch(params, obs)
+    layers = params.weights
+    first = len(layers) - depth
+    means, hidden = _mean_batch(params, obs, first - 1)
     sigma = math.exp(params.log_std)
     zs = (raws - means) / sigma
 
-    layers = params.weights
-    first = len(layers) - depth
     # d(surrogate)/d(mean_i), including the 1/n of the pooled mean.
     delta = (adv * zs / sigma / n)[:, None]
     grads: list[np.ndarray] = []
@@ -660,19 +671,20 @@ def adapt(meta: MetaPolicy, task: TaskSpec, model: FdvvModel, seed) -> PolicyPar
     return _adapt_tasks(meta, [task], [model], [seed])[0]
 
 
-def _batches(params, tasks, models, episode_seeds, count: int):
+def _batches(params, tasks, models, episode_seeds, count: int, observe: bool = True):
     """``count`` episodes of every task from one :func:`rollouts` call,
     one task's list at a time; task k's run under ``params[k]`` and
     ``models[k]`` on the k-th ``count`` of ``episode_seeds``.  Each task's
     episodes go when the next task's are taken and the last task's with
     the generator, so a caller that runs it in one comprehension holds no
     batch past it.  The seeds are read once: a generator of them keeps
-    none alive past the rollouts call."""
+    none alive past the rollouts call.  ``observe`` is rollouts'."""
     episodes = rollouts(
         [p for p in params for _ in range(count)],
         [t for t in tasks for _ in range(count)],
         [m for m in models for _ in range(count)],
         episode_seeds,
+        observe,
     )
     for _ in tasks:
         batch = episodes[:count]

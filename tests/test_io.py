@@ -251,6 +251,23 @@ def test_config_objective_subset_parses():
     assert config.objectives == ("error_rate", "effort")
 
 
+def test_config_refuses_one_objective_name_as_a_string():
+    with pytest.raises(FormatError, match=re.escape("objectives.minimize: expected a sequence of objective names")):
+        CidConfig(objectives="error_rate")
+
+
+def test_design_box_bounds_follow_the_float_keys_rule():
+    # A bound is a real number that is not a bool, as a float key's value is.
+    with pytest.raises(FormatError, match=re.escape("design_space.travel: expected a number, got '0.5'")):
+        CidConfig(bounds={k: (str(lo), str(hi)) for k, (lo, hi) in DESIGN_BOUNDS.items()})
+    with pytest.raises(FormatError, match=re.escape("design_space.velocity_stiffening: expected a number, got True")):
+        CidConfig(bounds={**DESIGN_BOUNDS, "velocity_stiffening": (0.0, True)})
+    config = CidConfig(bounds={**DESIGN_BOUNDS, "travel": (1, 5)})
+    assert [type(x) for x in config.bounds["travel"]] == [float, float]
+    assert config.bounds["travel"] == (1.0, 5.0)
+    assert parse_config(serialize_config(config)) == config
+
+
 def make_trace(n=64, fs=1000.0):
     t = np.arange(n) / fs
     d = np.linspace(0.0, 1.5, n)
@@ -1150,8 +1167,8 @@ def test_cli_meta_train_reads_the_config_box_and_task_timing(tmp_path, capsys, m
     seen = []
     engine = policy.rollouts
 
-    def recording(params, tasks, models, episode_seeds):
-        trajectories = engine(params, tasks, models, episode_seeds)
+    def recording(params, tasks, models, episode_seeds, observe=True):
+        trajectories = engine(params, tasks, models, episode_seeds, observe)
         seen.extend(zip(tasks, trajectories))
         return trajectories
 

@@ -106,8 +106,8 @@ def traced_peak(fn):
 def test_batched_evaluation_memory_stays_near_one_design():
     # Adaptation runs all designs' episodes in one lockstep, and so does
     # evaluation.  The engines record by chunks of ticks, so a batch holds
-    # memory by the ticks its episodes run: this one peaks near 2.0 times
-    # one design's, where buffers sized by the horizon would read 3.0.
+    # memory by the ticks its episodes run, and evaluation records no
+    # observations: this one peaks near 1.55 times one design's.
     config = CidConfig(master_seed=1, init_count=8)
     designs = initial_designs(config)
     eval_seeds = [seeds.seed_int(config.master_seed, "evaluate", i) for i in range(config.init_count)]

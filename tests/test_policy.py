@@ -665,6 +665,31 @@ def test_rollouts_share_buffers_and_weights():
     assert _layer(params, len(params[0].layer_sizes) - 2)[0].ndim == 3
 
 
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_rollouts_without_observations_run_the_same_episodes(count):
+    # 1 and 3 episodes run alone in the scalar loop; 8 start in the
+    # lockstep, and the last LOCKSTEP_MIN_EPISODES - 1 finish alone.
+    args = [part[:count] for part in mixed_batch()]
+    want = rollouts(*args)
+    got = rollouts(*args, observe=False)
+    for g, w in zip(got, want, strict=True):
+        assert g.observations.shape == (0, 5) and g.observations.dtype == w.observations.dtype
+        assert_same_trajectory(dataclasses.replace(g, observations=w.observations), w)
+    if count > LOCKSTEP_MIN_EPISODES:
+        assert max(len(t) for t in want) > 2 * _CHUNK
+
+
+def test_gradient_refuses_an_episode_without_observations():
+    args = [part[:4] for part in mixed_batch()]
+    episodes = rollouts(*args)
+    blind = rollouts(*args, observe=False)
+    for batch in (blind, [*episodes[:3], blind[3]]):
+        with pytest.raises(ValueError, match="one observation per step"):
+            _pooled(batch, None)
+        with pytest.raises(ValueError, match="one observation per step"):
+            policy_gradient(batch, args[0][0])
+
+
 @pytest.mark.parametrize("short", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
 def test_rollouts_hand_over_at_chunk_boundaries(short):
     # One episode times out at tick ``short - 1`` and leaves three to the
