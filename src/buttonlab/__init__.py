@@ -9,21 +9,16 @@ process surrogates until the evaluation budget is spent.
 from .acquisition import propose_next, scan_candidates
 from .bspline import BSplineCurve, fit_bspline_bic, uniform_clamped_knots
 from .button import (
-    ACTIVATION,
     DESIGN_BOUNDS,
     DESIGN_FIELDS,
     FORCE_CEILING_N,
-    RELEASE,
     ButtonDesignParams,
     FdTrace,
     FdvvModel,
-    SimEvent,
-    SimState,
     VibrationSpec,
     design_to_fdvv,
     force_at,
     scripted_press_trace,
-    step,
 )
 from .capture import compensate_drive, fit_fdvv, low_pass_filter
 from .config import CidConfig, config_fingerprint, parse_config, serialize_config
@@ -68,14 +63,12 @@ from .storage import export_front, load_artifact, load_trace, save_artifact, sav
 from .synthetic import get_problem
 
 __all__ = [
-    "ACTIVATION",
     "BSplineCurve",
     "ButtonDesignParams",
     "CidConfig",
     "DESIGN_BOUNDS",
     "DESIGN_FIELDS",
     "FORCE_CEILING_N",
-    "RELEASE",
     "EpisodeSummary",
     "EvaluationRecord",
     "FdTrace",
@@ -90,8 +83,6 @@ __all__ = [
     "PolicyParams",
     "ReferencePoint",
     "RunState",
-    "SimEvent",
-    "SimState",
     "StateError",
     "TaskSpec",
     "Trajectory",
@@ -130,6 +121,5 @@ __all__ = [
     "scan_candidates",
     "scripted_press_trace",
     "serialize_config",
-    "step",
     "uniform_clamped_knots",
 ]

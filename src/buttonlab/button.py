@@ -4,9 +4,9 @@ An FdvvModel holds one force-displacement B-spline per sampled press
 velocity plus a vibration burst triggered at activation.  One control
 period of a point mass (finger plus cap) against that force field is
 :func:`_tick`: semi-implicit Euler, the stops, and activation/release
-events with hysteresis.  The public stepper :func:`step`, the scripted
-trace and the policy's scalar episode loop all run it; the policy's
-lockstep batch holds the one vectorized copy.
+events with hysteresis.  The one public stepper,
+:func:`scripted_press_trace`, and the policy's scalar episode loop run
+it; the policy's lockstep batch holds the one vectorized copy.
 """
 
 from __future__ import annotations
@@ -481,38 +481,9 @@ def force_at(model: FdvvModel, displacement: float, velocity: float) -> float:
     return model._spring_force(float(displacement), float(velocity))
 
 
-@dataclass(frozen=True)
-class SimState:
-    """Point-mass press state between steps.
-
-    ``vibration_sample`` is the waveform value emitted during the step
-    that produced this state; ``pending_vibration`` holds the rest.
-    """
-
-    displacement: float = 0.0
-    velocity: float = 0.0
-    activated: bool = False
-    time: float = 0.0
-    pending_vibration: tuple[float, ...] = ()
-    vibration_sample: float = 0.0
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    kind: str
-    time: float
-
-
+# The events a period can end in.
 ACTIVATION = "activation"
 RELEASE = "release"
-
-
-def _check_period(dt: float, mass_kg: float) -> None:
-    # Written so that nan fails too.
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"need a finite dt > 0, got {dt}")
-    if not 0.0 < mass_kg < math.inf:
-        raise ValueError(f"need a finite mass_kg > 0, got {mass_kg}")
 
 
 def _tick(
@@ -546,61 +517,33 @@ def _tick(
     return d1, v1, None
 
 
-def step(
-    model: FdvvModel,
-    state: SimState,
-    applied_force: float,
-    dt: float = DEFAULT_DT_S,
-    mass_kg: float = DEFAULT_MASS_KG,
-) -> tuple[SimState, tuple[SimEvent, ...]]:
-    """Advance the press by one control period.
-
-    Semi-implicit Euler: acceleration from net force (applied minus
-    spring minus damping), velocity update, then position update with
-    clamping to [0, travel] and velocity zeroed at the stops.  Emits an
-    Activation event on crossing activation_disp while pressing
-    unactivated (starting the vibration burst) and a Release event on
-    rising back through release_disp while activated.
-
-    Raises:
-        ValueError: non-finite applied_force, or dt or mass_kg not
-            finite and > 0.
-    """
-    if not math.isfinite(applied_force):
-        raise ValueError(f"need a finite applied_force, got {applied_force}")
-    _check_period(dt, mass_kg)
-    d0, v0 = state.displacement, state.velocity
-    spring = model._spring_force(d0, v0)
-    d1, v1, event = _tick(model, d0, v0, spring, applied_force, state.activated, dt, mass_kg)
-    time = state.time + dt
-    pending = state.pending_vibration
-    if event == ACTIVATION:
-        pending = tuple(model.vibration.waveform(dt))
-    vib, pending = (pending[0], pending[1:]) if pending else (0.0, ())
-    activated = state.activated if event is None else event == ACTIVATION
-    events = () if event is None else (SimEvent(event, time),)
-    return SimState(d1, v1, activated, time, pending, vib), events
-
-
 def scripted_press_trace(
     model: FdvvModel,
     profile: np.ndarray,
     dt: float = DEFAULT_DT_S,
     mass_kg: float = DEFAULT_MASS_KG,
 ) -> FdTrace:
-    """Run a scripted force profile through the stepper and record a trace.
+    """Run a scripted force profile through the press and record a trace.
 
-    Row i holds the state after i steps; row 0 is the initial rest state.
-    The force channel records the button reaction force at each state.
-    Every channel equals what :func:`step` gives for the same profile.
+    Row i holds the state after i control periods of :func:`_tick`; row
+    0 is the initial rest state.  The force channel records the button
+    reaction force at each state, and each activation starts the
+    vibration burst over the rest of the one before.
 
     Raises:
-        ValueError: non-finite profile, or dt or mass_kg not finite and > 0.
+        ValueError: a profile that is not one-dimensional or not finite,
+            or dt or mass_kg not finite and > 0.
     """
-    profile = np.asarray(profile, dtype=float).ravel()
+    profile = np.asarray(profile, dtype=float)
+    if profile.ndim != 1:
+        raise ValueError(f"need a one-dimensional profile, got shape {profile.shape}")
     if not np.all(np.isfinite(profile)):
         raise ValueError("profile contains non-finite forces")
-    _check_period(dt, mass_kg)
+    # Written so that nan fails too.
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"need a finite dt > 0, got {dt}")
+    if not 0.0 < mass_kg < math.inf:
+        raise ValueError(f"need a finite mass_kg > 0, got {mass_kg}")
     d, v, activated = 0.0, 0.0, False
     spring = model._spring_force(d, v)
     disp, force, onsets = [d], [spring], []
@@ -620,5 +563,5 @@ def scripted_press_trace(
     for i in onsets:
         burst = vib[i : i + wave.size]
         burst[:] = wave[: burst.size]
-    time = np.cumsum(np.append(0.0, np.full(profile.size, dt)))  # in order, as step sums
+    time = np.cumsum(np.append(0.0, np.full(profile.size, dt)))  # a running sum of periods
     return FdTrace(time, np.array(disp), np.array(force), vib, sample_rate=1.0 / dt)

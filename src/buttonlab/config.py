@@ -47,14 +47,12 @@ class CidConfig:
     policy_path: str = ""
 
     def __post_init__(self):
-        if isinstance(self.objectives, str):
-            _fail("objectives.minimize", "expected a sequence of objective names")
-        object.__setattr__(self, "objectives", tuple(self.objectives))
-        object.__setattr__(
-            self,
-            "bounds",
-            {k: tuple(_typed(f"design_space.{k}", float, x) for x in (lo, hi)) for k, (lo, hi) in self.bounds.items()},
-        )
+        object.__setattr__(self, "objectives", _objectives(self.objectives))
+        try:
+            pairs = self.bounds.items()
+        except AttributeError:
+            _fail("design_space", f"expected a mapping of design parameters to (low, high), got {self.bounds!r}")
+        object.__setattr__(self, "bounds", {k: _bound(f"design_space.{k}", pair) for k, pair in pairs})
         for section, key, kind, _ in _SCALAR_KEYS:
             object.__setattr__(self, key, _typed(f"{section}.{key}", kind, getattr(self, key)))
         _validate(self)
@@ -62,6 +60,25 @@ class CidConfig:
 
 def _fail(path: str, message: str):
     raise FormatError(f"{path}: {message}")
+
+
+def _objectives(value) -> tuple:
+    """``value`` as a tuple of names; a single name is no sequence of them."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    _fail("objectives.minimize", "expected a sequence of objective names")
+
+
+def _bound(path: str, pair) -> tuple[float, float]:
+    """A design box entry as (low, high), each stored as a float key is."""
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        _fail(path, f"expected (low, high), got {pair!r}")
+    return _typed(path, float, lo), _typed(path, float, hi)
 
 
 def _typed(path: str, kind: type, value):

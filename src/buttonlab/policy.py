@@ -346,10 +346,10 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
     ``params``, ``tasks``, ``models`` and ``seeds`` are sequences of one
     entry per episode; a seed is what ``np.random.default_rng`` makes a
     new generator from each time (an int or a SeedSequence, not a
-    generator).  Each tick runs the public stepper's physics,
-    ``button._tick``, on the same spring lookup, so replaying an
-    episode's actions through :func:`~buttonlab.button.step` reproduces
-    it bit for bit.  Each episode draws its noise from its own seed's
+    generator).  Each tick runs the press physics of ``button._tick`` on
+    the same spring lookup, so replaying an episode's actions through
+    :func:`~buttonlab.button.scripted_press_trace` reproduces its
+    displacements, activation and release bit for bit.  Each episode draws its noise from its own seed's
     stream, so every episode is a pure function of its own (params, task,
     model, seed): its trajectory is byte-identical in any batch, alone or
     not.  The lockstep draws that noise a chunk at a time, and both

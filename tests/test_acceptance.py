@@ -13,15 +13,12 @@ import time
 import numpy as np
 
 from buttonlab import (
-    ACTIVATION,
-    RELEASE,
     ButtonDesignParams,
     CidConfig,
     KernelSpec,
     MetaPolicy,
     ParetoArchive,
     ReferencePoint,
-    SimState,
     TaskSpec,
     adapt,
     cid_step,
@@ -46,8 +43,8 @@ from buttonlab import (
     save_artifact,
     scripted_press_trace,
     seeds,
-    step,
 )
+from buttonlab.button import ACTIVATION, RELEASE
 
 from test_bspline import cox_de_boor, random_curve
 from test_button import (
@@ -57,6 +54,7 @@ from test_button import (
     closed_form,
     linear_model,
     press_release_profile,
+    press_ticks,
     random_design,
     rk4_reference,
 )
@@ -258,17 +256,9 @@ def test_c05_bspline_bic_recovery():
 
 def test_c06_simulator_physics():
     t0 = time.monotonic()
-    model = linear_model()
-    dt = 1e-4
-    state = SimState()
-    times = [0.0]
-    disps = [0.0]
-    for _ in range(500):
-        state, _ = step(model, state, PRESS_N, dt=dt, mass_kg=MASS)
-        times.append(state.time)
-        disps.append(state.displacement)
-    reference = closed_form(np.array(times))
-    spring_err = float(np.max(np.abs(np.array(disps) - reference)) / (PRESS_N / SPRING_K))
+    trace = scripted_press_trace(linear_model(), np.full(500, PRESS_N), dt=1e-4, mass_kg=MASS)
+    reference = closed_form(trace.time)
+    spring_err = float(np.max(np.abs(trace.displacement - reference)) / (PRESS_N / SPRING_K))
 
     rk = rk4_reference(0.05, 1e-5)
     rk_err = float(np.max(np.abs(closed_form(rk[:, 0]) - rk[:, 1])))
@@ -278,13 +268,11 @@ def test_c06_simulator_physics():
     for _ in range(1000):
         design = random_design(rng)
         fdvv = design_to_fdvv(design)
-        sim = SimState()
         expect = ACTIVATION
         good = True
-        for f in press_release_profile(rng):
-            sim, events = step(fdvv, sim, float(f))
-            for ev in events:
-                good = good and ev.kind == expect
+        for _, _, event in press_ticks(fdvv, press_release_profile(rng)):
+            if event is not None:
+                good = good and event == expect
                 expect = RELEASE if expect == ACTIVATION else ACTIVATION
         alternating += good
 

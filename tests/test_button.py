@@ -1,8 +1,10 @@
 """Button simulator physics and the FDVV model surface.
 
 The linear-spring check integrates the same second-order ODE three
-independent ways: the package stepper, a closed-form overdamped solution,
-and an RK4 integrator local to this file.
+independent ways: the package's scripted trace, a closed-form overdamped
+solution, and an RK4 integrator local to this file.  Checks that read a
+period's velocity or event run ``button._tick`` through
+:func:`press_ticks`, which other test modules import too.
 """
 
 import dataclasses
@@ -14,23 +16,19 @@ import numpy as np
 import pytest
 
 from buttonlab import (
-    ACTIVATION,
     DESIGN_BOUNDS,
     DESIGN_FIELDS,
     FORCE_CEILING_N,
-    RELEASE,
     BSplineCurve,
     ButtonDesignParams,
     FdTrace,
     FdvvModel,
-    SimState,
     VibrationSpec,
     design_to_fdvv,
     force_at,
     scripted_press_trace,
-    step,
 )
-from buttonlab.button import SpringTables
+from buttonlab.button import ACTIVATION, DEFAULT_DT_S, DEFAULT_MASS_KG, RELEASE, SpringTables, _tick
 
 SPRING_K = 1.0  # N/mm
 TRAVEL = 4.0
@@ -51,6 +49,20 @@ def linear_model(k=SPRING_K, travel=TRAVEL, damping=DAMPING):
         max_force=FORCE_CEILING_N,
         damping=damping,
     )
+
+
+def press_ticks(model, profile, dt=DEFAULT_DT_S, mass_kg=DEFAULT_MASS_KG):
+    """Each period's (displacement, velocity, event) from rest under
+    ``profile``, one ``button._tick`` at a time; an event is ACTIVATION,
+    RELEASE or None."""
+    d, v, activated = 0.0, 0.0, False
+    rows = []
+    for applied in profile:
+        d, v, event = _tick(model, d, v, model._spring_force(d, v), float(applied), activated, dt, mass_kg)
+        if event is not None:
+            activated = event == ACTIVATION
+        rows.append((d, v, event))
+    return rows
 
 
 def closed_form(t):
@@ -87,17 +99,8 @@ def rk4_reference(t_end, h):
 
 
 def test_linear_spring_matches_closed_form():
-    model = linear_model()
-    dt = 1e-4
-    n = 500
-    state = SimState()
-    times = np.empty(n + 1)
-    disps = np.empty(n + 1)
-    times[0] = disps[0] = 0.0
-    for i in range(1, n + 1):
-        state, _ = step(model, state, PRESS_N, dt=dt, mass_kg=MASS)
-        times[i] = state.time
-        disps[i] = state.displacement
+    trace = scripted_press_trace(linear_model(), np.full(500, PRESS_N), dt=1e-4, mass_kg=MASS)
+    times, disps = trace.time, trace.displacement
     reference = closed_form(times)
     dinf = PRESS_N / SPRING_K
     assert np.max(np.abs(disps - reference)) / dinf < 0.02
@@ -127,11 +130,7 @@ def test_events_alternate_starting_with_activation():
     for _ in range(50):
         model = design_to_fdvv(random_design(rng))
         profile = press_release_profile(rng)
-        state = SimState()
-        kinds = []
-        for applied in profile:
-            state, events = step(model, state, float(applied))
-            kinds.extend(e.kind for e in events)
+        kinds = [event for _, _, event in press_ticks(model, profile) if event is not None]
         for i, kind in enumerate(kinds):
             assert kind == (ACTIVATION if i % 2 == 0 else RELEASE)
         saw_both += len(kinds) >= 2
@@ -140,18 +139,18 @@ def test_events_alternate_starting_with_activation():
 
 def test_activation_event_fires_at_first_crossing():
     model = linear_model()
-    state = SimState()
     crossed_at = None
-    for i in range(200):
-        state, events = step(model, state, 3.5)
-        if events:
-            assert events[0].kind == ACTIVATION
-            assert events[0].time == pytest.approx(state.time)
+    for i, (d, _, event) in enumerate(press_ticks(model, np.full(200, 3.5))):
+        if event is not None:
+            assert event == ACTIVATION
             crossed_at = i
-            assert state.displacement >= model.activation_disp
+            assert d >= model.activation_disp
             break
-        assert state.displacement < model.activation_disp
+        assert d < model.activation_disp
     assert crossed_at is not None
+    # The trace's row i is the state after i periods.
+    trace = scripted_press_trace(model, np.full(200, 3.5))
+    assert np.argmax(trace.displacement >= model.activation_disp) == crossed_at + 1
 
 
 def test_repeated_runs_are_bit_identical():
@@ -178,32 +177,35 @@ def test_scripted_trace_structure():
     assert trace.sample_rate == pytest.approx(1000.0)
     assert np.allclose(np.diff(trace.time), 0.001)
 
-    # A multi-cycle profile replayed through the public stepper gives
-    # every channel bit for bit, at the loop's rate and at a finer one
-    # with a heavier finger.  Each activation restarts the vibration
-    # burst, here while the previous burst is still playing.
+    # A multi-cycle profile replayed one period at a time gives every
+    # channel bit for bit, at the loop's rate and at a finer one with a
+    # heavier finger.  Each activation restarts the vibration burst, here
+    # while the previous burst is still playing.
     rng = np.random.default_rng(3)
     model = design_to_fdvv(random_design(rng))
     profile = press_release_profile(rng, n=4000)
     for dt, mass_kg, n in ((0.001, 0.005, 400), (1e-4, 0.007, 4000)):
         trace = scripted_press_trace(model, profile[:n], dt, mass_kg)
-        channels, onsets = replay_through_step(model, profile[:n], dt, mass_kg)
+        channels, onsets = replay_per_tick(model, profile[:n], dt, mass_kg)
         for name, want in channels.items():
             assert getattr(trace, name).tobytes() == want.tobytes(), name
         burst = model.vibration.waveform(dt).size
         assert any(b - a < burst for a, b in zip(onsets, onsets[1:]))
 
 
-def replay_through_step(model, profile, dt, mass_kg):
-    """A scripted trace's channels, and its activation ticks, from step."""
-    state = SimState()
+def replay_per_tick(model, profile, dt, mass_kg):
+    """A scripted trace's channels, and its activation ticks, a period at
+    a time: a clock summed per period, and a burst that each activation
+    queues afresh, dropping what is left of the one playing."""
     rows = [(0.0, 0.0, force_at(model, 0.0, 0.0), 0.0)]
-    onsets = []
-    for i, applied in enumerate(profile, start=1):
-        state, events = step(model, state, float(applied), dt, mass_kg)
-        onsets += [i for e in events if e.kind == ACTIVATION]
-        force = force_at(model, state.displacement, state.velocity)
-        rows.append((state.time, state.displacement, force, state.vibration_sample))
+    onsets, pending, time = [], [], 0.0
+    for i, (d, v, event) in enumerate(press_ticks(model, profile, dt, mass_kg), start=1):
+        time += dt
+        if event == ACTIVATION:
+            onsets.append(i)
+            pending = model.vibration.waveform(dt).tolist()
+        vibration = pending.pop(0) if pending else 0.0
+        rows.append((time, d, force_at(model, d, v), vibration))
     columns = np.array(rows).T
     return dict(zip(("time", "displacement", "force", "vibration"), columns)), onsets
 
@@ -442,36 +444,27 @@ def test_force_at_rejects_out_of_range_displacement():
         force_at(model, TRAVEL + 0.01, 0.0)
 
 
-def test_step_clamps_at_the_stops():
+def test_press_clamps_at_the_stops():
     model = linear_model()
-    state = SimState()
-    for _ in range(3000):
-        state, _ = step(model, state, 6.0)
-    assert state.displacement == TRAVEL
-    assert state.velocity == 0.0
-    for _ in range(3000):
-        state, _ = step(model, state, -1.0)
-    assert state.displacement == 0.0
-    assert state.velocity == 0.0
+    ticks = press_ticks(model, np.concatenate([np.full(3000, 6.0), np.full(3000, -1.0)]))
+    assert ticks[2999][:2] == (TRAVEL, 0.0)
+    assert ticks[-1][:2] == (0.0, 0.0)
 
 
-def test_step_input_validation():
+def test_scripted_trace_input_validation():
     model = linear_model()
-    with pytest.raises(ValueError):
-        step(model, SimState(), float("nan"))
-    with pytest.raises(ValueError):
-        step(model, SimState(), 1.0, dt=0.0)
-    with pytest.raises(ValueError):
-        step(model, SimState(), 1.0, dt=-0.001)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            scripted_press_trace(model, np.array([1.0, bad]))
+    for dt in (0.0, -0.001, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt"):
+            scripted_press_trace(model, np.ones(3), dt=dt)
     for mass in (0.0, -0.005, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="mass"):
-            step(model, SimState(), 1.0, mass_kg=mass)
-        with pytest.raises(ValueError, match="mass"):
             scripted_press_trace(model, np.ones(3), mass_kg=mass)
-    with pytest.raises(ValueError):
-        scripted_press_trace(model, np.array([1.0, float("nan")]))
-    with pytest.raises(ValueError):
-        scripted_press_trace(model, np.ones(3), dt=0.0)
+    for profile in (np.ones((3, 2)), np.ones((1, 3)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            scripted_press_trace(model, profile)
 
 
 def test_vibration_waveform():

@@ -252,8 +252,10 @@ def test_config_objective_subset_parses():
 
 
 def test_config_refuses_one_objective_name_as_a_string():
-    with pytest.raises(FormatError, match=re.escape("objectives.minimize: expected a sequence of objective names")):
-        CidConfig(objectives="error_rate")
+    # Nor anything else that is no sequence of names.
+    for objectives in ("error_rate", None, 3):
+        with pytest.raises(FormatError, match=re.escape("objectives.minimize: expected a sequence of objective names")):
+            CidConfig(objectives=objectives)
 
 
 def test_design_box_bounds_follow_the_float_keys_rule():
@@ -262,6 +264,13 @@ def test_design_box_bounds_follow_the_float_keys_rule():
         CidConfig(bounds={k: (str(lo), str(hi)) for k, (lo, hi) in DESIGN_BOUNDS.items()})
     with pytest.raises(FormatError, match=re.escape("design_space.velocity_stiffening: expected a number, got True")):
         CidConfig(bounds={**DESIGN_BOUNDS, "velocity_stiffening": (0.0, True)})
+    # A bound is a pair, and the box a mapping of them.
+    for pair in ((1.0, 2.0, 3.0), (1.0,), 1.0, None):
+        with pytest.raises(FormatError, match=re.escape(f"design_space.travel: expected (low, high), got {pair!r}")):
+            CidConfig(bounds={**DESIGN_BOUNDS, "travel": pair})
+    for bounds in (None, [(0.5, 5.0)]):
+        with pytest.raises(FormatError, match=re.escape("design_space: expected a mapping")):
+            CidConfig(bounds=bounds)
     config = CidConfig(bounds={**DESIGN_BOUNDS, "travel": (1, 5)})
     assert [type(x) for x in config.bounds["travel"]] == [float, float]
     assert config.bounds["travel"] == (1.0, 5.0)

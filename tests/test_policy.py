@@ -12,15 +12,12 @@ import numpy as np
 import pytest
 
 from buttonlab import (
-    ACTIVATION,
     DESIGN_BOUNDS,
     FORCE_CEILING_N,
-    RELEASE,
     ButtonDesignParams,
     FdTrace,
     MetaPolicy,
     PolicyParams,
-    SimState,
     TaskSpec,
     Trajectory,
     adapt,
@@ -33,7 +30,7 @@ from buttonlab import (
     policy_gradient,
     rollout,
     rollouts,
-    step,
+    scripted_press_trace,
 )
 from buttonlab import seeds
 from buttonlab.policy import (
@@ -310,18 +307,25 @@ def test_rollout_replays_through_public_stepper_bit_identically():
         model = design_to_fdvv(design)
         task = TaskSpec(design, horizon=horizon)
         traj = rollout(params, task, model, seed=seed)
-        state = SimState()
-        activation_step, released = None, False
-        for t in range(len(traj)):
-            assert traj.observations[t, 0] * model.travel == state.displacement
-            state, events = step(model, state, float(traj.actions[t]))
-            for event in events:
-                if event.kind == ACTIVATION and activation_step is None:
-                    activation_step = t
-                elif event.kind == RELEASE:
-                    assert t == len(traj) - 1
-                    released = True
+        n = len(traj)
+        trace = scripted_press_trace(model, traj.actions)
+        d = trace.displacement
+        assert np.array_equal(d[:n], traj.observations[:, 0] * model.travel)
+        # Tick t moves row t to row t + 1.  It activates on the first
+        # upward crossing of activation_disp, which starts the burst on
+        # row t + 1; once activated, a downward crossing of release_disp
+        # releases, and the episode ends there.
+        activations = np.flatnonzero((d[:-1] < model.activation_disp) & (model.activation_disp <= d[1:]))
+        activation_step = int(activations[0]) if activations.size else None
         assert activation_step == traj.activation_step
+        onsets = np.flatnonzero(trace.vibration)
+        assert (int(onsets[0]) - 1 if onsets.size else None) == activation_step
+        released = False
+        if activation_step is not None:
+            releases = np.flatnonzero((d[1:] <= model.release_disp) & (model.release_disp < d[:-1]))
+            releases = releases[releases > activation_step].tolist()
+            assert releases in ([], [n - 1])
+            released = releases == [n - 1]
         assert released == traj.success
     assert traj.success  # the bouncy design's episode ends in a release
 
