@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _blas
 from .errors import NumericalError
 
 _SQRT5 = math.sqrt(5.0)
@@ -210,6 +211,7 @@ def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
     return GpModel(x, spec, np.linalg.inv(factor), whitened, _lml(factor, whitened), jitter)
 
 
+@_blas.one_thread()
 def gp_predict_batch(models, queries) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of every model over an (m, d) block
     of query points, each as an (M, m) array for M models.

@@ -20,7 +20,7 @@ from itertools import compress
 
 import numpy as np
 
-from . import seeds
+from . import _blas, seeds
 from .button import (
     _ZERO,
     ACTIVATION,
@@ -598,6 +598,7 @@ def policy_gradient(
     return _gradient(trajectories, params, baseline, len(params.layer_sizes) - 1)
 
 
+@_blas.one_thread()
 def _gradient(
     trajectories: list[Trajectory], params: PolicyParams, baseline: float | None, depth: int
 ) -> np.ndarray:

@@ -14,6 +14,8 @@ A change that alters results on purpose rewrites that file with
 
 which prints the digests that changed and those that stayed against the
 file it rewrites; a re-baselining change lists both in CHANGES.md.
+``thread_count_outputs`` runs a test's probe on one BLAS thread and on
+two, on the pinned path or the default one.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ PINNED_ENV = {
     "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
     "OPENBLAS_CORETYPE": "Haswell",
 }
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 RUN_FILES = ("run_state.json", "evaluations.jsonl", "front.csv", "hv_curve.csv")
 CUT_STEPS = 20
 
@@ -83,11 +86,11 @@ save_artifact(sys.argv[1], state)
 """
 
 
-def _env() -> dict:
+def _env(pinned: bool = True) -> dict:
     import buttonlab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(buttonlab.__file__)))
-    env = {**os.environ, **PINNED_ENV}
+    env = {**os.environ, **(PINNED_ENV if pinned else {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return env
 
@@ -102,6 +105,14 @@ def _python(args: list[str], env: dict) -> str:
 def platform_info() -> dict:
     """The versions and CPU path a child process runs on under PINNED_ENV."""
     return json.loads(_python(["-c", _PROBE], _env()))
+
+
+def thread_count_outputs(code: str, pinned: bool) -> tuple[str, str]:
+    """Standard output of Python ``code`` run on one BLAS thread and on two,
+    each in its own process, under PINNED_ENV or on the default CPU path."""
+    return tuple(
+        _python(["-c", code], {**_env(pinned), **dict.fromkeys(THREAD_VARS, threads)}) for threads in ("1", "2")
+    )
 
 
 def unpinned_reason(info: dict) -> str | None:

@@ -2,12 +2,10 @@
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import weakref
 
+import golden_outputs
 import numpy as np
 import pytest
 
@@ -511,23 +509,17 @@ print(four.vector.tobytes().hex())
 
 def test_training_bits_do_not_depend_on_blas_thread_count():
     # Pooled batches of a few thousand steps are large enough for a
-    # threaded BLAS to split the 32x32 weight-gradient sums across
-    # threads, so a thread-dependent summation order would show here.
-    import buttonlab
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(buttonlab.__file__)))
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = threads
-        done = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    # threaded BLAS to split the 32x32 products across threads.  On an
+    # AVX-512 CPU's default path the bits did not follow the split; on
+    # the pinned one (x86-64-v3, OpenBLAS Haswell) one thread and two
+    # differed on every line until the gradient ran on one thread.
+    one, two = golden_outputs.thread_count_outputs(_THREAD_PROBE, pinned=False)
+    assert one == two
+    reason = golden_outputs.unpinned_reason(golden_outputs.platform_info())
+    if reason is not None:
+        pytest.skip(f"the default CPU path passed; the pinned one needs: {reason}")
+    one, two = golden_outputs.thread_count_outputs(_THREAD_PROBE, pinned=True)
+    assert one == two
 
 
 def constant_velocity_trace(model, speed, samples=400):
