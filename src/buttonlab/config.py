@@ -180,8 +180,6 @@ def parse_config(text: str) -> CidConfig:
         for key, raw in parser.items(section):
             path = f"{section}.{key}"
             if section == "design_space":
-                if key not in DESIGN_FIELDS:
-                    _fail(path, "unknown design parameter")
                 parts = [p.strip() for p in raw.split(",")]
                 if len(parts) != 2:
                     _fail(path, f"expected 'low, high', got {raw!r}")

@@ -209,16 +209,23 @@ def _evaluated(trajectories, task: TaskSpec):
 
 
 def _load_meta(config: CidConfig) -> MetaPolicy:
-    if config.policy_path:
-        from .storage import load_artifact
-
-        meta = load_artifact(config.policy_path)
-        if not isinstance(meta, MetaPolicy):
-            raise ValueError(f"{config.policy_path} does not hold a policy artifact")
-        init = meta.init_params
-    else:
+    """The config's policy file, which must hold the config's adaptation
+    recipe (an initialization is trained for one), or a fresh one."""
+    if not config.policy_path:
         init = init_policy(seeds.seed_for(config.master_seed, "meta_init"))
-    return MetaPolicy(init, config.inner_lr, config.adapt_episodes)
+        return MetaPolicy(init, config.inner_lr, config.adapt_episodes)
+    from .storage import load_artifact
+
+    meta = load_artifact(config.policy_path)
+    if not isinstance(meta, MetaPolicy):
+        raise ValueError(f"{config.policy_path} does not hold a policy artifact")
+    for key in ("inner_lr", "adapt_episodes"):
+        trained, configured = getattr(meta, key), getattr(config, key)
+        if trained != configured:
+            raise ValueError(
+                f"user_model.{key}: {config.policy_path} was trained for {trained!r}, the config sets {configured!r}"
+            )
+    return meta
 
 
 def run_space(

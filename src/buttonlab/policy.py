@@ -219,11 +219,12 @@ def _press(params, task, model, noise, records, start, d, v, act, observe):
     """Ticks ``start`` on of one episode, from displacement ``d``, velocity
     ``v`` and its activation step so far (_NEVER before activation), with
     its scaled noise from tick ``start`` on; appends their observations
-    (none unless ``observe``) and raw actions to ``records``, one
-    (observations, raw actions) piece per _CHUNK ticks, and returns
-    (success, activation step)."""
+    (none unless ``observe``) and raw actions to ``records`` as one
+    (observations, raw actions) piece, and returns (success, activation
+    step)."""
     horizon = task.horizon
     scratch = np.empty(5)
+    obs_buf, raws = np.empty((horizon - start if observe else 0, 5)), np.empty(horizon - start)
     layers = params.weights
     hidden_wb = layers[:-1]
     w_out, b_out = layers[-1]
@@ -234,12 +235,8 @@ def _press(params, task, model, noise, records, start, d, v, act, observe):
     cue_at = act + task.sensory_delay
     deadline = min(horizon - 1, act + task.dwell_limit)
     for k, t in enumerate(range(start, horizon)):
-        at = k % _CHUNK
-        if at == 0:
-            obs_buf, raws = np.empty((_CHUNK if observe else 0, 5)), np.empty(_CHUNK)
-            records.append((obs_buf, raws))
         spring = model._spring_force(d, v)
-        obs = obs_buf[at] if observe else scratch
+        obs = obs_buf[k] if observe else scratch
         obs[0] = d / model.travel
         obs[1] = v / VELOCITY_SCALE
         obs[2] = spring / FORCE_CEILING_N
@@ -252,7 +249,7 @@ def _press(params, task, model, noise, records, start, d, v, act, observe):
         mean = float((h @ w_out)[0]) + b_out[0]
         raw = mean + noise[k]
         a = min(max(raw, 0.0), ACTION_MAX_N)
-        raws[at] = raw
+        raws[k] = raw
 
         d, v, event = _tick(model, d, v, spring, a, activated, DEFAULT_DT_S, DEFAULT_MASS_KG)
         if event == ACTIVATION:
@@ -260,7 +257,7 @@ def _press(params, task, model, noise, records, start, d, v, act, observe):
             cue_at = t + task.sensory_delay
             deadline = min(deadline, t + task.dwell_limit)
         if event == RELEASE or t == deadline:
-            records[-1] = (obs_buf[: at + 1], raws[: at + 1])
+            records.append((obs_buf[: k + 1], raws[: k + 1]))
             return event == RELEASE, act
     raise AssertionError("an episode always ends by its horizon")
 
@@ -300,17 +297,16 @@ def _layer(params: list[PolicyParams], k: int):
     return np.stack([p.weights[k][0] for p in params]), biases
 
 
-# Ticks per chunk of the engines' record buffers.  A lockstep chunk holds
-# 56 bytes per running episode and tick (observation, raw action and
-# noise; 16 unobserved), and each chunk costs every running episode a
-# copy and a draw.
+# Ticks per chunk of the lockstep's record buffers.  A chunk holds 56
+# bytes per running episode and tick (observation, raw action and noise;
+# 16 unobserved), and each chunk costs every running episode a copy and a
+# draw.
 # At 128 ticks, evaluating 8 designs' episodes together peaked at 2.4
 # times one design's, against 2.0 at 64.
 _CHUNK = 64
 # Operands of the lockstep tick, as 0-d arrays (see button._ZERO).
 _ONE, _MAX_N = np.array(1.0), np.array(ACTION_MAX_N)
 _KG_MM, _MASS, _DT = np.array(1000.0), np.array(DEFAULT_MASS_KG), np.array(DEFAULT_DT_S)
-_TICK, _OBS_TICK = np.array(1), np.array(5)  # flat-index steps of one tick
 
 
 def _clamp(raw: np.ndarray, out: np.ndarray, below: np.ndarray) -> np.ndarray:
@@ -319,19 +315,6 @@ def _clamp(raw: np.ndarray, out: np.ndarray, below: np.ndarray) -> np.ndarray:
     np.minimum(raw, _MAX_N, out=out)
     np.putmask(out, np.less(raw, _ZERO, out=below), _ZERO)
     return out
-
-
-def _chunk(streams, sigmas, size, observe):
-    """Episode-major buffers for the next ``size`` ticks of the episodes
-    whose noise ``streams`` and ``sigmas`` are given: observations (of no
-    tick unless ``observe``) and raw actions to fill, and the exploration
-    noise, each episode's next standard normals times its sigma, drawn.  A
-    stream drawn past its episode's horizon is never read again."""
-    noise = np.empty((len(streams), size))
-    for row, stream in zip(noise, streams):
-        stream.standard_normal(out=row)
-    noise *= sigmas[:, None]
-    return np.empty((len(streams), size if observe else 0, 5)), np.empty((len(streams), size)), noise
 
 
 # Below this many running episodes, rollouts runs each one alone: a
@@ -352,9 +335,10 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
     displacements, activation and release bit for bit.  Each episode draws its noise from its own seed's
     stream, so every episode is a pure function of its own (params, task,
     model, seed): its trajectory is byte-identical in any batch, alone or
-    not.  The lockstep draws that noise a chunk at a time, and both
-    engines record each tick in buffers of _CHUNK ticks, so a batch holds
-    memory by the ticks its episodes run, not by their horizons.  While at least LOCKSTEP_MIN_EPISODES episodes
+    not.  The lockstep draws that noise and records each tick a chunk of
+    _CHUNK ticks at a time, and an episode that runs alone records into
+    one buffer of the ticks it has left, so a batch holds memory by the
+    ticks its episodes run, not by their horizons.  While at least LOCKSTEP_MIN_EPISODES episodes
     are running they advance together, one tick for all of them, in the
     same elementwise arithmetic as one episode alone; each of the rest
     then finishes alone from where it stands, so a batch of fewer runs
@@ -385,10 +369,10 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
     span = max(horizons, default=0)
     sigmas = np.array([math.exp(p.log_std) for p in params])
     # What a tick records, the observations and raw actions, goes into
-    # episode-major buffers of _CHUNK ticks of the running episodes.  When
-    # a chunk is full, each episode's ticks there are copied into its
-    # records; when an episode ends, its trajectory is built from them and
-    # they go.  So what a batch holds follows the ticks its episodes ran.
+    # the running episodes' rows of a chunk of _CHUNK ticks.  When a chunk
+    # is full, each episode's row there is copied into its records; when
+    # an episode ends, its trajectory is built from them and they go.  So
+    # what a batch holds follows the ticks its episodes ran.
     records = [[] for _ in range(n)]
     trajectories = [None] * n
     t = t0 = chunk_end = 0
@@ -399,9 +383,12 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
     # the horizon.  The column views of ``numer`` are the episodes' state.
     state = {
         "rows": np.arange(n),
-        "pos": np.zeros(n, dtype=int),  # row in the chunk
-        "at": np.zeros(n, dtype=int),  # flat index of the tick in the chunk's (rows, size)
-        "obs_at": np.zeros((n, 5), dtype=int),
+        # The chunk, ticks t0 on, column t - t0 for tick t: the recorded
+        # observations and raw actions, and the exploration noise drawn
+        # for its ticks.  It is empty until the lockstep starts one.
+        "obs_rec": np.empty((n, 0, 5)),
+        "raw_rec": np.empty((n, 0)),
+        "noise_rec": np.empty((n, 0)),
         "numer": np.array([[0.0, 0.0, 0.0, 0.0, t.horizon] for t in tasks]),
         "denom": np.array(
             [[m.travel, VELOCITY_SCALE, FORCE_CEILING_N, 1.0, t.horizon] for t, m in zip(tasks, models)]
@@ -442,7 +429,7 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
     while state["rows"].size >= LOCKSTEP_MIN_EPISODES:
         # The running episodes and their scratch arrays until one ends.
         b = state["rows"].size
-        rows, pos, at, obs_at = (state[k] for k in ("rows", "pos", "at", "obs_at"))
+        rows, obs_rec, raw_rec, noise_rec = (state[k] for k in ("rows", "obs_rec", "raw_rec", "noise_rec"))
         numer, denom = state["numer"], state["denom"]
         damping, edges, signs, beyond = (state[k] for k in ("damping", "edges", "signs", "beyond"))
         act_step, cue_at, deadline = state["act_step"], state["cue_at"], state["deadline"]
@@ -465,19 +452,24 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
         done = None
         while done is None:
             if t == chunk_end:
-                # The chunk is full, or there is none yet: its ticks are
+                # The chunk is full, or there is none yet: its rows are
                 # copied into the records, and the running episodes start
-                # the next.
+                # the next, with each one's next standard normals times its
+                # sigma drawn as its noise.  A stream drawn past its
+                # episode's horizon is never read again.  Rows are taken by
+                # index: a loop variable left on a row would keep its whole
+                # chunk alive.
                 if t > t0:
-                    for e, p in zip(rows.tolist(), pos.tolist()):
-                        records[e].append((obs_rec[p].copy(), raw_rec[p].copy()))
+                    for i, e in enumerate(rows.tolist()):
+                        records[e].append((obs_rec[i].copy(), raw_rec[i].copy()))
                 t0, size = t, min(_CHUNK, span - t)
                 chunk_end = t + size
-                obs_rec, raw_rec, noise_rec = _chunk(streams, state["sigma"], size, observe)
-                obs_flat, raws_flat, noise_flat = obs_rec.reshape(-1), raw_rec.reshape(-1), noise_rec.reshape(-1)
-                np.copyto(pos, np.arange(b))
-                np.multiply(pos, size, out=at)
-                np.add(at[:, None] * 5, np.arange(5), out=obs_at)
+                noise_rec = np.empty((b, size))
+                for i, stream in enumerate(streams):
+                    stream.standard_normal(out=noise_rec[i])
+                noise_rec *= state["sigma"][:, None]
+                obs_rec, raw_rec = np.empty((b, size if observe else 0, 5)), np.empty((b, size))
+                state.update(obs_rec=obs_rec, raw_rec=raw_rec, noise_rec=noise_rec)
             if t >= next_cue:
                 np.greater_equal(t, cue_at, out=cue)
                 later = cue_at[cue_at > t]
@@ -485,9 +477,9 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
             springs.force(d, v, out=spring)
             np.divide(numer, denom, out=obs)
             np.subtract(left, _ONE, out=left)
+            k = t - t0
             if observe:
-                obs_flat[obs_at] = obs
-                np.add(obs_at, _OBS_TICK, out=obs_at)
+                obs_rec[:, k] = obs
 
             h = rows_in
             for w, bias, out, flat in hidden:
@@ -497,8 +489,8 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
                 h = out
             np.matmul(h, w_out, out=mean)
             np.add(mean_flat, b_out, out=raw)
-            np.add(raw, noise_flat[at], out=raw)
-            raws_flat[at] = raw
+            np.add(raw, noise_rec[:, k], out=raw)
+            raw_rec[:, k] = raw
             _clamp(raw, a, below)
 
             # button._tick, elementwise and in the same operation order.
@@ -516,7 +508,6 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
             np.minimum(d, travel, out=d)
             np.greater(now, beyond, out=cross)
             np.copyto(beyond, now)
-            np.add(at, _TICK, out=at)
             if np.count_nonzero(cross) or t == next_deadline:
                 released = cross & (sign < 0.0)
                 pressed = np.flatnonzero(cross & (sign > 0.0))
@@ -538,10 +529,10 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
         # The ended episodes' noise streams go before their trajectories
         # are built.
         streams = list(compress(streams, keep))
-        for e, p, ok, act in zip(
-            rows[done].tolist(), pos[done].tolist(), released[done].tolist(), act_step[done].tolist()
-        ):
-            records[e].append((obs_rec[p, : t - t0], raw_rec[p, : t - t0]))
+        finished = zip(np.flatnonzero(done).tolist(), released[done].tolist(), act_step[done].tolist())
+        for i, ok, act in finished:
+            e = int(rows[i])
+            records[e].append((obs_rec[i, : t - t0], raw_rec[i, : t - t0]))
             trajectories[e] = _trajectory(records[e], ok, act)
             records[e] = None
         state = {k: x[keep] for k, x in state.items()}
@@ -550,11 +541,11 @@ def rollouts(params, tasks, models, seeds, observe: bool = True) -> list[Traject
 
     # Too few running to share a tick: each finishes alone, its noise from
     # tick t on drawn afresh from its seed (a stream drawn in pieces gives
-    # the bits of one draw, so these are the lockstep's bits).
-    tail = zip(state["rows"].tolist(), state["pos"].tolist(), state["numer"].tolist(), state["act_step"].tolist())
-    for e, p, (d, v, *_), act in tail:
-        if t > t0:
-            records[e].append((obs_rec[p, : t - t0], raw_rec[p, : t - t0]))
+    # the bits of one draw, so these are the lockstep's bits).  Each first
+    # records its row of the chunk, empty if the lockstep never ran.
+    tail = zip(state["rows"].tolist(), state["numer"].tolist(), state["act_step"].tolist())
+    for i, (e, (d, v, *_), act) in enumerate(tail):
+        records[e].append((state["obs_rec"][i, : t - t0], state["raw_rec"][i, : t - t0]))
         noise = np.random.default_rng(seeds[e]).standard_normal(horizons[e])[t:] * sigmas[e]
         ok, act = _press(params[e], tasks[e], models[e], noise, records[e], t, d, v, act, observe)
         trajectories[e] = _trajectory(records[e], ok, act)

@@ -117,6 +117,8 @@ def test_config_rejects_unknown_names():
         parse_config("[warp]\nbudget = 3\n")
     with pytest.raises(FormatError):
         parse_config("[run]\nprovider = antigravity\n")
+    with pytest.raises(FormatError, match="design_space.warp: unknown design parameter"):
+        parse_config("[design_space]\nwarp = 1, 2\n")
     # Keys that once parsed but steered nothing.
     with pytest.raises(FormatError, match="optimizer.ehvi_samples"):
         parse_config("[optimizer]\nehvi_samples = 128\n")
@@ -1193,6 +1195,37 @@ def test_cli_meta_train_reads_the_config_box_and_task_timing(tmp_path, capsys, m
             lo, hi = config.bounds[key]
             assert lo <= getattr(task.design, key) <= hi, key
     assert len({task.design for task, _ in seen}) == 2 * 8
+
+
+# A small simulated-button run; the tests append [user_model] keys.
+SMALL_BUTTON = "[run]\nbudget = 1\ninit_count = 2\n\n[user_model]\nhorizon = 100\n"
+
+
+def test_cli_optimize_runs_a_policy_file_as_loaded(tmp_path, capsys):
+    # Untrained, the file holds the initialization a run of the same seed
+    # starts from without one, so both runs evaluate the same bits.
+    policy_file = str(tmp_path / "policy.json")
+    cfg = config_file(tmp_path, SMALL_BUTTON + "adapt_episodes = 4\n")
+    assert main(["meta-train", "--config", cfg, "--iterations", "0", "--out", policy_file]) == 0
+    assert main(["optimize", "--config", cfg, "--out-dir", str(tmp_path / "fresh")]) == 0
+    cfg = config_file(tmp_path, SMALL_BUTTON + f"adapt_episodes = 4\npolicy_path = {policy_file}\n")
+    assert main(["optimize", "--config", cfg, "--out-dir", str(tmp_path / "loaded")]) == 0
+    capsys.readouterr()
+    for name in ("evaluations.jsonl", "front.csv"):
+        assert (tmp_path / "loaded" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("key, value, trained", [("inner_lr", "0.1", "0.3"), ("adapt_episodes", "3", "8")])
+def test_cli_optimize_refuses_a_policy_file_trained_for_another_recipe(tmp_path, capsys, key, value, trained):
+    policy_file = str(tmp_path / "policy.json")
+    cfg = config_file(tmp_path, SMALL_BUTTON)
+    assert main(["meta-train", "--config", cfg, "--iterations", "0", "--out", policy_file]) == 0
+    cfg = config_file(tmp_path, SMALL_BUTTON + f"{key} = {value}\npolicy_path = {policy_file}\n")
+    capsys.readouterr()
+    assert main(["optimize", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"user_model.{key}: " in err and f"trained for {trained}, the config sets {value}" in err
+    assert not (tmp_path / "run" / "evaluations.jsonl").exists()
 
 
 def test_cli_meta_train_writes_policy(tmp_path, capsys):

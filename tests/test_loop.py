@@ -105,7 +105,7 @@ def traced_peak(fn):
 
 def test_batched_evaluation_memory_stays_near_one_design():
     # Adaptation runs all designs' episodes in one lockstep, and so does
-    # evaluation.  The engines record by chunks of ticks, so a batch holds
+    # evaluation.  The lockstep records by chunks of ticks, so a batch holds
     # memory by the ticks its episodes run, and evaluation records no
     # observations: this one peaks near 1.55 times one design's.
     config = CidConfig(master_seed=1, init_count=8)

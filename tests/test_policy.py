@@ -686,11 +686,19 @@ def test_gradient_refuses_an_episode_without_observations():
             policy_gradient(batch, args[0][0])
 
 
-@pytest.mark.parametrize("short", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
-def test_rollouts_hand_over_at_chunk_boundaries(short):
+@pytest.mark.parametrize(
+    "short, observe",
+    [
+        pytest.param(short, observe, id=str(short) if observe else f"{short}-unobserved")
+        for observe in (True, False)
+        for short in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK)
+    ],
+)
+def test_rollouts_hand_over_at_chunk_boundaries(short, observe):
     # One episode times out at tick ``short - 1`` and leaves three to the
     # scalar loop: at a chunk's last tick, on its boundary and past it,
-    # with and without noise drawn ahead in the chunk.
+    # with and without noise drawn ahead in the chunk.  Unobserved, the
+    # chunk rows narrowed and handed over are empty.
     idle = head_params(init_policy(2), np.zeros(32), -50.0, -0.5)
     model = design_to_fdvv(EASY)
     horizons = [short, 3 * _CHUNK, 2 * _CHUNK + 1, 300]
@@ -700,10 +708,14 @@ def test_rollouts_hand_over_at_chunk_boundaries(short):
         [model] * 4,
         [seeds.seed_for(31, "rollout", short, k) for k in range(4)],
     )
-    got = rollouts(*args)
+    got = rollouts(*args, observe=observe)
     assert [len(t) for t in got] == horizons
     for g, one in zip(got, zip(*args), strict=True):
-        assert_same_trajectory(g, rollout(*one))
+        want = rollout(*one)
+        if not observe:
+            assert g.observations.shape == (0, 5) and g.observations.dtype == want.observations.dtype
+            g = dataclasses.replace(g, observations=want.observations)
+        assert_same_trajectory(g, want)
 
 
 def batches_args(task_count, count, seed):
