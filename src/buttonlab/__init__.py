@@ -25,7 +25,6 @@ from .config import CidConfig, config_fingerprint, parse_config, serialize_confi
 from .errors import FormatError, NumericalError, StateError
 from .gp import (
     GpModel,
-    KernelFamily,
     KernelSpec,
     gp_fit,
     gp_predict_batch,
@@ -75,7 +74,6 @@ __all__ = [
     "FdvvModel",
     "FormatError",
     "GpModel",
-    "KernelFamily",
     "KernelSpec",
     "MetaPolicy",
     "NumericalError",

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .button import DESIGN_BOUNDS, DESIGN_FIELDS, DESIGN_LIMITS, within_limits
 from .errors import FormatError
-from .gp import KernelFamily
 from .policy import DEFAULT_INNER_LR, MetaPolicy, TaskSpec
 from .synthetic import PROBLEMS
 
@@ -37,7 +36,6 @@ class CidConfig:
     init_count: int = 8
     master_seed: int = 0
     scan_count: int = 1024
-    kernel: str = "matern52"
     inner_lr: float = DEFAULT_INNER_LR
     adapt_episodes: int = MetaPolicy.adapt_episodes
     episodes_per_eval: int = 20
@@ -135,7 +133,6 @@ def _validate(cfg: CidConfig):
 # reads back as itself.
 _SCALAR_KEYS = (
     ("optimizer", "scan_count", int, 1),
-    ("optimizer", "kernel", str, tuple(family.value for family in KernelFamily)),
     ("user_model", "inner_lr", float, 0.0),
     ("user_model", "adapt_episodes", int, 0),
     ("user_model", "episodes_per_eval", int, 1),

@@ -1,7 +1,8 @@
 """Gaussian-process regression over the design space.
 
-One independent GP per objective, Matern-5/2 or squared-exponential
-kernels with ARD lengthscales, exact inference on ``numpy.linalg`` alone:
+One independent GP per objective, each with a Matern-5/2 kernel with ARD
+lengthscales (the usual kernel for Bayesian optimization, Snoek, Larochelle
+& Adams 2012), and exact inference on ``numpy.linalg`` alone:
 one Cholesky factorization of the Gram matrix bordered by the targets
 gives the log marginal likelihood, and a cached inverse factor gives the
 posterior.  Hyperparameters are selected by maximizing the log marginal
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -34,14 +34,9 @@ _SOLVE_RTOL = 1e-6
 SEARCH_BUDGET = 8
 
 
-class KernelFamily(str, Enum):
-    MATERN52 = "matern52"
-    SQUARED_EXPONENTIAL = "squared_exponential"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Stationary ARD kernel hyperparameters.
+    """Matern-5/2 ARD kernel hyperparameters.
 
     signal_variance and every lengthscale must be strictly positive;
     noise_variance may be zero for noise-free interpolation.
@@ -50,7 +45,6 @@ class KernelSpec:
     signal_variance: float
     lengthscales: np.ndarray
     noise_variance: float = 1e-6
-    family: KernelFamily = KernelFamily.MATERN52
 
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
@@ -61,7 +55,6 @@ class KernelSpec:
         if self.noise_variance < 0 or not np.isfinite(self.noise_variance):
             raise ValueError(f"noise_variance must be >= 0, got {self.noise_variance}")
         object.__setattr__(self, "lengthscales", ls)
-        object.__setattr__(self, "family", KernelFamily(self.family))
 
     @property
     def dim(self) -> int:
@@ -88,12 +81,12 @@ class GpModel:
     jitter: float = 0.0
 
 
-# A kernel's shape between two point sets: the Matern-5/2 polynomial (None
-# for the squared exponential) and the exponential factor.
-_KernelShape = tuple[np.ndarray | None, np.ndarray]
+# A kernel's shape between two point sets: the Matern-5/2 polynomial and
+# the exponential factor.
+_KernelShape = tuple[np.ndarray, np.ndarray]
 
 
-def _kernel_shape(ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.ndarray) -> _KernelShape:
+def _kernel_shape(ls: np.ndarray, a: np.ndarray, b: np.ndarray) -> _KernelShape:
     """The factors of the covariance between the rows of ``a`` and ``b``
     that depend on the ARD lengthscales alone.
 
@@ -105,8 +98,6 @@ def _kernel_shape(ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.nda
     r2 = np.add(np.square(sa).sum(axis=-1)[..., :, None], np.square(sb).sum(axis=-1)[..., None, :])
     r2 -= 2.0 * sa @ np.swapaxes(sb, -1, -2)
     np.maximum(r2, 0.0, out=r2)
-    if family is KernelFamily.SQUARED_EXPONENTIAL:
-        return None, np.exp(np.multiply(r2, -0.5, out=r2), out=r2)
     # poly = (1 + sqrt5 r) + (5/3) r2 and exp(-(sqrt5 r)) = exp((-sqrt5) r),
     # bit for bit, in two buffers: 1 + sqrt5 r is formed one shape at a time.
     s = np.sqrt(r2)
@@ -122,24 +113,22 @@ def _scaled(sv: float, shape: _KernelShape) -> np.ndarray:
     """The covariance matrix of signal variance ``sv`` and kernel ``shape``,
     multiplied in the order ``sv * poly * exp`` always has: (sv * poly) * exp."""
     poly, e = shape
-    return sv * e if poly is None else sv * poly * e
+    return sv * poly * e
 
 
-def _kernel_matrix(sv, ls: np.ndarray, family: KernelFamily, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _kernel_matrix(sv, ls: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Covariance between the rows of ``a`` and ``b`` (signal variance, ARD
     lengthscales), multiplied as ``_scaled`` does but over the fresh shape's
     own buffers.  ``sv`` (M, 1, 1) and ``ls`` (M, 1, d) give a stack of M."""
-    poly, e = _kernel_shape(ls, family, a, b)
-    if poly is None:
-        return np.multiply(e, sv, out=e)
+    poly, e = _kernel_shape(ls, a, b)
     np.multiply(poly, sv, out=poly)
     return np.multiply(poly, e, out=poly)
 
 
 def _as_points(x, dim: int, what: str) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[1] != dim:
-        raise ValueError(f"{what} has dimension {pts.shape[1]}, expected {dim}")
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"{what} of shape {np.shape(x)} are not points of dimension {dim}")
     return pts
 
 
@@ -195,18 +184,19 @@ def gp_fit(inputs, targets, spec: KernelSpec) -> GpModel:
     """Fit a GP by factorizing K + noise I, escalating jitter on failure.
 
     Raises:
-        ValueError: shape mismatch between inputs and targets, or a
-            non-finite input or target.
+        ValueError: inputs that are not points of the kernel's dimension,
+            a shape mismatch between inputs and targets, or a non-finite
+            input or target.
         NumericalError: factorization fails (or the solve is inconsistent,
             as with duplicate noise-free inputs and conflicting targets)
             even at the largest jitter; the message names the jitter tried.
     """
-    x = np.asarray(inputs, dtype=float).reshape(-1, spec.dim)
+    x = _as_points(inputs, spec.dim, "inputs")
     y = np.asarray(targets, dtype=float).ravel()
     if x.shape[0] != y.size:
         raise ValueError(f"{x.shape[0]} inputs vs {y.size} targets")
     _check_finite(x, y)
-    gram = _kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, x, x)
+    gram = _kernel_matrix(spec.signal_variance, spec.lengthscales, x, x)
     factor, whitened, jitter = _factor(gram, spec.noise_variance, y)
     return GpModel(x, spec, np.linalg.inv(factor), whitened, _lml(factor, whitened), jitter)
 
@@ -222,23 +212,21 @@ def gp_predict_batch(models, queries) -> tuple[np.ndarray, np.ndarray]:
     An empty model gives the prior (zero mean, signal variance).
 
     Raises:
-        ValueError: no models; models that differ in training inputs,
-            dimension or kernel family; or queries of another dimension.
+        ValueError: no models; models that differ in training inputs or
+            dimension; or queries of another dimension.
     """
     models = tuple(models)
     if not models:
         raise ValueError("gp_predict_batch needs at least one model")
     first = models[0]
-    x, family = first.inputs, first.kernel.family
+    x = first.inputs
     for model in models[1:]:
-        if model.kernel.family is not family:
-            raise ValueError(f"models must share one kernel family, got {family.value} and {model.kernel.family.value}")
         if model.inputs.shape != x.shape or not (model.inputs == x).all():
             raise ValueError("models must share their training inputs")
     q = _as_points(queries, first.kernel.dim, "queries")
     sv = np.array([m.kernel.signal_variance for m in models])[:, None, None]
     ls = np.array([m.kernel.lengthscales for m in models])[:, None, :]
-    k = _kernel_matrix(sv, ls, family, x, q)
+    k = _kernel_matrix(sv, ls, x, q)
     v = np.array([m.inverse_factor for m in models]) @ k
     mean = (np.array([m.whitened for m in models])[:, None, :] @ v)[:, 0, :]
     variance = np.multiply(v, v, out=v).sum(axis=1)
@@ -251,7 +239,6 @@ def optimize_hyperparams(
     inputs,
     targets,
     seed: int = 0,
-    family: KernelFamily = KernelFamily.MATERN52,
     start: KernelSpec | None = None,
 ) -> KernelSpec:
     """Pick the kernel maximizing log marginal likelihood.
@@ -270,8 +257,7 @@ def optimize_hyperparams(
 
     Raises:
         ValueError: fewer than 2 observations, a non-finite input or
-            target, or a ``start`` whose dimension
-            or family differs from the search's.
+            target, or a ``start`` whose dimension differs from the inputs'.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
@@ -279,12 +265,8 @@ def optimize_hyperparams(
         raise ValueError("hyperparameter search needs at least 2 observations")
     _check_finite(x, y)
     d = x.shape[1]
-    family = KernelFamily(family)
-    if start is not None and (start.dim != d or start.family is not family):
-        raise ValueError(
-            f"start kernel is a {start.dim}-dimensional {start.family.value}; "
-            f"the search is over {d}-dimensional {family.value} kernels"
-        )
+    if start is not None and start.dim != d:
+        raise ValueError(f"start kernel is {start.dim}-dimensional; the search is over {d}-dimensional kernels")
     rng = np.random.default_rng(seed)
 
     y_scale = max(float(np.var(y)), 1e-12)
@@ -312,7 +294,7 @@ def optimize_hyperparams(
         if key in scores:
             return scores[key], None
         if shape is None:
-            shape = _kernel_shape(ls, family, x, x)
+            shape = _kernel_shape(ls, x, x)
         try:
             factor, whitened, _ = _factor(_scaled(sv, shape), nv, y)
             scores[key] = _lml(factor, whitened)
@@ -356,4 +338,4 @@ def optimize_hyperparams(
                     if lml > best_lml:
                         best_lml, best, best_shape = lml, trial, shape
                         improved = True
-    return KernelSpec(*best, family)
+    return KernelSpec(*best)

@@ -21,7 +21,7 @@ from .acquisition import propose_next, scan_candidates
 from .button import DEFAULT_DT_S, DESIGN_FIELDS, ButtonDesignParams, design_to_fdvv
 from .config import OBJECTIVE_NAMES, CidConfig, config_fingerprint
 from .errors import StateError
-from .gp import GpModel, KernelFamily, KernelSpec, gp_fit, optimize_hyperparams
+from .gp import GpModel, KernelSpec, gp_fit, optimize_hyperparams
 from .pareto import ArchiveEntry, ParetoArchive, ReferencePoint, _dominates, hypervolume
 from .policy import MetaPolicy, TaskSpec, _adapt_tasks, _batches, init_policy
 from .seeds import seed_for
@@ -316,14 +316,12 @@ def _searched_kernels(
     and warm-started from ``starts``, one kernel per objective, when given."""
     inputs = unit_designs(config, records)
     targets = np.array([rec.objectives for rec in records])
-    family = KernelFamily(config.kernel)
     starts = starts if starts is not None else (None,) * targets.shape[1]
     return tuple(
         optimize_hyperparams(
             inputs,
             y,
             seed=seeds.seed_int(config.master_seed, "hyperopt", fit_event, j),
-            family=family,
             start=start,
         )
         for j, (y, start) in enumerate(zip(targets.T, starts, strict=True))

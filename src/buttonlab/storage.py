@@ -20,7 +20,7 @@ from .button import FdTrace, FdvvModel, VibrationSpec
 from .capture import _median
 from .config import config_fingerprint, parse_config, serialize_config
 from .errors import FormatError
-from .gp import KernelFamily, KernelSpec
+from .gp import KernelSpec
 from .loop import EpisodeSummary, EvaluationRecord, RunState, run_space, unit_designs
 from .pareto import ReferencePoint
 from .policy import MetaPolicy, PolicyParams
@@ -112,7 +112,6 @@ def _encode_runstate(state: RunState) -> dict:
                 "signal_variance": float(k.signal_variance),
                 "lengthscales": _floats(k.lengthscales),
                 "noise_variance": float(k.noise_variance),
-                "family": k.family.value,
             }
             for k in state.kernels
         ],
@@ -149,8 +148,7 @@ def _decode_runstate(doc: dict) -> RunState:
     if config_fingerprint(config) != doc["fingerprint"]:
         raise FormatError("run state fingerprint does not match its embedded config")
     kernels = tuple(
-        KernelSpec(k["signal_variance"], np.array(k["lengthscales"], dtype=float), k["noise_variance"],
-                   KernelFamily(k["family"]))
+        KernelSpec(k["signal_variance"], np.array(k["lengthscales"], dtype=float), k["noise_variance"])
         for k in doc["kernels"]
     )
     reference = ReferencePoint(np.array(doc["reference"], dtype=float))
@@ -161,9 +159,6 @@ def _decode_runstate(doc: dict) -> RunState:
     for j, k in enumerate(kernels):
         if k.dim != d:
             raise FormatError(f"run state kernel {j} has {k.dim} lengthscales for {d} design parameters")
-        # The next hyperparameter search starts from this kernel, in the config's family.
-        if k.family.value != config.kernel:
-            raise FormatError(f"run state kernel {j} is {k.family.value}; its config's kernel is {config.kernel}")
     if reference.values.size != m:
         raise FormatError(f"run state reference has {reference.values.size} values for {m} objectives")
     rows = doc["records"]
@@ -201,7 +196,7 @@ def _decode_runstate(doc: dict) -> RunState:
 _FORMATS = (
     (FdvvModel, "fdvv/1", _encode_fdvv, _decode_fdvv),
     (MetaPolicy, "policy/1", _encode_policy, _decode_policy),
-    (RunState, "runstate/1", _encode_runstate, _decode_runstate),
+    (RunState, "runstate/2", _encode_runstate, _decode_runstate),
 )
 
 

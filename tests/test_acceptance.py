@@ -71,29 +71,25 @@ def _verdict(label: str, ok: bool, detail: str, t0: float) -> None:
 
 def test_c01_gp_matches_dense_oracle():
     t0 = time.monotonic()
-    from buttonlab import KernelFamily
-
     rng = np.random.default_rng(101)
     worst_mean = worst_var = 0.0
-    for family in list(KernelFamily):
-        for _ in range(50):
-            x, y, spec = random_problem(rng, family)
-            model = gp_fit(x, y, spec)
-            for _ in range(2):
-                q = rng.uniform(-2.5, 2.5, size=x.shape[1])
-                mean, var = oracle_predict(spec, x, y, q)
-                pred_mean, pred_var = predict_one(model, q)
-                worst_mean = max(worst_mean, abs(pred_mean - mean))
-                worst_var = max(worst_var, abs(pred_var - max(var, 0.0)))
+    for _ in range(100):
+        x, y, spec = random_problem(rng)
+        model = gp_fit(x, y, spec)
+        for _ in range(2):
+            q = rng.uniform(-2.5, 2.5, size=x.shape[1])
+            mean, var = oracle_predict(spec, x, y, q)
+            pred_mean, pred_var = predict_one(model, q)
+            worst_mean = max(worst_mean, abs(pred_mean - mean))
+            worst_var = max(worst_var, abs(pred_var - max(var, 0.0)))
 
     worst_interp = 0.0
-    for family in list(KernelFamily):
-        for _ in range(10):
-            x, y, spec = random_problem(rng, family)
-            exact = KernelSpec(spec.signal_variance, spec.lengthscales, 0.0, family)
-            model = gp_fit(x, y, exact)
-            preds = np.array([predict_one(model, xi)[0] for xi in x])
-            worst_interp = max(worst_interp, float(np.max(np.abs(preds - y))))
+    for _ in range(20):
+        x, y, spec = random_problem(rng)
+        exact = KernelSpec(spec.signal_variance, spec.lengthscales, 0.0)
+        model = gp_fit(x, y, exact)
+        preds = np.array([predict_one(model, xi)[0] for xi in x])
+        worst_interp = max(worst_interp, float(np.max(np.abs(preds - y))))
 
     ok = worst_mean < 1e-8 and worst_var < 1e-8 and worst_interp < 1e-6
     _verdict(

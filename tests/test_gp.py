@@ -13,7 +13,6 @@ import pytest
 
 from buttonlab import (
     GpModel,
-    KernelFamily,
     KernelSpec,
     NumericalError,
     gp,
@@ -31,8 +30,6 @@ def oracle_kernel(spec, a, b):
     for i in range(len(a)):
         u = (a[i] - b[i]) / spec.lengthscales[i]
         r2 += u * u
-    if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
-        return spec.signal_variance * math.exp(-0.5 * r2)
     r = math.sqrt(r2)
     return spec.signal_variance * (1.0 + SQRT5 * r + 5.0 * r2 / 3.0) * math.exp(-SQRT5 * r)
 
@@ -57,7 +54,7 @@ def predict_one(model, query):
     return float(mean[0, 0]), float(variance[0, 0])
 
 
-def random_problem(rng, family):
+def random_problem(rng):
     n = int(rng.integers(2, 21))
     d = int(rng.integers(1, 5))
     x = rng.uniform(-2.0, 2.0, size=(n, d))
@@ -66,16 +63,14 @@ def random_problem(rng, family):
         signal_variance=float(rng.uniform(0.2, 5.0)),
         lengthscales=rng.uniform(0.3, 2.0, size=d),
         noise_variance=float(rng.uniform(1e-4, 0.1)),
-        family=family,
     )
     return x, y, spec
 
 
-@pytest.mark.parametrize("family", list(KernelFamily))
-def test_predictions_match_dense_oracle(family):
+def test_predictions_match_dense_oracle():
     rng = np.random.default_rng(42)
     for _ in range(25):
-        x, y, spec = random_problem(rng, family)
+        x, y, spec = random_problem(rng)
         model = gp_fit(x, y, spec)
         for _ in range(4):
             q = rng.uniform(-2.5, 2.5, size=x.shape[1])
@@ -99,7 +94,7 @@ def test_noise_free_interpolation():
 
 def test_batch_prediction_agrees_with_scalar_path():
     rng = np.random.default_rng(3)
-    x, y, spec = random_problem(rng, KernelFamily.MATERN52)
+    x, y, spec = random_problem(rng)
     model = gp_fit(x, y, spec)
     queries = rng.uniform(-2.0, 2.0, size=(30, x.shape[1]))
     (means,), (variances,) = gp_predict_batch([model], queries)
@@ -118,19 +113,15 @@ def per_model_posterior(model, queries):
     sa = model.inputs / spec.lengthscales
     sb = q / spec.lengthscales
     r2 = np.maximum(np.square(sa).sum(axis=1)[:, None] + np.square(sb).sum(axis=1)[None, :] - 2.0 * sa @ sb.T, 0.0)
-    if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
-        k = spec.signal_variance * np.exp(-0.5 * r2)
-    else:
-        r = np.sqrt(r2)
-        k = spec.signal_variance * (1.0 + SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-SQRT5 * r)
+    r = np.sqrt(r2)
+    k = spec.signal_variance * (1.0 + SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-SQRT5 * r)
     v = model.inverse_factor @ k
     mean = model.whitened @ v
     variance = spec.signal_variance - np.sum(v * v, axis=0)
     return mean, np.clip(variance, 0.0, spec.signal_variance)
 
 
-@pytest.mark.parametrize("family", list(KernelFamily))
-def test_stacked_posterior_matches_per_model_oracle_bit_for_bit(family):
+def test_stacked_posterior_matches_per_model_oracle_bit_for_bit():
     # Every model's row of one stacked call is the bits that model alone
     # gave, at every model count and query block size the loop uses.
     rng = np.random.default_rng(23)
@@ -140,7 +131,7 @@ def test_stacked_posterior_matches_per_model_oracle_bit_for_bit(family):
             gp_fit(
                 x,
                 np.sin((j + 2.0) * x).sum(axis=1) + 0.05 * rng.standard_normal(n),
-                KernelSpec(float(rng.uniform(0.2, 3.0)), rng.uniform(0.1, 2.0, d), float(rng.uniform(1e-6, 1e-2)), family),
+                KernelSpec(float(rng.uniform(0.2, 3.0)), rng.uniform(0.1, 2.0, d), float(rng.uniform(1e-6, 1e-2))),
             )
             for j in range(3)
         ]
@@ -166,7 +157,6 @@ def test_stacked_posterior_refuses_models_of_other_inputs_dimension_or_family():
         ("training inputs", gp_fit(x + 0.1, y, spec)),
         ("training inputs", gp_fit(x[:5], y[:5], spec)),
         ("training inputs", gp_fit(np.hstack([x, x[:, :1]]), y, KernelSpec(1.0, np.full(3, 0.5)))),
-        ("kernel family", gp_fit(x, y, KernelSpec(1.0, np.full(2, 0.5), family=KernelFamily.SQUARED_EXPONENTIAL))),
     ]
     for what, other in others:
         for pair in ([model, other], [other, model]):
@@ -182,7 +172,7 @@ def test_stacked_posterior_refuses_models_of_other_inputs_dimension_or_family():
 def test_log_marginal_likelihood_matches_dense_formula():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        x, y, spec = random_problem(rng, KernelFamily.MATERN52)
+        x, y, spec = random_problem(rng)
         n = x.shape[0]
         cov = np.empty((n, n))
         for i in range(n):
@@ -219,10 +209,10 @@ def test_empty_model_returns_prior():
 
 def test_kernel_eval_symmetry_and_diagonal():
     rng = np.random.default_rng(5)
-    spec = KernelSpec(1.3, np.array([0.7, 1.4, 0.9]), family=KernelFamily.SQUARED_EXPONENTIAL)
+    spec = KernelSpec(1.3, np.array([0.7, 1.4, 0.9]))
 
     def kernel(a, b):
-        return float(_kernel_matrix(spec.signal_variance, spec.lengthscales, spec.family, a[None, :], b[None, :])[0, 0])
+        return float(_kernel_matrix(spec.signal_variance, spec.lengthscales, a[None, :], b[None, :])[0, 0])
 
     for _ in range(20):
         a, b = rng.standard_normal(3), rng.standard_normal(3)
@@ -250,6 +240,11 @@ def test_duplicate_inputs_with_matching_targets_fit():
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         gp_fit(np.zeros((3, 1)), np.zeros(4), KernelSpec(1.0, np.array([1.0])))
+    # Inputs whose size the kernel's dimension divides are not regrouped.
+    with pytest.raises(ValueError, match=r"\(4, 3\) are not points of dimension 6"):
+        gp_fit(np.zeros((4, 3)), np.zeros(2), KernelSpec(1.0, np.ones(6)))
+    with pytest.raises(ValueError, match=r"\(6, 1\) are not points of dimension 2"):
+        gp_fit(np.zeros((6, 1)), np.zeros(3), KernelSpec(1.0, np.ones(2)))
     model = gp_fit(np.zeros((2, 2)), np.zeros(2), KernelSpec(1.0, np.ones(2)))
     with pytest.raises(ValueError):
         gp_predict_batch([model], np.zeros(3))
@@ -296,7 +291,7 @@ def test_non_finite_inputs_or_targets_raise_value_error():
             optimize_hyperparams(x, np.where(np.arange(4) == 3, bad, y))
 
 
-def reference_search(inputs, targets, search_budget, seed, family, tally):
+def reference_search(inputs, targets, search_budget, seed, tally):
     """optimize_hyperparams before scoring was memoized: a KernelSpec and a
     gp_fit and its log_likelihood for every trial, repeats included.
 
@@ -313,7 +308,7 @@ def reference_search(inputs, targets, search_budget, seed, family, tally):
         sv = min(max(sv, 1e-8 * y_scale), 1e8 * y_scale)
         ls = np.clip(ls, 1e-3 * span, 1e2 * span)
         nv = min(max(nv, 1e-8 * sv), 1e2 * y_scale)
-        return KernelSpec(sv, ls, nv, family)
+        return KernelSpec(sv, ls, nv)
 
     def lml_of(spec):
         tally["trials"] += 1
@@ -357,36 +352,35 @@ def reference_search(inputs, targets, search_budget, seed, family, tally):
 
 def spec_bytes(spec):
     values = np.array([spec.signal_variance, spec.noise_variance])
-    return values.tobytes() + spec.lengthscales.tobytes() + spec.family.value.encode()
+    return values.tobytes() + spec.lengthscales.tobytes()
 
 
 def search_problems():
-    """(family, inputs, targets) across both families, d = 2 and 6, n = 3-70."""
+    """(inputs, targets) for d = 2 and 6, n = 3-70."""
     rng = np.random.default_rng(2024)
-    for family in KernelFamily:
-        for d in (2, 6):
-            for n in (3, 9, 24, 70):
-                x = rng.uniform(0.0, 1.0, size=(n, d))
-                yield family, x, np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(n)
-            # Duplicate inputs with matching, noise-free targets: trials
-            # pile up on the noise floor and repeat clipped candidates.
-            x = rng.uniform(0.0, 1.0, size=(30, d))
-            x[15:] = x[:15]
-            yield family, x, np.sin(3.0 * x).sum(axis=1)
-            # Far from the origin, cancellation in the distances makes some
-            # trials need jitter (on a tiny target scale) or fail outright.
-            for scale in (1e-7, 1.0):
-                x = 2e5 + rng.uniform(0.0, 1.0, size=(45, d))
-                yield family, x, scale * np.sin(3.0 * (x - 2e5)).sum(axis=1)
+    for d in (2, 6):
+        for n in (3, 9, 24, 70):
+            x = rng.uniform(0.0, 1.0, size=(n, d))
+            yield x, np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(n)
+        # Duplicate inputs with matching, noise-free targets: trials
+        # pile up on the noise floor and repeat clipped candidates.
+        x = rng.uniform(0.0, 1.0, size=(30, d))
+        x[15:] = x[:15]
+        yield x, np.sin(3.0 * x).sum(axis=1)
+        # Far from the origin, cancellation in the distances makes some
+        # trials need jitter (on a tiny target scale) or fail outright.
+        for scale in (1e-7, 1.0):
+            x = 2e5 + rng.uniform(0.0, 1.0, size=(45, d))
+            yield x, scale * np.sin(3.0 * (x - 2e5)).sum(axis=1)
 
 
 def test_hyperparameter_search_matches_frozen_reference_bit_for_bit():
     tally = {"trials": 0, "distinct": set(), "jittered": 0, "failed": 0}
-    for k, (family, x, y) in enumerate(search_problems()):
+    for k, (x, y) in enumerate(search_problems()):
         before = len(tally["distinct"])
-        want = reference_search(x, y, 8, k, family, tally)
-        got = optimize_hyperparams(x, y, seed=k, family=family.value)
-        assert spec_bytes(got) == spec_bytes(want), (k, family, x.shape)
+        want = reference_search(x, y, 8, k, tally)
+        got = optimize_hyperparams(x, y, seed=k)
+        assert spec_bytes(got) == spec_bytes(want), (k, x.shape)
         assert len(tally["distinct"]) > before
     # The problem set reaches every branch of the factorization.
     assert tally["trials"] > len(tally["distinct"])
@@ -394,12 +388,11 @@ def test_hyperparameter_search_matches_frozen_reference_bit_for_bit():
     assert tally["failed"] > 0
 
 
-@pytest.mark.parametrize("family", list(KernelFamily))
-def test_search_builds_fewer_kernel_shapes_than_it_scores_candidates(family, monkeypatch):
+def test_search_builds_fewer_kernel_shapes_than_it_scores_candidates(monkeypatch):
     # Signal- and noise-variance trials reuse the best candidate's shape.
-    k, x, y = next((k, x, y) for k, (f, x, y) in enumerate(search_problems()) if f is family and x.shape[0] == 24)
+    k, x, y = next((k, x, y) for k, (x, y) in enumerate(search_problems()) if x.shape[0] == 24)
     tally = {"trials": 0, "distinct": set(), "jittered": 0, "failed": 0}
-    want = reference_search(x, y, 8, k, family, tally)
+    want = reference_search(x, y, 8, k, tally)
     build = gp._kernel_shape
     builds = 0
 
@@ -409,7 +402,7 @@ def test_search_builds_fewer_kernel_shapes_than_it_scores_candidates(family, mon
         return build(*args)
 
     monkeypatch.setattr(gp, "_kernel_shape", counted)
-    got = optimize_hyperparams(x, y, seed=k, family=family)
+    got = optimize_hyperparams(x, y, seed=k)
     assert spec_bytes(got) == spec_bytes(want)
     assert 0 < builds < len(tally["distinct"])
 
@@ -421,11 +414,10 @@ def clipped_to_search_box(spec, x, y):
     sv = min(max(spec.signal_variance, 1e-8 * y_scale), 1e8 * y_scale)
     ls = np.clip(spec.lengthscales, 1e-3 * span, 1e2 * span)
     nv = min(max(spec.noise_variance, 1e-8 * sv), 1e2 * y_scale)
-    return KernelSpec(sv, ls, nv, spec.family)
+    return KernelSpec(sv, ls, nv)
 
 
-@pytest.mark.parametrize("family", list(KernelFamily))
-def test_warm_search_on_growing_data_factorizes_less_and_keeps_its_start(family, monkeypatch):
+def test_warm_search_on_growing_data_factorizes_less_and_keeps_its_start(monkeypatch):
     # The loop's refits: each search sees a few more observations than the
     # last, and the warm one starts from the kernel the last one chose.
     rng = np.random.default_rng(31)
@@ -443,7 +435,7 @@ def test_warm_search_on_growing_data_factorizes_less_and_keeps_its_start(family,
         nonlocal factorizations
         factorizations = 0
         monkeypatch.setattr(gp, "_factor", counted)
-        spec = optimize_hyperparams(x[:n], y[:n], seed=seed, family=family, start=start)
+        spec = optimize_hyperparams(x[:n], y[:n], seed=seed, start=start)
         monkeypatch.setattr(gp, "_factor", factor)
         return spec, factorizations
 
@@ -477,25 +469,21 @@ def test_warm_start_of_another_dimension_or_family_is_refused():
     y = np.array([0.1, -0.3, 0.2, 0.5])
     with pytest.raises(ValueError, match="3-dimensional"):
         optimize_hyperparams(x, y, start=KernelSpec(1.0, np.ones(3)))
-    with pytest.raises(ValueError, match="squared_exponential"):
-        optimize_hyperparams(x, y, start=KernelSpec(1.0, np.ones(2), family=KernelFamily.SQUARED_EXPONENTIAL))
-    with pytest.raises(ValueError, match="matern52"):
-        optimize_hyperparams(x, y, family=KernelFamily.SQUARED_EXPONENTIAL, start=KernelSpec(1.0, np.ones(2)))
 
 
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
-from buttonlab import KernelFamily, KernelSpec, gp_fit, gp_predict_batch, optimize_hyperparams
+from buttonlab import KernelSpec, gp_fit, gp_predict_batch, optimize_hyperparams
 
 def digest(*arrays):
     return hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)).hexdigest()
 
 rng = np.random.default_rng(9)
-for family, n, d in [("matern52", 70, 6), ("squared_exponential", 48, 2), ("matern52", 12, 6)]:
+for n, d in [(70, 6), (48, 2), (12, 6)]:
     x = rng.uniform(0.0, 1.0, size=(n, d))
     y = np.sin(3.0 * x).sum(axis=1) + 0.05 * rng.standard_normal(n)
-    spec = optimize_hyperparams(x, y, seed=n, family=family)
+    spec = optimize_hyperparams(x, y, seed=n)
     print(np.array([spec.signal_variance, spec.noise_variance]).tobytes().hex(), spec.lengthscales.tobytes().hex())
 
 # A search warm-started from the last kernel, on six more observations.

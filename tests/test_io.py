@@ -79,11 +79,10 @@ def test_config_round_trip_and_fingerprint():
 @pytest.mark.parametrize(
     "config, digest",
     [
-        (CidConfig(), "1c5001f85a0c2d5d843c798df1cfeb121c4d5306a0a8f8fe17dac787e92d7aff"),
+        (CidConfig(), "0a3fa7c3ed9e42b94f88f5e058be8c045f5aec0c05485ac05342752af580de4c"),
         (
-            CidConfig(provider="zdt1", budget=60, master_seed=3, kernel="squared_exponential",
-                      policy_path="p.json", inner_lr=0.1),
-            "06d35d9dff3ce9663ace7f4bf205d1fe197759be0861f4c05a5f3912cc746f6f",
+            CidConfig(provider="zdt1", budget=60, master_seed=3, policy_path="p.json", inner_lr=0.1),
+            "c6707a4ed4d9e34bf4884c035128d912daaf289421d02f79e6cd20ce7a96bc75",
         ),
     ],
 )
@@ -124,6 +123,9 @@ def test_config_rejects_unknown_names():
         parse_config("[optimizer]\nehvi_samples = 128\n")
     with pytest.raises(FormatError, match="simulator"):
         parse_config("[simulator]\nmass_kg = 0.005\n")
+    # The GP has one kernel, so there is no kernel to choose.
+    with pytest.raises(FormatError, match="optimizer.kernel: unknown key"):
+        parse_config("[optimizer]\nkernel = matern52\n")
 
 
 def test_config_rejects_bad_values():
@@ -526,7 +528,6 @@ def test_runstate_artifact_round_trip(tmp_path):
     }
     assert np.array_equal(back.reference.values, state.reference.values)
     for ma, mb in zip(back.models, state.models):
-        assert ma.kernel.family == mb.kernel.family
         assert ma.kernel.signal_variance == mb.kernel.signal_variance
         assert np.array_equal(ma.kernel.lengthscales, mb.kernel.lengthscales)
 
@@ -673,10 +674,6 @@ def _kernel_dimension(doc):
     doc["kernels"][1]["lengthscales"].append(1.0)
 
 
-def _kernel_family(doc):
-    doc["kernels"][1]["family"] = "squared_exponential"
-
-
 # Episode and seed tampers, on a button state: synthetic records keep neither.
 def _success_not_a_boolean(doc):
     doc["records"][1]["episodes"][0]["success"] = "no"
@@ -718,7 +715,7 @@ def tiny_button_state():
 @pytest.mark.parametrize(
     "tamper",
     [_add_kernel, _drop_last_kernel, _shorten_reference, _drop_record, _drop_objective, _add_objective,
-     _shorten_design, _design_above_box, _design_below_box, _nan_objective, _kernel_dimension, _kernel_family,
+     _shorten_design, _design_above_box, _design_below_box, _nan_objective, _kernel_dimension,
      *BUTTON_TAMPERS],
 )
 def test_malformed_runstate_is_a_format_error(tmp_path, capsys, request, tamper):
@@ -740,6 +737,22 @@ def test_malformed_runstate_is_a_format_error(tmp_path, capsys, request, tamper)
     assert main(["report", "--state", path, "--out-dir", str(tmp_path / "report")]) == 2
     err = capsys.readouterr().err
     assert "run state" in err and path in err
+
+
+def test_run_state_of_an_earlier_format_is_refused_by_its_tag(tmp_path, capsys):
+    # A runstate/1 state names a kernel family in its config and kernels.
+    cfg = config_file(tmp_path, SMALL_SCHAFFER)
+    path = str(tmp_path / "state.json")
+    save_artifact(path, initial_state(parse_config(SMALL_SCHAFFER)))
+    with open(path) as handle:
+        payload = json.load(handle)
+    payload["format"] = "runstate/1"
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+    assert main(["optimize", "--config", cfg, "--out-dir", str(tmp_path / "run"), "--resume", path]) == 2
+    assert "'runstate/1'" in capsys.readouterr().err
+    assert main(["report", "--state", path, "--out-dir", str(tmp_path / "report")]) == 2
+    assert "'runstate/1'" in capsys.readouterr().err
 
 
 def test_runstate_loads_and_exports_without_fitting_a_surrogate(tmp_path, monkeypatch):
@@ -837,7 +850,7 @@ def test_save_artifact_rejects_unknown_types(tmp_path):
 ARTIFACTS = {
     "fdvv/1": lambda: design_to_fdvv(ButtonDesignParams(2.5, 0.5, 2.0, 0.4, 0.3, 0.01)),
     "policy/1": lambda: MetaPolicy(init_policy(3), inner_lr=0.07, adapt_episodes=6),
-    "runstate/1": lambda: initial_state(parse_config(SMALL_SCHAFFER)),
+    "runstate/2": lambda: initial_state(parse_config(SMALL_SCHAFFER)),
 }
 
 
